@@ -27,16 +27,12 @@ from .extract import (
     check_certificate,
     corpus_run,
     extract,
+    next_step,
 )
 from .configs import iter_configs
 from .generate import GenSpec, GenerationError, generate
 from .graph import EmbeddedGraph, GraphError, ParseError, parse_rotation_graph
-from .reduce import (
-    PlanRejected,
-    Ratio,
-    candidate_plans,
-    certify_plan,
-)
+from .reduce import Ratio
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -144,55 +140,13 @@ def cmd_config(args) -> int:
 
 def cmd_reduce(args) -> int:
     g = _load(args.file)
-    c = _ratio(args.ratio)
-    from .reduce import find_low_degree_plan
-    from .graph import separating_triangles, triangulate
-
-    if not g.is_connected():
-        print(json.dumps({"step": "components", "count": len(g.components())}))
-        return EXIT_OK
-    if g.n > 3 and not g.is_triangulation():
-        gt = triangulate(g)
-        print(json.dumps({"step": "triangulate", "m_before": g.m, "m_after": gt.m}))
-        return EXIT_OK
-    plan = find_low_degree_plan(g, c)
-    if plan is not None:
-        certify_plan(g, plan)
-        print(json.dumps({"step": "reduce", "plan": plan.summary()}, sort_keys=True))
-        return EXIT_OK
-    septris = separating_triangles(g)
-    if septris:
-        from .reduce import split_plan
-
-        sp = split_plan(g, septris[0], c)
-        print(
-            json.dumps(
-                {
-                    "step": "split",
-                    "triangle": list(sp.triangle),
-                    "sides": [len(sp.side1), len(sp.side2)],
-                    "strategy": sp.strategy,
-                    "guarantees": dict(sp.guarantees),
-                },
-                sort_keys=True,
-            )
-        )
-        return EXIT_OK
-    for match in iter_configs(g):
-        for plan in candidate_plans(g, match, c):
-            try:
-                certify_plan(g, plan)
-            except PlanRejected:
-                continue
-            print(
-                json.dumps(
-                    {"step": "reduce", "match": match.kind, "plan": plan.summary()},
-                    sort_keys=True,
-                )
-            )
-            return EXIT_OK
-    print(json.dumps({"step": "diagnostic", "n": g.n}))
-    return EXIT_DIAGNOSTIC
+    try:
+        step = next_step(g, _ratio(args.ratio))
+    except IncompletenessDiagnostic:
+        print(json.dumps({"step": "diagnostic", "n": g.n}))
+        return EXIT_DIAGNOSTIC
+    print(json.dumps(step.summary(), sort_keys=True))
+    return EXIT_OK
 
 
 def cmd_gen(args) -> int:

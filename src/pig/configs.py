@@ -433,13 +433,6 @@ def iter_configs(
         yield from _DETECTORS[name](g, within)
 
 
-def find_config(
-    g: EmbeddedGraph, within: frozenset[int] | None = None
-) -> ConfigurationMatch | None:
-    """First match in priority order, or None."""
-    return next(iter_configs(g, within), None)
-
-
 def ball(g: EmbeddedGraph, seeds: Iterable[int], radius: int) -> frozenset[int]:
     cur = {v for v in seeds if g.has_vertex(v)}
     for _ in range(radius):

@@ -3,7 +3,9 @@
 The extractor peels a planar graph down with the cheapest sound move at
 every level: per-component handling, an exact base case, triangulation,
 low-degree reductions, separating-triangle splits, then oracle-certified
-configuration reductions.  Solutions are lifted bottom-up; every level
+configuration reductions.  ``next_step`` is the one place that order is
+written; extraction, certificate replay and ``pig reduce`` all go through
+it.  Solutions are lifted bottom-up; every level
 checks its own size contract, so the final certificate either meets
 ceil(c*n) or the run raises a diagnostic carrying the offending graph.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import mis
 from .configs import ball, iter_configs, tight_sets
@@ -26,6 +28,8 @@ from .graph import (
     triangulate,
 )
 from .reduce import (
+    CertifiedPlan,
+    LiftError,
     PlanRejected,
     Ratio,
     ReductionPlan,
@@ -95,7 +99,7 @@ class Certificate:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CertificateError(f"bad JSON: {exc}") from None
-        if payload.get("format") != CERT_FORMAT:
+        if not isinstance(payload, dict) or payload.get("format") != CERT_FORMAT:
             raise CertificateError("unknown certificate format")
         try:
             return cls(
@@ -108,23 +112,106 @@ class Certificate:
             )
         except KeyError as exc:
             raise CertificateError(f"missing field {exc}") from None
+        except TypeError:
+            raise CertificateError("independent_set is not a list") from None
 
 
-def _node(op: str, g: EmbeddedGraph, c: Ratio, sol: frozenset[int], **extra) -> dict:
-    base = {
-        "op": op,
-        "n": g.n,
-        "bound": c.ceil_mul(g.n),
-        "size": len(sol),
-        "set": sorted(sol),
+# -- the step engine -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Step:
+    """One step of the recursion on ``g``: the sub-instances it leaves and
+    how their solutions combine into a solution of ``g``.
+
+    ``fields`` are the certificate fields the choice of step fixes.
+    ``combine(sols, kids)`` maps the sub-solutions and the sub-instances'
+    certificate nodes to the solution and the node fields they add.
+    """
+
+    op: str
+    g: EmbeddedGraph
+    c: Ratio
+    fields: dict
+    subs: tuple[EmbeddedGraph, ...]
+    combine: Callable[[list[frozenset[int]], list], tuple[frozenset[int], dict]]
+
+    def finish(self, sols: list, kids: list) -> tuple[frozenset[int], dict]:
+        """Combine the sub-solutions; return the solution and its node."""
+        out, added = self.combine(sols, kids)
+        node = {
+            "op": self.op,
+            "n": self.g.n,
+            "bound": self.c.ceil_mul(self.g.n),
+            "size": len(out),
+            "set": sorted(out),
+        }
+        return out, node | self.fields | added
+
+    def summary(self) -> dict:
+        """The step as ``pig reduce`` prints it."""
+        return {"step": self.op, "count": len(self.subs)} | self.fields
+
+
+def _exact(g: EmbeddedGraph, c: Ratio) -> Step:
+    return Step(
+        "exact", g, c, {}, (), lambda sols, kids: (frozenset(mis.mis_exact(g)), {})
+    )
+
+
+def _components(g: EmbeddedGraph, c: Ratio, comps) -> Step:
+    return Step(
+        "components", g, c, {}, tuple(g.subgraph(comp) for comp in comps),
+        lambda sols, kids: (frozenset().union(*sols), {"children": kids}),
+    )
+
+
+def _triangulate(g: EmbeddedGraph, c: Ratio) -> Step:
+    gt = triangulate(g)
+    return Step(
+        "triangulate", g, c, {"m_before": g.m, "m_after": gt.m}, (gt,),
+        lambda sols, kids: (sols[0], {"child": kids[0]}),
+    )
+
+
+def _reduce(g: EmbeddedGraph, c: Ratio, cert: CertifiedPlan, **label) -> Step:
+    reduced, ctx = apply_plan(g, cert)
+    fields = {"plan": cert.plan.summary() | {"w_ids": list(ctx.w_ids)}} | label
+    return Step(
+        "reduce", g, c, fields, (reduced,),
+        lambda sols, kids: (lift(sols[0], ctx), {"child": kids[0]}),
+    )
+
+
+def _split(g: EmbeddedGraph, c: Ratio, triangle) -> Step:
+    sp = split_plan(g, triangle, c)
+    subs = split_subproblems(g, sp)
+
+    def combine(sols, kids):
+        if any(len(sol) < sub.floor for sub, sol in zip(subs, sols)):
+            raise LiftError("split sub-solution below its floor")  # unreachable
+        out, recipe = split_combine(
+            g, sp,
+            {sub.tag: sol for sub, sol in zip(subs, sols)},
+            {sub.tag: sub.merged for sub in subs},
+        )
+        return out, {"recipe": recipe, "subs": [
+            {"tag": sub.tag, "merged": sub.merged, "child": kid}
+            for sub, kid in zip(subs, kids)
+        ]}
+
+    fields = {
+        "triangle": list(sp.triangle),
+        "strategy": sp.strategy,
+        "sides": [len(sp.side1), len(sp.side2)],
     }
-    base.update(extra)
-    return base
+    return Step("split", g, c, fields, tuple(sub.graph for sub in subs), combine)
 
 
-def _certified_config_plan(g: EmbeddedGraph, c: Ratio):
+def _certified_config_plan(g: EmbeddedGraph, c: Ratio) -> tuple[CertifiedPlan, str]:
     """Search matches in priority order, certify candidate plans, windowed
-    to the negative-charge neighborhoods first and globally after."""
+    to the negative-charge neighborhoods first and globally after.  Returns
+    the certified plan and the label of what found it."""
     windows: frozenset[int] | None
     try:
         windows = ball(g, negative_vertices(run_main(g)), 2)
@@ -136,7 +223,7 @@ def _certified_config_plan(g: EmbeddedGraph, c: Ratio):
             if match.j:
                 for plan in candidate_plans(g, match, c):
                     try:
-                        return certify_plan(g, plan), match
+                        return certify_plan(g, plan), match.kind
                     except PlanRejected:
                         continue
             else:
@@ -146,7 +233,7 @@ def _certified_config_plan(g: EmbeddedGraph, c: Ratio):
                         g, jset, c, f"{match.kind}-derived", match.preferred_k
                     ):
                         try:
-                            return certify_plan(g, plan), match
+                            return certify_plan(g, plan), match.kind
                         except PlanRejected:
                             continue
     # last resort: generic tight independent sets near negative charge
@@ -155,89 +242,101 @@ def _certified_config_plan(g: EmbeddedGraph, c: Ratio):
         for jset in tight_sets(g, scope, limit=200):
             for plan in plans_for_independent_set(g, jset, c, "sweep", 0):
                 try:
-                    return certify_plan(g, plan), None
+                    return certify_plan(g, plan), "sweep"
                 except PlanRejected:
                     continue
     raise IncompletenessDiagnostic(g, c)
 
 
-def _solve(g: EmbeddedGraph, c: Ratio) -> tuple[frozenset[int], dict]:
-    bound = c.ceil_mul(g.n)
-    if g.n == 0:
-        return frozenset(), {
-            "op": "exact", "n": 0, "bound": 0, "size": 0, "set": []
-        }
-
+def next_step(g: EmbeddedGraph, c: Ratio) -> Step:
+    """The step the extractor takes on ``g``: the one copy of the order."""
     comps = g.components()
     if len(comps) > 1:
-        sol: set[int] = set()
-        children = []
-        for comp in comps:
-            part, node = _solve(g.subgraph(comp), c)
-            sol |= part
-            children.append(node)
-        out = frozenset(sol)
-        node = _node("components", g, c, out, children=children)
-    elif g.n <= BASE_EXACT_N:
-        out = frozenset(mis.mis_exact(g))
-        node = _node("exact", g, c, out)
-    elif not g.is_triangulation():
-        gt = triangulate(g)
-        out, child = _solve(gt, c)
-        node = _node(
-            "triangulate", g, c, out, m_before=g.m, m_after=gt.m, child=child
-        )
-    else:
-        plan = find_low_degree_plan(g, c)
-        if plan is not None:
-            cert = certify_plan(g, plan)
-            reduced, ctx = apply_plan(g, cert)
-            inner, child = _solve(reduced, c)
-            out = lift(inner, ctx)
-            node = _node(
-                "reduce", g, c, out,
-                plan=plan.summary() | {"w_ids": list(ctx.w_ids)},
-                child=child,
-            )
-        else:
-            septris = separating_triangles(g)
-            if septris:
-                sp = split_plan(g, septris[0], c)
-                subs = split_subproblems(g, sp)
-                solved: dict[str, frozenset[int]] = {}
-                merged: dict[str, int | None] = {}
-                sub_nodes = []
-                for sub in subs:
-                    part, sub_node = _solve(sub.graph, c)
-                    if len(part) < sub.floor:
-                        raise IncompletenessDiagnostic(g, c)  # unreachable
-                    solved[sub.tag] = part
-                    merged[sub.tag] = sub.merged
-                    sub_nodes.append(
-                        {"tag": sub.tag, "merged": sub.merged, "child": sub_node}
-                    )
-                out, recipe = split_combine(g, sp, solved, merged)
-                node = _node(
-                    "split", g, c, out,
-                    triangle=list(sp.triangle),
-                    strategy=sp.strategy,
-                    recipe=recipe,
-                    sides=[len(sp.side1), len(sp.side2)],
-                    subs=sub_nodes,
-                )
-            else:
-                cert, match = _certified_config_plan(g, c)
-                reduced, ctx = apply_plan(g, cert)
-                inner, child = _solve(reduced, c)
-                out = lift(inner, ctx)
-                node = _node(
-                    "reduce", g, c, out,
-                    plan=cert.plan.summary() | {"w_ids": list(ctx.w_ids)},
-                    match=match.kind if match else "sweep",
-                    child=child,
-                )
+        return _components(g, c, comps)
+    if g.n <= BASE_EXACT_N:
+        return _exact(g, c)
+    if not g.is_triangulation():
+        return _triangulate(g, c)
+    plan = find_low_degree_plan(g, c)
+    if plan is not None:
+        return _reduce(g, c, certify_plan(g, plan))
+    septris = separating_triangles(g)
+    if septris:
+        return _split(g, c, septris[0])
+    cert, label = _certified_config_plan(g, c)
+    return _reduce(g, c, cert, match=label)
 
-    if len(out) < bound or not mis.verify_independent(g, out):
+
+def _get(record, key: str, ok: Callable[[object], bool]):
+    """A recorded choice, type-checked before replay uses it."""
+    value = record.get(key)
+    if not ok(value):
+        raise CertificateError(f"malformed {key!r}: {value!r}")
+    return value
+
+
+def _ids(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+def _recorded_reduce(g: EmbeddedGraph, c: Ratio, node: dict) -> Step:
+    rec = _get(node, "plan", lambda v: isinstance(v, dict))
+    plan = ReductionPlan(
+        kind=_get(rec, "kind", lambda v: isinstance(v, str)),
+        s=frozenset(_get(rec, "S", _ids)),
+        parts=tuple(map(frozenset, _get(
+            rec, "parts", lambda v: isinstance(v, list) and all(map(_ids, v))
+        ))),
+        ratio=c,
+        provenance=_get(rec, "provenance", lambda v: isinstance(v, str)),
+        j=tuple(_get(rec, "j", _ids)),
+        k=_get(rec, "k", lambda v: v is None or type(v) is int),
+    )
+    label = {}
+    if "match" in node:  # recorded for the catalog's steps, never interpreted
+        label["match"] = _get(node, "match", lambda v: isinstance(v, str))
+    return _reduce(g, c, certify_plan(g, plan), **label)
+
+
+# Rebuild the step of a recorded node from its recorded choices alone.
+_REBUILD = {
+    "exact": lambda g, c, node: _exact(g, c),
+    "components": lambda g, c, node: _components(g, c, g.components()),
+    "triangulate": lambda g, c, node: _triangulate(g, c),
+    "reduce": _recorded_reduce,
+    "split": lambda g, c, node: _split(g, c, _get(node, "triangle", _ids)),
+}
+
+
+def _recorded_kids(node: dict) -> list:
+    """The recorded sub-trees; a malformed one fails where it is replayed."""
+    if "child" in node:
+        return [node["child"]]
+    if "subs" in node:
+        subs = node["subs"] if isinstance(node["subs"], list) else [None]
+        return [s.get("child") if isinstance(s, dict) else None for s in subs]
+    kids = node.get("children", [])
+    return kids if isinstance(kids, list) else [None]
+
+
+def _own(node: dict) -> dict:
+    """The node with its sub-trees blanked: the fields replay compares.
+    Comparing whole sub-trees at every level would make replay cubic."""
+    own = {k: None if k in ("child", "children") else v for k, v in node.items()}
+    subs = own.get("subs")
+    if isinstance(subs, list):
+        own["subs"] = [s | {"child": None} if isinstance(s, dict) else s for s in subs]
+    return own
+
+
+# -- extraction and replay -------------------------------------------------------
+
+
+def _solve(g: EmbeddedGraph, c: Ratio) -> tuple[frozenset[int], dict]:
+    step = next_step(g, c)
+    solved = [_solve(sub, c) for sub in step.subs]
+    out, node = step.finish([sol for sol, _ in solved], [kid for _, kid in solved])
+    if len(out) < c.ceil_mul(g.n) or not mis.verify_independent(g, out):
         raise IncompletenessDiagnostic(g, c)  # size contract is checked everywhere
     return out, node
 
@@ -256,100 +355,50 @@ def extract(g: EmbeddedGraph, c: Ratio | str) -> Certificate:
     )
 
 
-# -- certificate replay ---------------------------------------------------------
-
-
-def _replay(g: EmbeddedGraph, node: dict, c: Ratio, path: str) -> frozenset[int]:
-    op = node.get("op")
-    if node.get("n") != g.n:
-        raise CertificateError(f"{path}: recorded n={node.get('n')} but graph has {g.n}")
-    want = frozenset(node.get("set", ()))
-    if len(want) != node.get("size"):
-        raise CertificateError(f"{path}: size field mismatch")
-    if node.get("bound") != c.ceil_mul(g.n):
-        raise CertificateError(f"{path}: bound field mismatch")
-
-    if op == "exact":
-        got = frozenset(mis.mis_exact(g)) if g.n else frozenset()
-    elif op == "components":
-        comps = g.components()
-        children = node.get("children", [])
-        if len(comps) != len(children):
-            raise CertificateError(f"{path}: component count differs")
-        acc: set[int] = set()
-        for i, (comp, child) in enumerate(zip(comps, children)):
-            acc |= _replay(g.subgraph(comp), child, c, f"{path}.components[{i}]")
-        got = frozenset(acc)
-    elif op == "triangulate":
-        gt = triangulate(g)
-        if gt.m != node.get("m_after"):
-            raise CertificateError(f"{path}: triangulation edge count differs")
-        got = _replay(gt, node["child"], c, f"{path}.triangulate")
-    elif op == "reduce":
-        summary = node.get("plan", {})
-        plan = ReductionPlan(
-            kind=summary["kind"],
-            s=frozenset(summary["S"]),
-            parts=tuple(frozenset(p) for p in summary["parts"]),
-            ratio=c,
-            provenance=summary.get("provenance", "replay"),
-            j=tuple(summary.get("j", ())),
-            k=summary.get("k"),
-        )
-        cert = certify_plan(g, plan)
-        reduced, ctx = apply_plan(g, cert)
-        if list(ctx.w_ids) != summary.get("w_ids", []):
-            raise CertificateError(f"{path}: contraction ids diverge")
-        inner = _replay(reduced, node["child"], c, f"{path}.reduce")
-        got = lift(inner, ctx)
-    elif op == "split":
-        sp = split_plan(g, tuple(node["triangle"]), c)
-        if sp.strategy != node.get("strategy"):
-            raise CertificateError(f"{path}: split strategy diverges")
-        subs = split_subproblems(g, sp)
-        recorded = {s["tag"]: s for s in node.get("subs", [])}
-        if set(recorded) != {s.tag for s in subs}:
-            raise CertificateError(f"{path}: split sub tags diverge")
-        solved = {}
-        merged = {}
-        for sub in subs:
-            rec = recorded[sub.tag]
-            if rec.get("merged") != sub.merged:
-                raise CertificateError(f"{path}: merged id diverges in {sub.tag}")
-            solved[sub.tag] = _replay(
-                sub.graph, rec["child"], c, f"{path}.split[{sub.tag}]"
+def _replay(g: EmbeddedGraph, node, c: Ratio, path: str) -> frozenset[int]:
+    """Re-run the recorded steps and check each node's own fields."""
+    try:
+        op = node.get("op") if isinstance(node, dict) else None
+        if not isinstance(op, str) or op not in _REBUILD:
+            raise CertificateError("not a node with a known op")
+        step = _REBUILD[op](g, c, node)
+        kids = _recorded_kids(node)
+        if len(kids) != len(step.subs):
+            raise CertificateError(
+                f"{len(kids)} sub-trees recorded, the step makes {len(step.subs)}"
             )
-            merged[sub.tag] = sub.merged
-        got, recipe = split_combine(g, sp, solved, merged)
-        if recipe != node.get("recipe"):
-            raise CertificateError(f"{path}: recombination recipe diverges")
-    else:
-        raise CertificateError(f"{path}: unknown op {op!r}")
-
-    if got != want:
-        raise CertificateError(f"{path}: replayed set differs from recorded")
-    if not mis.verify_independent(g, got):
-        raise CertificateError(f"{path}: recorded set not independent")
-    if len(got) < c.ceil_mul(g.n):
-        raise CertificateError(f"{path}: recorded set below size ledger")
+    except CertificateError as exc:
+        raise CertificateError(f"{path}: {exc}") from None
+    sols = [
+        _replay(sub, kid, c, f"{path}.{step.op}[{i}]")
+        for i, (sub, kid) in enumerate(zip(step.subs, kids))
+    ]
+    got, fresh = step.finish(sols, kids)
+    ours, theirs = _own(fresh), _own(node)
+    if ours != theirs:
+        keys = sorted(k for k in ours | theirs if ours.get(k) != theirs.get(k))
+        raise CertificateError(f"{path}: replay diverges in {', '.join(keys)}")
+    if len(got) < c.ceil_mul(g.n) or not mis.verify_independent(g, got):
+        raise CertificateError(f"{path}: recorded set breaks the size contract")
     return got
 
 
 def check_certificate(g: EmbeddedGraph, cert: Certificate) -> tuple[bool, str]:
-    """Replay every step and size-ledger entry; (ok, reason)."""
+    """Replay every step and size-ledger entry; (ok, reason).  Never raises
+    on a malformed certificate."""
     if cert.graph_hash != g.graph_hash():
         return False, "graph hash mismatch"
     try:
-        ratio = Ratio.parse(cert.ratio)
+        ratio = Ratio.parse(str(cert.ratio))
     except ValueError as exc:
         return False, str(exc)
     if cert.bound != ratio.ceil_mul(g.n) or cert.n != g.n:
         return False, "header bound/size mismatch"
     try:
         got = _replay(g, cert.root, ratio, "root")
-    except (CertificateError, PlanRejected, GraphError) as exc:
+    except (CertificateError, GraphError, LiftError) as exc:
         return False, str(exc)
-    if got != frozenset(cert.independent_set):
+    if tuple(sorted(got)) != cert.independent_set:
         return False, "final set differs from trace"
     if len(got) < cert.bound:
         return False, "final set below bound"
@@ -430,6 +479,13 @@ def corpus_run(specs: Sequence[GenSpec], c: Ratio | str) -> CorpusReport:
                 CorpusEntry(
                     spec, g.n, ratio.ceil_mul(g.n), 0, False,
                     time.perf_counter() - t0, str(exc), exc.graph_text,
+                )
+            )
+        except mis.OracleBudgetExceeded as exc:
+            entries.append(
+                CorpusEntry(
+                    spec, g.n, ratio.ceil_mul(g.n), 0, False,
+                    time.perf_counter() - t0, f"oracle budget exceeded: {exc}",
                 )
             )
     return CorpusReport(str(ratio), tuple(entries))

@@ -173,6 +173,8 @@ def certify_plan(
         raise PlanRejected("S empty or referencing dead vertices")
     if plan.t >= len(s):
         raise PlanRejected("need t < |S|")
+    if not set(plan.j) <= s:
+        raise PlanRejected("J outside S")
     covered: set[int] = set()
     for p in plan.parts:
         if not p or not p <= s:
@@ -485,15 +487,6 @@ def plans_for_independent_set(
     )
 
 
-def plan_from_match(
-    g: EmbeddedGraph, match: ConfigurationMatch, c: Ratio
-) -> ReductionPlan:
-    """First structurally valid candidate plan for a match."""
-    for plan in candidate_plans(g, match, c):
-        return plan
-    raise PlanRejected(f"match {match.kind} yields no plan")
-
-
 # -- separating-triangle split ---------------------------------------------------
 
 
@@ -533,7 +526,7 @@ def split_guarantees(n1: int, n2: int, c: Ratio) -> dict[str, int]:
 
 def split_plan(g: EmbeddedGraph, triangle: Sequence[int], c: Ratio) -> SplitPlan:
     tri = tuple(sorted(triangle))
-    if len(tri) != 3 or not all(
+    if len(tri) != 3 or not all(map(g.has_vertex, tri)) or not all(
         g.adjacent(a, b) for a, b in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2]))
     ):
         raise PlanRejected(f"{tri} is not a triangle")

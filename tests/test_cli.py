@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from conftest import drum, glued_pair
 from pig.cli import main
-from pig.graph import icosahedron
+from pig.extract import extract
+from pig.generate import GenSpec, generate
+from pig.graph import cube, embedded_cycle, icosahedron, parse_rotation_graph
 
 
 @pytest.fixture()
@@ -89,14 +92,46 @@ def test_reduce_step(flagged_file, capsys):
 
 
 def test_reduce_step_triangulate(tmp_path, capsys):
-    from pig.graph import cube
-
-    path = tmp_path / "cube.rot"
-    path.write_text(cube().serialize())
+    # more than BASE_EXACT_N vertices, so extraction triangulates first
+    path = tmp_path / "cycle.rot"
+    path.write_text(embedded_cycle(24).serialize())
     assert main(["reduce", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["step"] == "triangulate"
-    assert payload["m_after"] == 18
+    assert payload["m_after"] == 66  # 3n - 6
+
+
+def _flagged(seed, n):
+    return generate(
+        GenSpec(seed=seed, n=n, min_degree5=True, no_separating_triangle=True)
+    )
+
+
+FIRST_STEP_GRAPHS = {
+    "cube-n8": cube,
+    **{
+        f"flagged-s{seed}-n{60 + 10 * (seed % 4)}": (
+            lambda seed=seed: _flagged(seed, 60 + 10 * (seed % 4))
+        )
+        for seed in range(12)
+    },
+    "glued-16-14": lambda: glued_pair(16, 14),
+    "drum-8": lambda: drum(8),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_STEP_GRAPHS)
+def test_reduce_prints_the_first_step_of_extract(name, tmp_path, capsys):
+    path = tmp_path / "g.rot"
+    path.write_text(FIRST_STEP_GRAPHS[name]().serialize())
+    assert main(["reduce", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    root = extract(parse_rotation_graph(path.read_text()), "3/13").root
+    fields = {k: v for k, v in payload.items() if k not in ("step", "count")}
+    assert payload["step"] == root["op"]
+    assert fields == {k: root.get(k) for k in fields}
+    if root["op"] == "reduce":
+        assert payload["plan"] == root["plan"]
 
 
 def test_reduce_step_split(tmp_path, capsys):
@@ -117,6 +152,23 @@ def test_reduce_step_components(tmp_path, capsys):
     assert main(["reduce", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["step"] == "components" and payload["count"] == 2
+
+
+def test_check_cert_malformed_exits_1(rot_file, tmp_path, capsys):
+    cert = tmp_path / "out.cert"
+    main(["extract", str(rot_file), "--json", str(cert)])
+    payload = json.loads(cert.read_text())
+    payload["root"] = [payload["root"]]
+    cert.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["check-cert", str(rot_file), str(cert)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL: ")
+
+
+def test_corpus_oracle_budget_exits_3(monkeypatch, capsys):
+    monkeypatch.setenv("PIG_ORACLE_BUDGET", "5")
+    assert main(["corpus", "--n", "40", "--count", "3"]) == 3
+    assert "oracle budget exceeded" in capsys.readouterr().out
 
 
 def test_corpus(capsys):

@@ -3,7 +3,6 @@ from pig.configs import (
     ball,
     detect_apex_pair,
     detect_tight_pair,
-    find_config,
     iter_configs,
     joint_neighborhood,
     tight_sets,
@@ -19,7 +18,7 @@ def flagged(seed, n):
 
 def test_icosahedron_apex_pair(ico):
     # every edge has two degree-5 apexes, so the first detector fires
-    m = find_config(ico)
+    m = next(iter_configs(ico), None)
     assert m is not None and m.kind == "apex_pair"
     assert m.verify(ico)
     w, x = m.role("w"), m.role("x")
@@ -29,11 +28,11 @@ def test_icosahedron_apex_pair(ico):
 
 def test_apex_pair_on_every_flagged_graph():
     # min-degree-5 triangulations without separating triangles always
-    # contain the two-apex pattern, so find_config never comes up empty
+    # contain the two-apex pattern, so iter_configs never comes up empty
     for seed in range(8):
         g = flagged(seed, 40 + seed * 13)
         assert any(True for _ in detect_apex_pair(g))
-        assert find_config(g) is not None
+        assert next(iter_configs(g), None) is not None
 
 
 def test_matches_verify_their_hypotheses():
@@ -61,12 +60,12 @@ def test_tight_pair_bound():
 
 
 def test_k4_no_matches(graph_k4):
-    assert find_config(graph_k4) is None
+    assert next(iter_configs(graph_k4), None) is None
 
 
 def test_windowed_restriction():
     g = flagged(1, 90)
-    m = find_config(g)
+    m = next(iter_configs(g), None)
     window = ball(g, [m.roles[0][1]], 2)
     windowed = list(iter_configs(g, window))
     assert windowed  # the window around a match still yields matches

@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 
@@ -111,6 +112,38 @@ class TestDeterminism:
         assert ok, reason
 
 
+CERT_FIELDS = ("ratio", "graph_hash", "n", "bound", "independent_set", "root")
+
+
+def _direct(payload):
+    """The certificate built directly, past from_json's header checks."""
+    fields = {f: payload[f] for f in CERT_FIELDS}
+    if isinstance(fields["independent_set"], list):
+        fields["independent_set"] = tuple(fields["independent_set"])
+    return Certificate(**fields)
+
+
+def _reduce_node(payload):
+    return _find_op(payload["root"], "reduce")
+
+
+MALFORMED = {
+    "missing-child": lambda p: _reduce_node(p).pop("child"),
+    "missing-plan-kind": lambda p: _reduce_node(p)["plan"].pop("kind"),
+    "plan-S-not-ids": lambda p: _reduce_node(p)["plan"].update(S=["a"]),
+    "plan-null": lambda p: _reduce_node(p).update(plan=None),
+    "plan-j-absent-vertex": lambda p: _reduce_node(p)["plan"].update(j=[10**6]),
+    "split-absent-triangle": lambda p: p["root"].update(
+        op="split", triangle=[10**6, 10**6 + 1, 10**6 + 2]
+    ),
+    "root-is-list": lambda p: p.update(root=[p["root"]]),
+    "root-unknown-op": lambda p: p["root"].update(op=["reduce"]),
+    "independent-set-null": lambda p: p.update(independent_set=None),
+    "node-set-null": lambda p: p["root"].update(set=None),
+    "ratio-null": lambda p: p.update(ratio=None),
+}
+
+
 class TestCheckCertificate:
     def test_fresh_certificate_replays(self):
         for seed in range(4):
@@ -165,6 +198,35 @@ class TestCheckCertificate:
             Certificate.from_json("{}")
         with pytest.raises(CertificateError):
             Certificate.from_json("not json")
+        with pytest.raises(CertificateError):
+            Certificate.from_json("[]")
+        payload = json.loads(extract(generate(GenSpec(seed=9, n=40)), C13).to_json())
+        payload["independent_set"] = None
+        with pytest.raises(CertificateError):
+            Certificate.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("tamper", sorted(MALFORMED))
+    def test_malformed_certificate_fails_without_raising(self, tamper):
+        g = generate(GenSpec(seed=9, n=40))
+        payload = json.loads(extract(g, C13).to_json())
+        assert check_certificate(g, _direct(payload)) == (True, "ok")
+        MALFORMED[tamper](payload)
+        ok, reason = check_certificate(g, _direct(payload))
+        assert not ok and reason
+
+    def test_lift_error_is_reported(self, monkeypatch):
+        from pig.reduce import LiftError
+
+        engine = importlib.import_module("pig.extract")
+
+        def broken_lift(*args):
+            raise LiftError("window optimum below certified size")
+
+        g = generate(GenSpec(seed=9, n=40))
+        cert = extract(g, C13)
+        monkeypatch.setattr(engine, "lift", broken_lift)
+        ok, reason = check_certificate(g, cert)
+        assert not ok and reason == "window optimum below certified size"
 
 
 class TestStructuredFamilies:
@@ -351,6 +413,14 @@ class TestCorpusRun:
         assert report.successes == 6
         assert not report.diagnostics
         assert report.summary()["instances"] == 6
+
+    def test_oracle_budget_collected_per_instance(self, monkeypatch):
+        monkeypatch.setenv("PIG_ORACLE_BUDGET", "5")
+        report = corpus_run([GenSpec(seed=s, n=40) for s in range(3)], C13)
+        assert len(report.entries) == 3
+        failed = [e for e in report.entries if not e.ok]
+        assert failed
+        assert all(e.diagnostic.startswith("oracle budget exceeded: ") for e in failed)
 
     def test_flagged_corpus(self):
         specs = [

@@ -1,0 +1,67 @@
+"""Golden corpus: the independent set returned for a fixed list of specs.
+
+The sets in ``data/golden_sets.json`` pin "same behaviour" across
+refactors.  They change only on purpose; to re-record them after such a
+change, run ``PYTHONPATH=src python tests/test_golden.py`` from the repo
+root and say in the change log why they moved.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from pig.extract import extract
+from pig.generate import GenSpec, generate
+
+GOLDEN = Path(__file__).parent / "data" / "golden_sets.json"
+
+SPECS = (
+    {"family": "plain", "n": 40, "seed": 1, "ratio": "3/13"},
+    {"family": "plain", "n": 80, "seed": 2, "ratio": "3/13"},
+    {"family": "plain", "n": 120, "seed": 3, "ratio": "3/13"},
+    {"family": "plain", "n": 100, "seed": 4, "ratio": "1/5"},
+    {"family": "flagged", "n": 60, "seed": 0, "ratio": "3/13"},
+    {"family": "flagged", "n": 90, "seed": 5, "ratio": "3/13"},
+    {"family": "flagged", "n": 120, "seed": 7, "ratio": "3/13"},
+    {"family": "flagged", "n": 70, "seed": 2, "ratio": "2/9"},
+    {"family": "glued", "n1": 16, "n2": 14, "ratio": "3/13"},
+    {"family": "drum", "rings": 8, "ratio": "3/13"},
+)
+
+
+def spec_id(spec: dict) -> str:
+    return "-".join(f"{k}={v}" for k, v in spec.items())
+
+
+def build(spec: dict):
+    from conftest import drum, glued_pair
+
+    family = spec["family"]
+    if family in ("plain", "flagged"):
+        flagged = family == "flagged"
+        return generate(GenSpec(seed=spec["seed"], n=spec["n"],
+                                min_degree5=flagged,
+                                no_separating_triangle=flagged))
+    if family == "glued":
+        return glued_pair(spec["n1"], spec["n2"])
+    return drum(spec["rings"])
+
+
+def golden_set(spec: dict) -> list[int]:
+    return list(extract(build(spec), spec["ratio"]).independent_set)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_golden_set(spec):
+    recorded = {e["id"]: e["set"] for e in json.loads(GOLDEN.read_text())}
+    assert golden_set(spec) == recorded[spec_id(spec)]
+
+
+if __name__ == "__main__":
+    import sys
+
+    sys.path.insert(0, str(Path(__file__).parent))
+    lines = [json.dumps({"id": spec_id(s), "set": golden_set(s)}) for s in SPECS]
+    GOLDEN.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+    print(f"wrote {len(lines)} golden sets to {GOLDEN}")

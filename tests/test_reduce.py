@@ -17,7 +17,6 @@ from pig.reduce import (
     find_low_degree_plan,
     interior,
     lift,
-    plan_from_match,
     split_combine,
     split_guarantees,
     split_plan,
@@ -169,7 +168,7 @@ class TestCertification:
     def test_pair_plan_certifies_on_flagged_graph(self):
         g = flagged(2, 70)
         match = next(m for m in iter_configs(g) if m.kind == "tight_pair")
-        plan = plan_from_match(g, match, C13)
+        plan = next(candidate_plans(g, match, C13))
         cert = certify_plan(g, plan)
         assert cert.need == plan.need()
         assert all(alpha >= cert.need for _, alpha in cert.checked)
@@ -230,7 +229,7 @@ class TestLift:
     def test_lift_replaces_contracted_vertex(self):
         g = flagged(1, 64)
         match = next(m for m in iter_configs(g) if m.kind == "tight_pair")
-        plan = plan_from_match(g, match, C13)
+        plan = next(candidate_plans(g, match, C13))
         cert = certify_plan(g, plan)
         reduced, ctx = apply_plan(g, cert)
         assert reduced.n == g.n - len(plan.s) + plan.t
