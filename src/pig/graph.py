@@ -14,8 +14,9 @@ stages unambiguously.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -36,9 +37,18 @@ class EmbeddedGraph:
     ``rotations`` maps each vertex id to the cyclic sequence of its
     neighbors.  The face tracing rule: the dart (u, v) is followed by
     (v, w) where w is the successor of u in the rotation at v.
+
+    A graph built here is validated whole.  Graphs derived from it
+    (``subgraph``, ``delete_set``, ``delete_edge``, ``contract_set``,
+    ``triangulate``) are local edits: they share the parent's unchanged
+    rotations and neighbor sets, check only the rotations the edit touched,
+    and re-trace only the faces through them.  Every graph knows its face
+    count, counting an isolated vertex as one face, and its non-triangular
+    faces; a planar one also knows its number of components, which is
+    (n - m + faces) / 2 by Euler's formula.
     """
 
-    __slots__ = ("_rot", "_adj", "_next_id", "_faces", "_m")
+    __slots__ = ("_rot", "_adj", "_next_id", "_faces", "_m", "_nf", "_holes", "_ncomp")
 
     def __init__(
         self,
@@ -56,6 +66,11 @@ class EmbeddedGraph:
         top = max(rot, default=0)
         self._next_id = max(next_id or 0, top + 1)
         self._faces: tuple[tuple[int, ...], ...] | None = None
+        # face count, non-triangular faces (canonical, in face order) and,
+        # once planarity is known, the number of components
+        self._nf: int | None = None
+        self._holes: tuple[tuple[int, ...], ...] | None = None
+        self._ncomp: int | None = None
         if validate:
             self._validate()
 
@@ -109,21 +124,28 @@ class EmbeddedGraph:
     # -- validation --------------------------------------------------------
 
     def _validate(self) -> None:
-        for v, ns in self._rot.items():
+        for v in self._rot:
             if not isinstance(v, int) or v <= 0:
                 raise EmbeddingError(f"vertex id {v!r} is not a positive int")
-            if len(set(ns)) != len(ns):
+        self._check_rotations(self._rot)
+        self._check_euler()
+
+    def _check_rotations(self, vs: Iterable[int]) -> None:
+        """Rotations of ``vs``: no repeats, no loops, symmetric."""
+        rot, adj = self._rot, self._adj
+        for v in vs:
+            ns = rot[v]
+            if len(adj[v]) != len(ns):
                 raise EmbeddingError(f"repeated neighbor in rotation of {v}")
-            if v in self._adj[v]:
+            if v in adj[v]:
                 raise EmbeddingError(f"loop at vertex {v}")
             for u in ns:
-                if u not in self._rot:
+                if u not in rot:
                     raise EmbeddingError(f"vertex {v} lists unknown vertex {u}")
-                if v not in self._adj[u]:
+                if v not in adj[u]:
                     raise EmbeddingError(
                         f"asymmetric adjacency: {v} lists {u} but not vice versa"
                     )
-        self._check_euler()
 
     def _check_euler(self) -> None:
         # Each component must close up: n - m + f = 2 per component, where
@@ -145,6 +167,7 @@ class EmbeddedGraph:
                     f"Euler trace fails on component of {comp[0]}: "
                     f"n={nc} m={mc} f={fc}"
                 )
+        self._ncomp = len(comps)
 
     # -- faces -------------------------------------------------------------
 
@@ -155,33 +178,30 @@ class EmbeddedGraph:
         return self._faces
 
     def _trace_faces(self) -> Iterator[tuple[int, ...]]:
-        pos = {
-            v: {u: i for i, u in enumerate(ns)} for v, ns in self._rot.items()
-        }
-        seen: set[tuple[int, int]] = set()
-        for u in sorted(self._rot):
-            for v in self._rot[u]:
-                if (u, v) in seen:
-                    continue
-                walk = []
-                a, b = u, v
-                while (a, b) not in seen:
-                    seen.add((a, b))
-                    walk.append(a)
-                    ns = self._rot[b]
-                    a, b = b, ns[(pos[b][a] + 1) % len(ns)]
-                yield tuple(walk)
+        rot = self._rot
+        return _walks(rot, ((u, v) for u in sorted(rot) for v in rot[u]))
+
+    def _face_stats(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """Face count (an isolated vertex counts as one face) and the
+        non-triangular faces."""
+        if self._holes is None:
+            fs = self.faces()
+            self._nf = len(fs) + sum(1 for ns in self._rot.values() if not ns)
+            self._holes = tuple(f for f in fs if len(f) != 3)
+        return self._nf, self._holes
 
     def face_sets(self) -> set[frozenset[int]]:
         return {frozenset(f) for f in self.faces()}
 
     def is_triangulation(self) -> bool:
-        return self.n >= 3 and all(len(f) == 3 for f in self.faces())
+        return self.n >= 3 and not self._face_stats()[1]
 
     # -- traversal ---------------------------------------------------------
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, smallest-first."""
+        if self._ncomp == 1:
+            return [tuple(sorted(self._rot))]
         seen: set[int] = set()
         out = []
         for s in sorted(self._rot):
@@ -201,7 +221,10 @@ class EmbeddedGraph:
         return out
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return self._component_count() <= 1
+
+    def _component_count(self) -> int:
+        return self._ncomp if self._ncomp is not None else len(self.components())
 
     def apexes(self, u: int, v: int) -> tuple[int, int]:
         """The two face-neighbors of edge uv: predecessor and successor of v
@@ -216,18 +239,29 @@ class EmbeddedGraph:
     def subgraph(self, keep: Iterable[int]) -> "EmbeddedGraph":
         """Induced subgraph; keeps ids and the inherited embedding."""
         ks = set(keep)
-        bad = ks - self._rot.keys()
+        bad = ks.difference(self._rot)  # probes the dict: O(|keep|)
         if bad:
             raise GraphError(f"unknown vertices {sorted(bad)}")
-        rot = {
-            v: tuple(u for u in self._rot[v] if u in ks)
-            for v in sorted(ks)
-        }
-        return EmbeddedGraph(rot, next_id=self._next_id, validate=False)
+        if 2 * len(ks) >= len(self._rot):
+            gone = self._rot.keys() - ks
+            touched = {u for v in gone for u in self._rot[v] if u not in gone}
+            return self._edit(
+                {v: tuple(u for u in self._rot[v] if u in ks) for v in touched},
+                gone,
+            )
+        # A small part: build it from the kept side, in O(|keep|).
+        rot, adj = {}, {}
+        for v in sorted(ks):
+            if self._adj[v] <= ks:
+                rot[v], adj[v] = self._rot[v], self._adj[v]
+            else:
+                rot[v] = tuple(u for u in self._rot[v] if u in ks)
+                adj[v] = frozenset(rot[v])
+        return self._derive(rot, adj, rot.keys(), None, None, self._next_id)
 
     def delete_set(self, drop: Iterable[int]) -> "EmbeddedGraph":
         ds = set(drop)
-        bad = ds - self._rot.keys()
+        bad = ds.difference(self._rot)
         if bad:
             raise GraphError(f"unknown vertices {sorted(bad)}")
         return self.subgraph(self._rot.keys() - ds)
@@ -235,17 +269,18 @@ class EmbeddedGraph:
     def delete_edge(self, u: int, v: int) -> "EmbeddedGraph":
         if v not in self._adj[u]:
             raise GraphError(f"no edge {u}-{v}")
-        rot = dict(self._rot)
-        rot[u] = tuple(x for x in rot[u] if x != v)
-        rot[v] = tuple(x for x in rot[v] if x != u)
-        return EmbeddedGraph(rot, next_id=self._next_id, validate=False)
+        return self._edit({
+            u: tuple(x for x in self._rot[u] if x != v),
+            v: tuple(x for x in self._rot[v] if x != u),
+        }, ())
 
     def contract_set(self, part: Iterable[int]) -> tuple["EmbeddedGraph", int]:
         """Contract the connected set ``part`` to one fresh vertex.
 
         Rotations are merged along the boundary walk; loops are dropped and
         parallel edges collapsed to the slot appearing first.  Returns the
-        new graph and the fresh vertex id.
+        new graph and the fresh vertex id.  Only the rotations at the part
+        and its neighbors are read or rewritten.
         """
         ps = sorted(set(part))
         if not ps:
@@ -256,73 +291,139 @@ class EmbeddedGraph:
         if len(self.subgraph(ps).components()) != 1:
             raise GraphError(f"contraction set {ps} does not induce a connected subgraph")
 
+        rot = self._rot
         new_id = self._next_id
-        if len(ps) == 1:
-            # Rename the single vertex to the fresh id.
-            old = ps[0]
-            rot = {}
-            for v, ns in self._rot.items():
-                key = new_id if v == old else v
-                rot[key] = tuple(new_id if u == old else u for u in ns)
-            return EmbeddedGraph(rot, next_id=new_id + 1, validate=False), new_id
-
-        darts: dict[int, list[_Dart]] = {
-            v: [_Dart(v) for _ in ns] for v, ns in self._rot.items()
-        }
-        for v, ns in self._rot.items():
-            for i, u in enumerate(ns):
-                d = darts[v][i]
-                if d.twin is None:
-                    t = darts[u][self._rot[u].index(v)]
-                    d.twin = t
-                    t.twin = d
-
+        # The merged rotation as (owner, target) darts, owner in the part.
         root = ps[0]
+        ring = [(root, w) for w in rot[root]]
+        merged = {root}
         remaining = set(ps[1:])
         while remaining:
-            lst = darts[root]
             pick = next(
-                (i for i, d in enumerate(lst) if d.twin.owner in remaining), None
+                (i for i, (_, w) in enumerate(ring) if w in remaining), None
             )
             if pick is None:  # unreachable for connected parts
                 raise GraphError("contraction lost connectivity")
-            d = lst[pick]
-            v = d.twin.owner
+            p, v = ring[pick]
             remaining.discard(v)
-            vlst = darts[v]
-            j = next(i for i, t in enumerate(vlst) if t is d.twin)
-            seq = vlst[j + 1:] + vlst[:j]
-            for s in seq:
-                s.owner = root
-            darts[root][pick:pick + 1] = seq
-            del darts[v]
-            # Parallel edges between root and v became loops: drop both darts.
-            loops = [s for s in darts[root] if s.twin.owner == root]
-            if loops:
-                dead = set(map(id, loops))
-                darts[root] = [s for s in darts[root] if id(s) not in dead]
+            merged.add(v)
+            rv = rot[v]
+            j = rv.index(p)
+            ring[pick:pick + 1] = [(v, x) for x in rv[j + 1:] + rv[:j]]
+            # Parallel edges between the merged vertices became loops.
+            ring = [d for d in ring if d[1] not in merged]
 
-        # Collapse parallel edges at the merged vertex, keeping first slots.
+        # Collapse parallel edges at the merged vertex, keeping first slots;
+        # the neighbor drops the twin of every dart dropped here.
         seen_nbr: set[int] = set()
-        keep: list[_Dart] = []
-        for s in darts[root]:
-            w = s.twin.owner
+        keep: list[int] = []
+        dropped: dict[int, set[int]] = {}
+        for p, w in ring:
             if w in seen_nbr:
-                other = darts[w]
-                other.remove(s.twin)
+                dropped.setdefault(w, set()).add(p)
             else:
                 seen_nbr.add(w)
-                keep.append(s)
-        darts[root] = keep
+                keep.append(w)
 
-        rot: dict[int, tuple[int, ...]] = {}
-        for v, lst in darts.items():
-            key = new_id if v == root else v
-            rot[key] = tuple(
-                new_id if s.twin.owner == root else s.twin.owner for s in lst
+        new = {new_id: tuple(keep)}
+        for w in seen_nbr:
+            lost = dropped.get(w, ())
+            new[w] = tuple(
+                new_id if x in merged else x for x in rot[w] if x not in lost
             )
-        g = EmbeddedGraph(rot, next_id=new_id + 1)
+        g = self._edit(new, merged, ncomp=self._component_count(), next_id=new_id + 1)
         return g, new_id
+
+    def _edit(
+        self,
+        new: dict[int, tuple[int, ...]],
+        gone: Collection[int],
+        *,
+        ncomp: int | None = None,
+        next_id: int | None = None,
+    ) -> "EmbeddedGraph":
+        """This graph without ``gone`` and with the rotations in ``new``
+        (of touched or fresh vertices); the maps are copied, not rebuilt."""
+        rot, adj = dict(self._rot), dict(self._adj)
+        for v in gone:
+            del rot[v], adj[v]
+        rot.update(new)
+        adj.update((v, frozenset(ns)) for v, ns in new.items())
+        return self._derive(
+            rot, adj, new.keys(), gone, ncomp,
+            self._next_id if next_id is None else next_id,
+        )
+
+    def _derive(
+        self,
+        rot: dict[int, tuple[int, ...]],
+        adj: dict[int, frozenset[int]],
+        touched: Collection[int],
+        gone: Collection[int] | None,
+        ncomp: int | None,
+        next_id: int,
+    ) -> "EmbeddedGraph":
+        """The child graph with maps ``rot``/``adj``, checked where it differs.
+
+        ``touched`` are the child's vertices with new rotations and ``gone``
+        the vertices it lost, or ``gone`` is None when the child was built
+        from its own vertices alone (then every vertex counts as touched).
+        ``ncomp`` is the component count the edit keeps; Euler's formula is
+        checked against it.  Without it (a deletion, which keeps a plane
+        graph plane) Euler's formula gives the count, if this graph is
+        known to be plane.
+        """
+        g = EmbeddedGraph.__new__(EmbeddedGraph)
+        g._rot, g._adj, g._next_id, g._faces = rot, adj, next_id, None
+        g._check_rotations(touched)
+        if gone is None:
+            g._m = sum(len(rot[v]) for v in touched) // 2
+            nf, holes = _local_faces(rot, touched, _darts_into(rot, {}, touched))
+        else:
+            # an untouched survivor kept its rotation: what it lists must
+            # still exist and list it back
+            edited = [v for v in touched if v in self._rot]
+            for v in itertools.chain(edited, gone):
+                for u in self._rot[v]:
+                    if u in rot and u not in touched and u not in adj.get(v, ()):
+                        raise EmbeddingError(
+                            f"asymmetric adjacency: {u} lists {v} but not vice versa"
+                        )
+            degrees = sum(len(rot[v]) for v in touched) - sum(
+                len(self._rot[v]) for v in itertools.chain(edited, gone)
+            )
+            g._m = self._m + degrees // 2
+            # A face changed iff one of its darts got a new successor.
+            nf, holes = self._face_stats()
+            at = [*edited, *gone]
+            old, old_holes = _local_faces(
+                self._rot, at, _darts_into(self._rot, rot, at)
+            )
+            new, new_holes = _local_faces(rot, touched, _darts_into(rot, self._rot, touched))
+            nf += new - old
+            dropped = {_canonical(self._rot, h) for h in old_holes}
+            holes = [h for h in holes if h not in dropped] + new_holes
+        g._nf = nf
+        g._holes = tuple(sorted(
+            (_canonical(rot, h) for h in holes),
+            key=lambda h: (h[0], rot[h[0]].index(h[1])),
+        ))
+        euler = len(rot) - g._m + nf
+        if ncomp is not None:
+            if euler != 2 * ncomp:
+                raise EmbeddingError(
+                    f"Euler trace fails after a local edit: n={len(rot)} "
+                    f"m={g._m} f={nf}, {ncomp} components"
+                )
+        elif self._ncomp is not None:  # a deletion keeps a plane graph plane
+            ncomp, odd = divmod(euler, 2)
+            if odd or not min(len(rot), 1) <= ncomp <= len(rot):
+                raise EmbeddingError(
+                    f"Euler trace fails after a deletion: n={len(rot)} "
+                    f"m={g._m} f={nf}"
+                )
+        g._ncomp = ncomp
+        return g
 
     # -- serialization -------------------------------------------------------
 
@@ -361,12 +462,70 @@ class EmbeddedGraph:
         return h.hexdigest()
 
 
-class _Dart:
-    __slots__ = ("owner", "twin")
+# -- face tracing ------------------------------------------------------------
 
-    def __init__(self, owner: int):
-        self.owner = owner
-        self.twin: "_Dart | None" = None
+
+def _walks(
+    rot: Mapping[int, Sequence[int]], darts: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, ...]]:
+    """The face walks through ``darts``, each begun at the first of its
+    darts met.  With every dart, scanning the vertices in sorted order and
+    each rotation in order, these are all the faces in their fixed order."""
+    seen: set[tuple[int, int]] = set()
+    for dart in darts:
+        if dart in seen:
+            continue
+        walk = []
+        a, b = dart
+        while (a, b) not in seen:
+            seen.add((a, b))
+            walk.append(a)
+            ns = rot[b]
+            a, b = b, ns[(ns.index(a) + 1) % len(ns)]
+        yield tuple(walk)
+
+
+def _darts_into(
+    rot: Mapping[int, Sequence[int]],
+    other: Mapping[int, Sequence[int]],
+    vs: Iterable[int],
+) -> list[tuple[int, int]]:
+    """The darts (x, v), v in ``vs``, whose successor at v in ``rot`` is not
+    their successor in ``other``: the darts whose faces an edit changed."""
+    out = []
+    for v in vs:
+        ns = rot[v]
+        theirs = other.get(v)
+        if not theirs:
+            out.extend((x, v) for x in ns)
+            continue
+        kept = set(zip(theirs, theirs[1:] + theirs[:1]))
+        out.extend((x, v) for x, y in zip(ns, ns[1:] + ns[:1]) if (x, y) not in kept)
+    return out
+
+
+def _local_faces(
+    rot: Mapping[int, Sequence[int]],
+    vs: Iterable[int],
+    darts: Iterable[tuple[int, int]],
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Count the faces through ``darts``, plus one for each isolated vertex
+    of ``vs``, and list the non-triangular ones."""
+    count = sum(1 for v in vs if not rot[v])
+    holes = []
+    for walk in _walks(rot, darts):
+        count += 1
+        if len(walk) != 3:
+            holes.append(walk)
+    return count, holes
+
+
+def _canonical(rot: Mapping[int, Sequence[int]], walk: tuple[int, ...]) -> tuple[int, ...]:
+    """The walk begun at its first dart in the fixed face order."""
+    k = len(walk)
+    keys = [(walk[i], rot[walk[i]].index(walk[(i + 1) % k])) for i in range(k)]
+    i = keys.index(min(keys))
+    return walk[i:] + walk[:i]
 
 
 # -- parsing ----------------------------------------------------------------
@@ -500,12 +659,12 @@ def separating_triangles(g: EmbeddedGraph) -> list[tuple[int, int, int]]:
     """All triangles whose removal disconnects the graph, sorted.
 
     In a triangulation only non-face triangles can separate, which prunes
-    the candidate list; every candidate is still verified by deletion.
+    the candidate list; every candidate is still verified by deletion.  A
+    triangle uvw is a face of a triangulation iff w is an apex of uv.
     """
     cands = triangles(g)
     if g.is_triangulation():
-        fs = g.face_sets()
-        cands = [t for t in cands if frozenset(t) not in fs]
+        cands = [(u, v, w) for u, v, w in cands if w not in g.apexes(u, v)]
     return [t for t in cands if _disconnects(g, t)]
 
 
@@ -518,24 +677,27 @@ def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
     The result is a supergraph on the same vertex set, so any independent
     set of it is independent in ``g``.  Chords fan out of the smallest-id
     vertex available on each face; ears are cut when a fan chord would be
-    parallel to an existing edge.
+    parallel to an existing edge.  Only the non-triangular faces are
+    chorded, and only the rotations of chord ends are rewritten.
     """
     if g.n < 3:
         raise GraphError("triangulate needs at least 3 vertices")
     if not g.is_connected():
         raise GraphError("triangulate needs a connected graph")
-    rot = {v: list(ns) for v, ns in g._rot.items()}
-    adj = {v: set(ns) for v, ns in g._rot.items()}
+    rot: dict[int, list[int]] = {}  # rotations of the chord ends so far
+    chords: dict[int, set[int]] = {}
 
     def add_chord(walk: list[int], p: int, q: int) -> None:
         a, b = walk[p], walk[q]
-        ra, rb = rot[a], rot[b]
+        ra = rot.setdefault(a, list(g.rotation(a)))
+        rb = rot.setdefault(b, list(g.rotation(b)))
         ra.insert(ra.index(walk[p - 1]) + 1, b)
         rb.insert(rb.index(walk[q - 1]) + 1, a)
-        adj[a].add(b)
-        adj[b].add(a)
+        chords.setdefault(a, set()).add(b)
+        chords.setdefault(b, set()).add(a)
 
-    stack = [list(f) for f in g.faces() if len(f) > 3]
+    adj = g._adj
+    stack = [list(f) for f in g._face_stats()[1] if len(f) > 3]
     while stack:
         walk = stack.pop()
         k = len(walk)
@@ -543,9 +705,10 @@ def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
         best = None
         for p in range(k):
             a, b = walk[p], walk[(p + 2) % k]
-            if a != b and b not in adj[a]:
-                if best is None or walk[p] < walk[best]:
-                    best = p
+            if (best is None or a < walk[best]) and a != b and (
+                b not in adj[a] and b not in chords.get(a, ())
+            ):
+                best = p
         if best is None:
             raise EmbeddingError("face admits no chord; cannot triangulate")
         q = (best + 2) % k
@@ -554,7 +717,7 @@ def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
         if len(rest) > 3:
             stack.append(rest)
 
-    out = EmbeddedGraph(rot, next_id=g.next_id)
+    out = g._edit({v: tuple(ns) for v, ns in rot.items()}, (), ncomp=1)
     if not out.is_triangulation() or out.m != 3 * out.n - 6:
         raise EmbeddingError("triangulation postcondition failed")
     return out

@@ -286,10 +286,9 @@ def find_low_degree_plan(g: EmbeddedGraph, c: Ratio) -> ReductionPlan | None:
     degrees at most 4.
     """
     d_pair = c.b // c.a  # max degree with b >= a*d
-    for v in sorted(g.vertices, key=lambda v: (g.degree(v), v)):
+    low = [v for v in g.vertices if g.degree(v) <= d_pair]
+    for v in sorted(low, key=lambda v: (g.degree(v), v)):
         d = g.degree(v)
-        if d > d_pair:
-            return None
         ns = sorted(g.neighbors(v))
         pair = None
         for i, u in enumerate(ns):
@@ -508,9 +507,6 @@ class SplitPlan:
     residues: tuple[tuple[int, ...], tuple[int, ...]]  # k_i^j for j=0..3
     guarantees: tuple[tuple[str, int], ...]
     strategy: str  # chosen: fewest sub-solves among those meeting the target
-
-    def sizes(self) -> tuple[int, int]:
-        return len(self.side1), len(self.side2)
 
 
 def split_guarantees(n1: int, n2: int, c: Ratio) -> dict[str, int]:

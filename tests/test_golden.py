@@ -1,11 +1,15 @@
-"""Golden corpus: the independent set returned for a fixed list of specs.
+"""Golden corpus: the independent set and the whole certificate returned
+for a fixed list of specs.
 
-The sets in ``data/golden_sets.json`` pin "same behaviour" across
-refactors.  They change only on purpose; to re-record them after such a
-change, run ``PYTHONPATH=src python tests/test_golden.py`` from the repo
-root and say in the change log why they moved.
+``data/golden_sets.json`` pins "same behaviour" across refactors: each
+spec's independent set, and the sha256 of its ``Certificate.to_json()``, so
+a change to the trace that leaves the final set alone still shows.  They
+change only on purpose; to re-record them after such a change, run
+``PYTHONPATH=src python tests/test_golden.py`` from the repo root and say
+in the change log why they moved.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -48,20 +52,27 @@ def build(spec: dict):
     return drum(spec["rings"])
 
 
-def golden_set(spec: dict) -> list[int]:
-    return list(extract(build(spec), spec["ratio"]).independent_set)
+def golden_entry(spec: dict) -> dict:
+    cert = extract(build(spec), spec["ratio"])
+    return {
+        "id": spec_id(spec),
+        "set": list(cert.independent_set),
+        "sha256": hashlib.sha256(cert.to_json().encode()).hexdigest(),
+    }
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_golden_set(spec):
-    recorded = {e["id"]: e["set"] for e in json.loads(GOLDEN.read_text())}
-    assert golden_set(spec) == recorded[spec_id(spec)]
+    recorded = {e["id"]: e for e in json.loads(GOLDEN.read_text())}
+    got = golden_entry(spec)
+    assert got["set"] == recorded[spec_id(spec)]["set"]
+    assert got["sha256"] == recorded[spec_id(spec)]["sha256"]
 
 
 if __name__ == "__main__":
     import sys
 
     sys.path.insert(0, str(Path(__file__).parent))
-    lines = [json.dumps({"id": spec_id(s), "set": golden_set(s)}) for s in SPECS]
+    lines = [json.dumps(golden_entry(s)) for s in SPECS]
     GOLDEN.write_text("[\n" + ",\n".join(lines) + "\n]\n")
-    print(f"wrote {len(lines)} golden sets to {GOLDEN}")
+    print(f"wrote {len(lines)} golden entries to {GOLDEN}")

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -290,3 +291,182 @@ class TestIndependenceUnderOps:
                 continue
             t = triangulate(h)
             assert mis.alpha(t) <= mis.alpha(h)
+
+
+# -- local edits: derived graphs against fresh, fully validated copies ---------
+
+
+def fresh_copy(h):
+    return EmbeddedGraph({v: h.rotation(v) for v in h.vertices}, next_id=h.next_id)
+
+
+def assert_same_as_fresh(h):
+    f = fresh_copy(h)
+    assert h.m == f.m
+    assert h.faces() == f.faces()
+    assert h.components() == f.components()
+    assert h.is_connected() == f.is_connected()
+    assert h.is_triangulation() == f.is_triangulation()
+    # the face count and the non-triangular faces a local edit carried forward
+    assert h._face_stats() == f._face_stats()
+    if h.n >= 3 and h.is_connected() and not h.is_triangulation():
+        t, ft = triangulate(h), triangulate(f)
+        assert {v: t.rotation(v) for v in t.vertices} == {
+            v: ft.rotation(v) for v in ft.vertices
+        }
+        assert t._face_stats() == ft._face_stats()
+
+
+def derived_graphs(monkeypatch, g, ratio):
+    """Every sub-instance graph the step engine derives while extracting."""
+    ex = importlib.import_module("pig.extract")  # the package exports a function of that name
+
+    seen = []
+    original = ex.next_step
+
+    def recording(h, c):
+        step = original(h, c)
+        seen.extend(step.subs)
+        return step
+
+    monkeypatch.setattr(ex, "next_step", recording)
+    ex.extract(g, ratio)
+    monkeypatch.setattr(ex, "next_step", original)
+    return seen
+
+
+def disjoint_union(g1, g2):
+    shift = max(g1.vertices)
+    rot = {v: g1.rotation(v) for v in g1.vertices}
+    rot.update({v + shift: tuple(u + shift for u in g2.rotation(v)) for v in g2.vertices})
+    return EmbeddedGraph(rot)
+
+
+def _kernel_cases():
+    """(id, graph builder, ratio): the golden specs, a glued pair, a drum,
+    three flagged graphs and a disconnected graph."""
+    from test_golden import SPECS, build, spec_id
+
+    from conftest import drum, glued_pair
+
+    def flagged(n, seed):
+        return generate(GenSpec(seed=seed, n=n, min_degree5=True,
+                                no_separating_triangle=True))
+
+    cases = [(spec_id(s), lambda s=s: build(s), s["ratio"]) for s in SPECS]
+    cases.append(("glued_pair-20-18", lambda: glued_pair(20, 18), "3/13"))
+    cases.append(("drum-12", lambda: drum(12), "3/13"))
+    for seed, n in ((1, 60), (3, 90), (6, 120)):
+        cases.append((f"flagged-{n}-s{seed}", lambda n=n, seed=seed: flagged(n, seed), "3/13"))
+    cases.append(("union-flagged-40-plain-30", lambda: disjoint_union(
+        flagged(40, 2), generate(GenSpec(seed=9, n=30))), "3/13"))
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("build,ratio", [c[1:] for c in KERNEL_CASES],
+                         ids=[c[0] for c in KERNEL_CASES])
+def test_derived_graphs_equal_fresh_copies(monkeypatch, build, ratio):
+    subs = derived_graphs(monkeypatch, build(), ratio)
+    assert subs
+    for h in subs:
+        assert_same_as_fresh(h)
+
+
+def test_kernel_cases_reach_every_derivation(monkeypatch):
+    """The cases above include contractions, splits and components steps."""
+    ex = importlib.import_module("pig.extract")
+    ops = set()
+    original = ex.next_step
+
+    def recording(h, c):
+        step = original(h, c)
+        ops.add(step.op)
+        if step.fields.get("plan", {}).get("parts"):
+            ops.add("contract")
+        return step
+
+    monkeypatch.setattr(ex, "next_step", recording)
+    for _, build, ratio in KERNEL_CASES:
+        ex.extract(build(), ratio)
+    assert {"components", "triangulate", "reduce", "contract", "split", "exact"} <= ops
+
+
+class TestLocalEdits:
+    def test_subgraph_small_and_large_keeps(self):
+        rng = random.Random(3)
+        g = generate(GenSpec(seed=5, n=80))
+        for size in (0, 1, 3, 10, 39, 40, 41, 70, 80):
+            for _ in range(3):
+                keep = rng.sample(g.vertices, size)
+                h = g.subgraph(keep)
+                assert h.vertices == tuple(sorted(keep))
+                for v in h.vertices:
+                    assert h.rotation(v) == tuple(
+                        u for u in g.rotation(v) if u in set(keep)
+                    )
+                assert_same_as_fresh(h)
+
+    def test_chained_edits(self):
+        g = generate(GenSpec(seed=2, n=60))
+        h = g
+        for step in range(12):
+            v = h.vertices[(7 * step) % h.n]
+            if step % 3 == 0:
+                h = h.delete_set([v])
+            elif step % 3 == 1:
+                h, _ = h.contract_set({v, h.rotation(v)[0]})
+            else:
+                u = h.rotation(v)[0]
+                h = h.delete_edge(v, u)
+            assert_same_as_fresh(h)
+            if h.is_connected() and not h.is_triangulation():
+                h = triangulate(h)
+                assert_same_as_fresh(h)
+
+    def test_disconnecting_deletions(self, graph_stacked):
+        h = graph_stacked.delete_set({1, 2, 3})
+        assert h.components() == [(4,), (5,)]
+        assert_same_as_fresh(h)
+        path = parse_rotation_graph("5 4\n1: 2\n2: 1 3\n3: 2 4\n4: 3 5\n5: 4\n")
+        for v in path.vertices:
+            assert_same_as_fresh(path.delete_set([v]))
+        assert path.delete_set([3]).components() == [(1, 2), (4, 5)]
+
+    def test_extract_validates_only_at_entry(self, monkeypatch):
+        from pig.extract import extract
+
+        g = generate(GenSpec(seed=4, n=150, min_degree5=True,
+                             no_separating_triangle=True))
+
+        def whole_graph_validation(self):
+            raise AssertionError("a derived graph ran whole-graph validation")
+
+        monkeypatch.setattr(EmbeddedGraph, "_validate", whole_graph_validation)
+        cert = extract(g, "3/13")
+        assert cert.size >= cert.bound
+
+    def test_triangulate_corrupted_rotation_raises(self):
+        from pig.graph import EmbeddingError, icosahedron, octahedron
+
+        for base in (octahedron(), icosahedron()):
+            rot = {v: list(base.rotation(v)) for v in base.vertices}
+            rot[1][0], rot[1][1] = rot[1][1], rot[1][0]  # symmetric, not plane
+            bad = EmbeddedGraph(rot, validate=False)
+            with pytest.raises(EmbeddingError):
+                triangulate(bad)
+            with pytest.raises(EmbeddingError):
+                bad.contract_set({1, base.rotation(1)[2]})
+
+    def test_contract_corrupted_rotation_raises_on_the_local_check(self):
+        from pig.graph import EmbeddingError
+
+        g = generate(GenSpec(seed=1, n=30))
+        rot = {v: list(g.rotation(v)) for v in g.vertices}
+        v = g.vertices[-1]
+        rot[v][0], rot[v][1] = rot[v][1], rot[v][0]
+        bad = EmbeddedGraph(rot, validate=False)
+        with pytest.raises(EmbeddingError, match="Euler"):
+            bad.contract_set({1})
