@@ -15,32 +15,21 @@ from typing import Iterable, Iterator
 from .graph import EmbeddedGraph
 
 # priority order of the catalog
-DETECTOR_ORDER = (
-    "apex_pair",
-    "tight_pair",
-    "low_trio_star6",
-    "mixed_trio_star6",
-    "twin_links6",
-    "low_trio_star7",
-    "face_corner_trio",
-    "twin_links7",
-    "six_ring7",
-)
+DETECTOR_ORDER = ("apex_pair", "low_trio_star6")
 
 
 @dataclass(frozen=True)
 class ConfigurationMatch:
     """A located pattern: which detector fired and the vertex role map.
 
-    ``j`` is the independent set the planner should reduce around (empty for
-    patterns whose reduction set is derived separately).  ``preferred_k``
-    orders the planner's slack choices.
+    ``j`` is the independent set the planner reduces around.
+    ``preferred_k`` orders the planner's slack choices.
     """
 
     kind: str
     roles: tuple[tuple[str, int], ...]
-    j: tuple[int, ...] = ()
-    preferred_k: int = 0
+    j: tuple[int, ...]
+    preferred_k: int
 
     def role(self, name: str) -> int:
         for k, v in self.roles:
@@ -99,28 +88,6 @@ def detect_apex_pair(
                     break
 
 
-def detect_tight_pair(
-    g: EmbeddedGraph, within: frozenset[int] | None = None
-) -> Iterator[ConfigurationMatch]:
-    """Nonadjacent pair with joint neighborhood of size at most 8."""
-    seen: set[tuple[int, int]] = set()
-    for z in _restrict(g, within):
-        ring = g.rotation(z)
-        for i, x in enumerate(ring):
-            for y in ring[i + 1:]:
-                key = (x, y) if x < y else (y, x)
-                if key in seen or g.adjacent(x, y):
-                    continue
-                seen.add(key)
-                if len(joint_neighborhood(g, key)) <= 8:
-                    yield ConfigurationMatch(
-                        "tight_pair",
-                        (("x", key[0]), ("y", key[1])),
-                        j=key,
-                        preferred_k=0,
-                    )
-
-
 def _trios_on_ring(ring: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
     """Index triples of a cycle with no two cyclically consecutive."""
     k = len(ring)
@@ -150,203 +117,17 @@ def detect_low_trio_star6(
                 )
 
 
-def detect_mixed_trio_star6(
-    g: EmbeddedGraph, within: frozenset[int] | None = None
-) -> Iterator[ConfigurationMatch]:
-    """6-vertex with pairwise nonadjacent neighbors of degrees 5, <=6, 7."""
-    for v in _restrict(g, within):
-        if g.degree(v) != 6:
-            continue
-        for trio in _trios_on_ring(g.rotation(v)):
-            degs = sorted(g.degree(u) for u in trio)
-            if degs[0] != 5 or degs[2] != 7 or degs[1] > 6:
-                continue
-            if not _independent(g, trio):
-                continue
-            srt = sorted(trio, key=lambda u: (g.degree(u), u))
-            yield ConfigurationMatch(
-                "mixed_trio_star6",
-                (("center", v), ("u1", srt[0]), ("u2", srt[1]), ("u3", srt[2])),
-                j=tuple(sorted(trio)),
-                preferred_k=1,
-            )
-
-
-def _doubly_linked(g: EmbeddedGraph, hub: int) -> list[int]:
-    """Vertices at distance two from hub sharing >= 2 neighbors with it."""
-    counts: dict[int, int] = {}
-    nb = g.neighbors(hub)
-    for u in nb:
-        for w in g.rotation(u):
-            if w != hub and w not in nb:
-                counts[w] = counts.get(w, 0) + 1
-    return sorted(w for w, c in counts.items() if c >= 2)
-
-
-def detect_twin_links6(
-    g: EmbeddedGraph, within: frozenset[int] | None = None
-) -> Iterator[ConfigurationMatch]:
-    """6-vertex doubly linked to a nonadjacent 5-vertex and 6⁻-vertex."""
-    for u1 in _restrict(g, within):
-        if g.degree(u1) != 6:
-            continue
-        twins = _doubly_linked(g, u1)
-        for u2 in twins:
-            if g.degree(u2) != 5:
-                continue
-            for u3 in twins:
-                if u3 == u2 or g.degree(u3) > 6 or g.adjacent(u2, u3):
-                    continue
-                yield ConfigurationMatch(
-                    "twin_links6",
-                    (("u1", u1), ("u2", u2), ("u3", u3)),
-                    j=tuple(sorted((u1, u2, u3))),
-                    preferred_k=0 if g.degree(u3) == 6 else 1,
-                )
-
-
-def detect_low_trio_star7(
-    g: EmbeddedGraph, within: frozenset[int] | None = None
-) -> Iterator[ConfigurationMatch]:
-    """7-vertex with a 5-neighbor plus two more 6⁻-neighbors, pairwise
-    nonadjacent."""
-    for v in _restrict(g, within):
-        if g.degree(v) != 7:
-            continue
-        for trio in _trios_on_ring(g.rotation(v)):
-            degs = sorted(g.degree(u) for u in trio)
-            if degs[0] != 5 or degs[2] > 6:
-                continue
-            if not _independent(g, trio):
-                continue
-            t = tuple(sorted(trio))
-            yield ConfigurationMatch(
-                "low_trio_star7",
-                (("center", v), ("u1", t[0]), ("u2", t[1]), ("u3", t[2])),
-                j=t,
-                preferred_k=0 if degs[1] == 5 and degs[2] == 5 else 1,
-            )
-
-
-def detect_face_corner_trio(
-    g: EmbeddedGraph, within: frozenset[int] | None = None
-) -> Iterator[ConfigurationMatch]:
-    """3-face of 6⁺-corners whose other pairwise apexes form an independent
-    trio with joint neighborhood at most 13."""
-    seen: set[frozenset[int]] = set()
-    for v1 in _restrict(g, within):
-        for v2 in g.rotation(v1):
-            a, b = g.apexes(v1, v2)
-            for v3 in (a, b):
-                face = frozenset((v1, v2, v3))
-                if face in seen or len(face) < 3:
-                    continue
-                seen.add(face)
-                if any(g.degree(x) < 6 for x in face):
-                    continue
-                corners = sorted(face)
-                apexes = []
-                ok = True
-                for i, j in ((0, 1), (1, 2), (2, 0)):
-                    x, y = corners[i], corners[j]
-                    other = [
-                        w
-                        for w in (g.apexes(x, y))
-                        if w not in face
-                    ]
-                    if len(other) != 1:
-                        ok = False
-                        break
-                    apexes.append(other[0])
-                if not ok or len(set(apexes)) != 3:
-                    continue
-                if set(apexes) & face:
-                    continue
-                if not _independent(g, apexes):
-                    continue
-                if len(joint_neighborhood(g, apexes)) > 13:
-                    continue
-                t = tuple(sorted(apexes))
-                yield ConfigurationMatch(
-                    "face_corner_trio",
-                    (
-                        ("v1", corners[0]), ("v2", corners[1]),
-                        ("v3", corners[2]),
-                        ("u1", t[0]), ("u2", t[1]), ("u3", t[2]),
-                    ),
-                    j=t,
-                    preferred_k=0,
-                )
-
-
-def detect_twin_links7(
-    g: EmbeddedGraph, within: frozenset[int] | None = None
-) -> Iterator[ConfigurationMatch]:
-    """7-vertex doubly linked to two nonadjacent 5-vertices."""
-    for u1 in _restrict(g, within):
-        if g.degree(u1) != 7:
-            continue
-        twins = [w for w in _doubly_linked(g, u1) if g.degree(w) == 5]
-        for i, u2 in enumerate(twins):
-            for u3 in twins[i + 1:]:
-                if g.adjacent(u2, u3):
-                    continue
-                yield ConfigurationMatch(
-                    "twin_links7",
-                    (("u1", u1), ("u2", u2), ("u3", u3)),
-                    j=tuple(sorted((u1, u2, u3))),
-                    preferred_k=1,
-                )
-
-
-def detect_six_ring7(
-    g: EmbeddedGraph, within: frozenset[int] | None = None
-) -> Iterator[ConfigurationMatch]:
-    """7-vertex without 5-neighbors but with five 6-neighbors that each have
-    a 5-neighbor.  Its reduction set is derived from the surroundings."""
-    for v in _restrict(g, within):
-        if g.degree(v) != 7:
-            continue
-        ring = g.rotation(v)
-        if any(g.degree(u) == 5 for u in ring):
-            continue
-        sixes = [
-            u
-            for u in ring
-            if g.degree(u) == 6
-            and any(g.degree(w) == 5 for w in g.rotation(u))
-        ]
-        if len(sixes) < 5:
-            continue
-        yield ConfigurationMatch(
-            "six_ring7",
-            (("center", v),) + tuple(
-                (f"u{i + 1}", u) for i, u in enumerate(sixes)
-            ),
-            j=(),
-            preferred_k=1,
-        )
-
-
 _DETECTORS = {
     "apex_pair": detect_apex_pair,
-    "tight_pair": detect_tight_pair,
     "low_trio_star6": detect_low_trio_star6,
-    "mixed_trio_star6": detect_mixed_trio_star6,
-    "twin_links6": detect_twin_links6,
-    "low_trio_star7": detect_low_trio_star7,
-    "face_corner_trio": detect_face_corner_trio,
-    "twin_links7": detect_twin_links7,
-    "six_ring7": detect_six_ring7,
 }
 
 
 def _verify_match(g: EmbeddedGraph, m: ConfigurationMatch) -> bool:
-    if m.j and not _independent(g, m.j):
+    if not _independent(g, m.j):
         return False
-    k = m.kind
     r = dict(m.roles)
-    if k == "apex_pair":
+    if m.kind == "apex_pair":
         u, v, w, x = r["u"], r["v"], r["w"], r["x"]
         return (
             g.adjacent(u, v)
@@ -355,72 +136,11 @@ def _verify_match(g: EmbeddedGraph, m: ConfigurationMatch) -> bool:
             and g.degree(w) == 5
             and g.degree(x) <= 6
         )
-    if k == "tight_pair":
-        return len(joint_neighborhood(g, m.j)) <= 8
-    if k == "low_trio_star6":
+    if m.kind == "low_trio_star6":
         c = r["center"]
         us = [r["u1"], r["u2"], r["u3"]]
         return g.degree(c) == 6 and all(
             g.adjacent(c, u) and g.degree(u) <= 6 for u in us
-        )
-    if k == "mixed_trio_star6":
-        c = r["center"]
-        us = [r["u1"], r["u2"], r["u3"]]
-        degs = sorted(g.degree(u) for u in us)
-        return (
-            g.degree(c) == 6
-            and all(g.adjacent(c, u) for u in us)
-            and degs[0] == 5
-            and degs[1] <= 6
-            and degs[2] == 7
-        )
-    if k in ("twin_links6", "twin_links7"):
-        u1, u2, u3 = r["u1"], r["u2"], r["u3"]
-        want = 6 if k == "twin_links6" else 7
-        share2 = (
-            len(g.neighbors(u1) & g.neighbors(u2)) >= 2
-            and len(g.neighbors(u1) & g.neighbors(u3)) >= 2
-        )
-        degs_ok = (
-            g.degree(u1) == want
-            and g.degree(u2) == 5
-            and (g.degree(u3) <= 6 if k == "twin_links6" else g.degree(u3) == 5)
-        )
-        return share2 and degs_ok
-    if k == "low_trio_star7":
-        c = r["center"]
-        us = [r["u1"], r["u2"], r["u3"]]
-        degs = sorted(g.degree(u) for u in us)
-        return (
-            g.degree(c) == 7
-            and all(g.adjacent(c, u) for u in us)
-            and degs[0] == 5
-            and degs[2] <= 6
-        )
-    if k == "face_corner_trio":
-        corners = [r["v1"], r["v2"], r["v3"]]
-        return (
-            all(g.degree(x) >= 6 for x in corners)
-            and all(
-                g.adjacent(a, b)
-                for i, a in enumerate(corners)
-                for b in corners[i + 1:]
-            )
-            and len(joint_neighborhood(g, m.j)) <= 13
-        )
-    if k == "six_ring7":
-        c = r["center"]
-        sixes = [v for key, v in m.roles if key.startswith("u")]
-        return (
-            g.degree(c) == 7
-            and not any(g.degree(u) == 5 for u in g.rotation(c))
-            and len(sixes) >= 5
-            and all(
-                g.degree(u) == 6
-                and g.adjacent(c, u)
-                and any(g.degree(w) == 5 for w in g.rotation(u))
-                for u in sixes
-            )
         )
     return False
 
@@ -443,14 +163,13 @@ def ball(g: EmbeddedGraph, seeds: Iterable[int], radius: int) -> frozenset[int]:
     return frozenset(cur)
 
 
-def tight_sets(
-    g: EmbeddedGraph,
-    pool: Iterable[int],
-    *,
-    pair_cap: int = 8,
-    trio_cap: int = 13,
-    limit: int = 60,
-) -> Iterator[tuple[int, ...]]:
+# joint-neighborhood caps of the sweep's pairs and trios, and its length
+PAIR_CAP = 8
+TRIO_CAP = 13
+SWEEP_LIMIT = 200
+
+
+def tight_sets(g: EmbeddedGraph, pool: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """Independent pairs and trios with small joint neighborhoods inside a
     vertex pool; the last-resort feeder for the generic planner."""
     pool = sorted(set(pool))
@@ -461,12 +180,12 @@ def tight_sets(
             if g.adjacent(x, y):
                 continue
             nj = joint_neighborhood(g, (x, y))
-            if len(nj) <= pair_cap:
+            if len(nj) <= PAIR_CAP:
                 yield (x, y)
                 found += 1
-                if found >= limit:
+                if found >= SWEEP_LIMIT:
                     return
-            if len(nj) <= trio_cap - 4:
+            if len(nj) <= TRIO_CAP - 4:
                 pairs.append((x, y))
     cands = []
     for x, y in pairs:
@@ -474,11 +193,11 @@ def tight_sets(
             if z <= y or g.adjacent(x, z) or g.adjacent(y, z):
                 continue
             nj = joint_neighborhood(g, (x, y, z))
-            if len(nj) <= trio_cap:
+            if len(nj) <= TRIO_CAP:
                 cands.append((len(nj), (x, y, z)))
     cands.sort()
     for _, trio in cands:
         yield trio
         found += 1
-        if found >= limit:
+        if found >= SWEEP_LIMIT:
             return

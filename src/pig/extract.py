@@ -220,26 +220,15 @@ def _certified_config_plan(g: EmbeddedGraph, c: Ratio) -> tuple[CertifiedPlan, s
     scopes = [windows, None] if windows else [None]
     for scope in scopes:
         for match in iter_configs(g, scope):
-            if match.j:
-                for plan in candidate_plans(g, match, c):
-                    try:
-                        return certify_plan(g, plan), match.kind
-                    except PlanRejected:
-                        continue
-            else:
-                pool = ball(g, [v for _, v in match.roles], 2)
-                for jset in tight_sets(g, pool):
-                    for plan in plans_for_independent_set(
-                        g, jset, c, f"{match.kind}-derived", match.preferred_k
-                    ):
-                        try:
-                            return certify_plan(g, plan), match.kind
-                        except PlanRejected:
-                            continue
+            for plan in candidate_plans(g, match, c):
+                try:
+                    return certify_plan(g, plan), match.kind
+                except PlanRejected:
+                    continue
     # last resort: generic tight independent sets near negative charge
     sweep_scopes = [s for s in (windows, frozenset(g.vertices)) if s]
     for scope in sweep_scopes:
-        for jset in tight_sets(g, scope, limit=200):
+        for jset in tight_sets(g, scope):
             for plan in plans_for_independent_set(g, jset, c, "sweep", 0):
                 try:
                     return certify_plan(g, plan), "sweep"

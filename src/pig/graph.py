@@ -190,9 +190,6 @@ class EmbeddedGraph:
             self._holes = tuple(f for f in fs if len(f) != 3)
         return self._nf, self._holes
 
-    def face_sets(self) -> set[frozenset[int]]:
-        return {frozenset(f) for f in self.faces()}
-
     def is_triangulation(self) -> bool:
         return self.n >= 3 and not self._face_stats()[1]
 
@@ -578,28 +575,6 @@ def parse_rotation_graph(text: str) -> EmbeddedGraph:
 
 
 # -- structure queries --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CommonNeighbors:
-    """N(u) ∩ N(v) with the component structure it induces."""
-
-    vertices: frozenset[int]
-    components: tuple[tuple[int, ...], ...]
-    is_k1_k2_union: bool
-
-
-def common_neighbors(g: EmbeddedGraph, u: int, v: int) -> CommonNeighbors:
-    if u == v:
-        raise GraphError("common_neighbors needs two distinct vertices")
-    cs = g.neighbors(u) & g.neighbors(v)
-    sub = g.subgraph(cs) if cs else None
-    comps = tuple(sub.components()) if sub else ()
-    ok = all(
-        len(c) <= 2 and (len(c) < 2 or g.adjacent(c[0], c[1])) for c in comps
-    )
-    # components of an induced subgraph are K1/K2 iff each has <= 2 vertices
-    return CommonNeighbors(frozenset(cs), comps, ok)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ def neighborhood_floor(j: int, c: Ratio) -> int:
 class ReductionPlan:
     """One constructive reduction: S, its parts, and bookkeeping."""
 
-    kind: str  # delete-closed-nbhd | anchored-pairs | grown-parts
+    kind: str  # delete-closed-nbhd | anchored-pairs
     s: frozenset[int]
     parts: tuple[frozenset[int], ...]
     ratio: Ratio
@@ -159,9 +159,7 @@ def _admissible_subsets(
             yield tuple(chosen)
 
 
-def certify_plan(
-    g: EmbeddedGraph, plan: ReductionPlan, budget: int | None = None
-) -> CertifiedPlan:
+def certify_plan(g: EmbeddedGraph, plan: ReductionPlan) -> CertifiedPlan:
     """Validate plan structure, then oracle-check every admissible window.
 
     Raises PlanRejected when the plan is malformed or under-certified; a
@@ -218,7 +216,7 @@ def certify_plan(
             raise PlanRejected(
                 f"window for X={chosen} too small for alpha >= {want}"
             )
-        if not mis.alpha_at_least(g, want, vertices=window, budget=budget):
+        if not mis.alpha_at_least(g, want, vertices=window):
             raise PlanRejected(
                 f"alpha(window) < {want} for X={chosen}"
             )
@@ -243,14 +241,12 @@ def apply_plan(
     return cur, LiftContext(g, cert, tuple(w_ids))
 
 
-def lift(
-    reduced_set: Iterable[int], ctx: LiftContext, budget: int | None = None
-) -> frozenset[int]:
+def lift(reduced_set: Iterable[int], ctx: LiftContext) -> frozenset[int]:
     """Transform a solution of the reduced graph into one of the original.
 
     Selected part-vertices W are swapped out for an exact optimum T of the
     window I(S) ∪ (parts chosen by W); certification made |T| large enough
-    that the result meets ceil(c*n).
+    that the result meets ceil(c*n).  The caller checks that contract.
     """
     plan = ctx.plan
     g = ctx.graph
@@ -263,15 +259,10 @@ def lift(
     window = set(ctx.cert.interior)
     for i in chosen:
         window |= plan.parts[i]
-    t_set = frozenset(mis.mis_exact(g, vertices=window, budget=budget))
+    t_set = frozenset(mis.mis_exact(g, vertices=window))
     if len(t_set) < len(chosen) + ctx.cert.need:
         raise LiftError("window optimum below certified size")
-    out = (red - w_set) | t_set
-    if not mis.verify_independent(g, out):
-        raise LiftError("lifted set not independent")
-    if len(out) < plan.ratio.ceil_mul(g.n):
-        raise LiftError("lifted set below the size contract")
-    return frozenset(out)
+    return (red - w_set) | t_set
 
 
 # -- low-degree pipeline -------------------------------------------------------
@@ -326,56 +317,28 @@ def find_low_degree_plan(g: EmbeddedGraph, c: Ratio) -> ReductionPlan | None:
 # -- planner: reduction candidates from matches --------------------------------
 
 
-def _private_pairs(
-    g: EmbeddedGraph, j: Sequence[int], x: int, cap: int = 6
-) -> list[tuple[int, int]]:
-    """Independent 2-sets in N(x) avoiding the neighborhoods of J \\ {x}."""
+def _private_pair(
+    g: EmbeddedGraph, j: Sequence[int], x: int
+) -> tuple[int, int] | None:
+    """The first independent 2-set in N(x) avoiding the neighborhoods of
+    J \\ {x}, if any."""
     pool = set(g.neighbors(x))
     for y in j:
         if y != x:
             pool -= g.neighbors(y)
     pool = sorted(pool)
-    out = []
     for i, u in enumerate(pool):
         for v in pool[i + 1:]:
             if not g.adjacent(u, v):
-                out.append((u, v))
-                if len(out) >= cap:
-                    return out
-    return out
-
-
-def _absorb(
-    g: EmbeddedGraph, s: frozenset[int], seeds: list[set[int]]
-) -> list[set[int]]:
-    """Grow disjoint connected seeds inside S until nothing else attaches.
-    Earlier seeds grow to exhaustion first."""
-    taken = set().union(*seeds)
-    rest = set(s) - taken
-    for part in seeds:
-        grew = True
-        while grew:
-            grew = False
-            for v in sorted(rest):
-                if g.neighbors(v) & part:
-                    part.add(v)
-                    rest.discard(v)
-                    grew = True
-    return seeds
+                return u, v
+    return None
 
 
 def candidate_plans(
     g: EmbeddedGraph, match: ConfigurationMatch, c: Ratio
 ) -> Iterator[ReductionPlan]:
-    """Reduction plans for a match, best-founded first.
-
-    Plans around an independent set J: slack-k contractions of {x, u_x, v_x}
-    parts built from private pairs, then grown two- and three-part covers of
-    S = J ∪ N(J), then whole-S contraction or deletion.  Certification is
-    the judge of every one of them.
-    """
-    if match.j:
-        yield from plans_for_independent_set(g, tuple(match.j), c, match.kind, match.preferred_k)
+    """Reduction plans for a match, in the order they are tried."""
+    yield from plans_for_independent_set(g, match.j, c, match.kind, match.preferred_k)
 
 
 def plans_for_independent_set(
@@ -385,22 +348,24 @@ def plans_for_independent_set(
     provenance: str,
     preferred_k: int = 0,
 ) -> Iterator[ReductionPlan]:
+    """Plans around an independent set J: S = J ∪ N(J), and for each slack
+    k (``preferred_k`` first) that the ratio allows, every choice of |J| - k
+    members x contracted with the first private pair {u_x, v_x} of N(x).
+    Certification is the judge of every one of them."""
     nj = joint_neighborhood(g, j)
     s = frozenset(j) | nj
-    pairs = {x: _private_pairs(g, j, x) for x in j}
+    pairs = {x: _private_pair(g, j, x) for x in j}
     with_pairs = [x for x in j if pairs[x]]
 
     k_values = sorted(range(len(j)), key=lambda k: (k != preferred_k, k))
     for k in k_values:
         t = len(j) - k
-        if t <= 0 or t > len(with_pairs):
+        if t > len(with_pairs):
             continue
         if not c.holds(len(j), len(nj) + k):
             continue
         for members in itertools.combinations(with_pairs, t):
-            parts = tuple(
-                frozenset((x,) + pairs[x][0]) for x in members
-            )
+            parts = tuple(frozenset((x,) + pairs[x]) for x in members)
             yield ReductionPlan(
                 kind="anchored-pairs",
                 s=s,
@@ -410,80 +375,6 @@ def plans_for_independent_set(
                 j=j,
                 k=k,
             )
-
-    if len(j) == 3:
-        # grown two-part covers: one member with its pair, the others bulked
-        if c.holds(len(j), len(nj) + 1):
-            for alone in j:
-                if not pairs[alone]:
-                    continue
-                others = [x for x in j if x != alone]
-                seed_big = set(others)
-                seed_small = {alone} | set(pairs[alone][0])
-                if seed_big & seed_small:
-                    continue
-                big, small = _absorb(g, s, [seed_big, seed_small])
-                if any(
-                    len(g.subgraph(p).components()) != 1 for p in (big, small)
-                ):
-                    continue
-                yield ReductionPlan(
-                    kind="grown-parts",
-                    s=s,
-                    parts=(frozenset(small), frozenset(big)),
-                    ratio=c,
-                    provenance=f"{provenance}:cover2",
-                    j=j,
-                    k=1,
-                )
-        # grown three-part covers: one bare member, two with pairs
-        if c.holds(len(j), len(nj)):
-            for bare in j:
-                others = [x for x in j if x != bare]
-                if not all(pairs[x] for x in others):
-                    continue
-                seeds = [
-                    {bare},
-                    {others[0]} | set(pairs[others[0]][0]),
-                    {others[1]} | set(pairs[others[1]][0]),
-                ]
-                if seeds[0] & seeds[1] or seeds[0] & seeds[2] or seeds[1] & seeds[2]:
-                    continue
-                grown = _absorb(g, s, seeds)
-                if any(
-                    len(g.subgraph(p).components()) != 1 for p in grown
-                ):
-                    continue
-                yield ReductionPlan(
-                    kind="grown-parts",
-                    s=s,
-                    parts=tuple(frozenset(p) for p in grown),
-                    ratio=c,
-                    provenance=f"{provenance}:cover3",
-                    j=j,
-                    k=0,
-                )
-
-    # whole-S contraction and plain deletion, as last resorts
-    if len(s) >= 2 and len(g.subgraph(s).components()) == 1:
-        yield ReductionPlan(
-            kind="grown-parts",
-            s=s,
-            parts=(s,),
-            ratio=c,
-            provenance=f"{provenance}:contract-all",
-            j=j,
-            k=None,
-        )
-    yield ReductionPlan(
-        kind="delete-closed-nbhd",
-        s=s,
-        parts=(),
-        ratio=c,
-        provenance=f"{provenance}:delete-all",
-        j=j,
-        k=None,
-    )
 
 
 # -- separating-triangle split ---------------------------------------------------

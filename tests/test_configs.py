@@ -1,8 +1,10 @@
+import importlib
+import itertools
+
 from pig.configs import (
     DETECTOR_ORDER,
     ball,
     detect_apex_pair,
-    detect_tight_pair,
     iter_configs,
     joint_neighborhood,
     tight_sets,
@@ -42,21 +44,13 @@ def test_matches_verify_their_hypotheses():
         for m in iter_configs(g):
             assert m.verify(g), (seed, m)
             counts[m.kind] = counts.get(m.kind, 0) + 1
-    assert counts.get("apex_pair")
-    assert counts.get("tight_pair")
+    assert set(counts) == set(DETECTOR_ORDER)
 
 
 def test_detector_priority_order(ico):
     kinds = [m.kind for m in iter_configs(ico)]
     order = {k: i for i, k in enumerate(DETECTOR_ORDER)}
     assert kinds == sorted(kinds, key=lambda k: order[k])
-
-
-def test_tight_pair_bound():
-    for seed in range(4):
-        g = flagged(seed, 60)
-        for m in detect_tight_pair(g):
-            assert len(joint_neighborhood(g, m.j)) <= 8
 
 
 def test_k4_no_matches(graph_k4):
@@ -76,33 +70,44 @@ def test_windowed_restriction():
     assert all((wm.kind, wm.roles) in all_matches for wm in windowed)
 
 
-def test_six_ring7_fires_and_reduces():
-    from conftest import seven_ring_fixture
-    from pig.configs import detect_six_ring7
-    from pig.reduce import (
-        PlanRejected,
-        Ratio,
-        certify_plan,
-        plans_for_independent_set,
-    )
+def _reduce_labels(node, acc):
+    """The ``match`` label of every catalog step in a certificate tree."""
+    if node.get("op") == "reduce" and "match" in node:
+        acc.add(node["match"])
+    kids = [node["child"]] if "child" in node else node.get("children", [])
+    for kid in kids + [sub["child"] for sub in node.get("subs", [])]:
+        _reduce_labels(kid, acc)
+    return acc
 
-    g = seven_ring_fixture()
-    match = next(detect_six_ring7(g), None)
-    assert match is not None and match.role("center") == 1
-    assert match.verify(g)
-    # the reduction set is derived from tight independent sets nearby
-    pool = ball(g, [v for _, v in match.roles], 2)
-    certified = None
-    for jset in tight_sets(g, pool):
-        for plan in plans_for_independent_set(g, jset, Ratio(3, 13), "derived"):
-            try:
-                certified = certify_plan(g, plan)
-                break
-            except PlanRejected:
-                continue
-        if certified:
-            break
-    assert certified is not None
+
+def test_every_detector_is_needed(ico):
+    # each detector of the catalog takes a step on one of these graphs:
+    # drums need apex_pair, the geodesic icosahedron needs low_trio_star6
+    from conftest import drum, subdivide
+    from pig.extract import extract
+
+    labels = set()
+    for g in (subdivide(ico), drum(8)):
+        _reduce_labels(extract(g, "3/13").root, labels)
+    assert labels == set(DETECTOR_ORDER)
+
+
+def test_sweep_fallback_certifies_without_the_catalog(ico, monkeypatch):
+    # with no detector match at all, the tight-set sweep still finds a
+    # certified reduction on every min-degree-5 triangulation here
+    from conftest import drum, seven_ring_fixture, subdivide
+
+    ex = importlib.import_module("pig.extract")  # the module, not the function
+
+    monkeypatch.setattr(ex, "iter_configs", lambda g, within=None: iter(()))
+    graphs = [seven_ring_fixture(), drum(8), subdivide(ico)]
+    graphs += [flagged(seed, 80) for seed in range(6)]
+    for g in graphs:
+        cert = ex.extract(g, "3/13")
+        labels = _reduce_labels(cert.root, set())
+        assert labels == {"sweep"}, labels
+        assert ex.check_certificate(g, cert) == (True, "ok")
+        assert cert.size >= cert.bound
 
 
 def test_ball_radius():
@@ -115,7 +120,7 @@ def test_ball_radius():
 
 def test_tight_sets_yields_independent_small_sets():
     g = flagged(5, 80)
-    found = list(tight_sets(g, g.vertices, limit=25))
+    found = list(itertools.islice(tight_sets(g, g.vertices), 25))
     assert found
     for js in found:
         assert all(not g.adjacent(a, b) for i, a in enumerate(js) for b in js[i + 1:])

@@ -31,6 +31,7 @@ SPECS = (
     {"family": "flagged", "n": 70, "seed": 2, "ratio": "2/9"},
     {"family": "glued", "n1": 16, "n2": 14, "ratio": "3/13"},
     {"family": "drum", "rings": 8, "ratio": "3/13"},
+    {"family": "geodesic", "levels": 1, "ratio": "3/13"},
 )
 
 
@@ -39,7 +40,8 @@ def spec_id(spec: dict) -> str:
 
 
 def build(spec: dict):
-    from conftest import drum, glued_pair
+    from conftest import drum, glued_pair, subdivide
+    from pig.graph import icosahedron
 
     family = spec["family"]
     if family in ("plain", "flagged"):
@@ -49,6 +51,11 @@ def build(spec: dict):
                                 no_separating_triangle=flagged))
     if family == "glued":
         return glued_pair(spec["n1"], spec["n2"])
+    if family == "geodesic":
+        g = icosahedron()
+        for _ in range(spec["levels"]):
+            g = subdivide(g)
+        return g
     return drum(spec["rings"])
 
 

@@ -7,7 +7,6 @@ from pig.graph import (
     EmbeddedGraph,
     GraphError,
     ParseError,
-    common_neighbors,
     embedded_cycle,
     neighbor_cycle,
     parse_rotation_graph,
@@ -169,30 +168,6 @@ class TestSeparatingTriangles:
         for seed in range(6):
             g = generate(GenSpec(seed=seed, n=18))
             assert separating_triangles(g) == sorted(brute_separating_triangles(g))
-
-
-class TestCommonNeighbors:
-    def test_icosahedron_adjacent(self, ico):
-        for u in ico.vertices:
-            for v in ico.rotation(u):
-                if v > u:
-                    cn = common_neighbors(ico, u, v)
-                    assert len(cn.vertices) == 2
-                    assert cn.is_k1_k2_union
-
-    def test_k4(self, graph_k4):
-        cn = common_neighbors(graph_k4, 1, 2)
-        assert cn.vertices == frozenset({3, 4})
-        assert cn.components == ((3, 4),)
-
-    def test_distance3_empty(self):
-        g = embedded_cycle(7)
-        cn = common_neighbors(g, 1, 4)
-        assert cn.vertices == frozenset()
-
-    def test_same_vertex_error(self, ico):
-        with pytest.raises(GraphError):
-            common_neighbors(ico, 1, 1)
 
 
 class TestNeighborCycle:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from pig import mis
-from pig.configs import iter_configs
+from pig.configs import iter_configs, joint_neighborhood, tight_sets
 from pig.generate import GenSpec, generate
 from pig.graph import separating_triangles
 from pig.reduce import (
@@ -17,6 +17,7 @@ from pig.reduce import (
     find_low_degree_plan,
     interior,
     lift,
+    plans_for_independent_set,
     split_combine,
     split_guarantees,
     split_plan,
@@ -31,6 +32,14 @@ def flagged(seed, n):
     return generate(
         GenSpec(seed=seed, n=n, min_degree5=True, no_separating_triangle=True)
     )
+
+
+def tight_pair_plan(g):
+    """The first plan around the first independent pair with joint
+    neighborhood at most 8 that the tight-set sweep yields."""
+    pair = next(js for js in tight_sets(g, g.vertices) if len(js) == 2)
+    assert len(joint_neighborhood(g, pair)) <= 8
+    return next(plans_for_independent_set(g, pair, C13, "test"))
 
 
 class TestRatio:
@@ -167,8 +176,7 @@ class TestCertification:
 
     def test_pair_plan_certifies_on_flagged_graph(self):
         g = flagged(2, 70)
-        match = next(m for m in iter_configs(g) if m.kind == "tight_pair")
-        plan = next(candidate_plans(g, match, C13))
+        plan = tight_pair_plan(g)
         cert = certify_plan(g, plan)
         assert cert.need == plan.need()
         assert all(alpha >= cert.need for _, alpha in cert.checked)
@@ -177,12 +185,10 @@ class TestCertification:
         # any two vertices at distance 2 share exactly two neighbors, so
         # their joint neighborhood has size 8 and the pair plan certifies
         # with all four part subsets
-        m = next(mm for mm in iter_configs(ico) if mm.kind == "tight_pair")
-        x, y = m.j
+        plan = tight_pair_plan(ico)
+        x, y = plan.j
         assert len(ico.neighbors(x) | ico.neighbors(y)) == 8
-        plan = next(
-            p for p in candidate_plans(ico, m, C13) if p.kind == "anchored-pairs"
-        )
+        assert plan.kind == "anchored-pairs"
         assert plan.t == 2
         cert = certify_plan(ico, plan)
         checked = {c for c, _ in cert.checked}
@@ -228,8 +234,7 @@ class TestCertification:
 class TestLift:
     def test_lift_replaces_contracted_vertex(self):
         g = flagged(1, 64)
-        match = next(m for m in iter_configs(g) if m.kind == "tight_pair")
-        plan = next(candidate_plans(g, match, C13))
+        plan = tight_pair_plan(g)
         cert = certify_plan(g, plan)
         reduced, ctx = apply_plan(g, cert)
         assert reduced.n == g.n - len(plan.s) + plan.t
@@ -320,7 +325,7 @@ class TestPlanner:
             if not plans:
                 continue
             kinds = [p.kind for p in plans]
-            assert kinds[0] in ("anchored-pairs", "grown-parts", "delete-closed-nbhd")
+            assert set(kinds) == {"anchored-pairs"}
             for p in plans:
                 assert p.s >= set(p.j)
                 for part in p.parts:
