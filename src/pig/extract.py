@@ -45,7 +45,7 @@ from .reduce import (
 )
 
 BASE_EXACT_N = 20
-CERT_FORMAT = "pig-certificate/1"
+CERT_FORMAT = "pig-certificate/2"
 
 
 class IncompletenessDiagnostic(RuntimeError):
@@ -126,12 +126,12 @@ class Step:
 
     ``fields`` are the certificate fields the choice of step fixes.
     ``combine(sols, kids)`` maps the sub-solutions and the sub-instances'
-    certificate nodes to the solution and the node fields they add.
+    certificate nodes to the solution and the node fields they add.  A node
+    records the step's choices only; the set is recorded once, in the
+    certificate header.
     """
 
     op: str
-    g: EmbeddedGraph
-    c: Ratio
     fields: dict
     subs: tuple[EmbeddedGraph, ...]
     combine: Callable[[list[frozenset[int]], list], tuple[frozenset[int], dict]]
@@ -139,46 +139,37 @@ class Step:
     def finish(self, sols: list, kids: list) -> tuple[frozenset[int], dict]:
         """Combine the sub-solutions; return the solution and its node."""
         out, added = self.combine(sols, kids)
-        node = {
-            "op": self.op,
-            "n": self.g.n,
-            "bound": self.c.ceil_mul(self.g.n),
-            "size": len(out),
-            "set": sorted(out),
-        }
-        return out, node | self.fields | added
+        return out, {"op": self.op} | self.fields | added
 
     def summary(self) -> dict:
         """The step as ``pig reduce`` prints it."""
         return {"step": self.op, "count": len(self.subs)} | self.fields
 
 
-def _exact(g: EmbeddedGraph, c: Ratio) -> Step:
-    return Step(
-        "exact", g, c, {}, (), lambda sols, kids: (frozenset(mis.mis_exact(g)), {})
-    )
+def _exact(g: EmbeddedGraph) -> Step:
+    return Step("exact", {}, (), lambda sols, kids: (frozenset(mis.mis_exact(g)), {}))
 
 
-def _components(g: EmbeddedGraph, c: Ratio, comps) -> Step:
+def _components(g: EmbeddedGraph, comps) -> Step:
     return Step(
-        "components", g, c, {}, tuple(g.subgraph(comp) for comp in comps),
+        "components", {}, tuple(g.subgraph(comp) for comp in comps),
         lambda sols, kids: (frozenset().union(*sols), {"children": kids}),
     )
 
 
-def _triangulate(g: EmbeddedGraph, c: Ratio) -> Step:
+def _triangulate(g: EmbeddedGraph) -> Step:
     gt = triangulate(g)
     return Step(
-        "triangulate", g, c, {"m_before": g.m, "m_after": gt.m}, (gt,),
+        "triangulate", {"m_before": g.m, "m_after": gt.m}, (gt,),
         lambda sols, kids: (sols[0], {"child": kids[0]}),
     )
 
 
-def _reduce(g: EmbeddedGraph, c: Ratio, cert: CertifiedPlan, **label) -> Step:
+def _reduce(g: EmbeddedGraph, cert: CertifiedPlan, **label) -> Step:
     reduced, ctx = apply_plan(g, cert)
     fields = {"plan": cert.plan.summary() | {"w_ids": list(ctx.w_ids)}} | label
     return Step(
-        "reduce", g, c, fields, (reduced,),
+        "reduce", fields, (reduced,),
         lambda sols, kids: (lift(sols[0], ctx), {"child": kids[0]}),
     )
 
@@ -205,7 +196,7 @@ def _split(g: EmbeddedGraph, c: Ratio, triangle) -> Step:
         "strategy": sp.strategy,
         "sides": [len(sp.side1), len(sp.side2)],
     }
-    return Step("split", g, c, fields, tuple(sub.graph for sub in subs), combine)
+    return Step("split", fields, tuple(sub.graph for sub in subs), combine)
 
 
 def _certified_config_plan(g: EmbeddedGraph, c: Ratio) -> tuple[CertifiedPlan, str]:
@@ -241,19 +232,19 @@ def next_step(g: EmbeddedGraph, c: Ratio) -> Step:
     """The step the extractor takes on ``g``: the one copy of the order."""
     comps = g.components()
     if len(comps) > 1:
-        return _components(g, c, comps)
+        return _components(g, comps)
     if g.n <= BASE_EXACT_N:
-        return _exact(g, c)
+        return _exact(g)
     if not g.is_triangulation():
-        return _triangulate(g, c)
+        return _triangulate(g)
     plan = find_low_degree_plan(g, c)
     if plan is not None:
-        return _reduce(g, c, certify_plan(g, plan))
+        return _reduce(g, certify_plan(g, plan))
     septris = separating_triangles(g)
     if septris:
         return _split(g, c, septris[0])
     cert, label = _certified_config_plan(g, c)
-    return _reduce(g, c, cert, match=label)
+    return _reduce(g, cert, match=label)
 
 
 def _get(record, key: str, ok: Callable[[object], bool]):
@@ -284,14 +275,14 @@ def _recorded_reduce(g: EmbeddedGraph, c: Ratio, node: dict) -> Step:
     label = {}
     if "match" in node:  # recorded for the catalog's steps, never interpreted
         label["match"] = _get(node, "match", lambda v: isinstance(v, str))
-    return _reduce(g, c, certify_plan(g, plan), **label)
+    return _reduce(g, certify_plan(g, plan), **label)
 
 
 # Rebuild the step of a recorded node from its recorded choices alone.
 _REBUILD = {
-    "exact": lambda g, c, node: _exact(g, c),
-    "components": lambda g, c, node: _components(g, c, g.components()),
-    "triangulate": lambda g, c, node: _triangulate(g, c),
+    "exact": lambda g, c, node: _exact(g),
+    "components": lambda g, c, node: _components(g, g.components()),
+    "triangulate": lambda g, c, node: _triangulate(g),
     "reduce": _recorded_reduce,
     "split": lambda g, c, node: _split(g, c, _get(node, "triangle", _ids)),
 }
@@ -310,7 +301,7 @@ def _recorded_kids(node: dict) -> list:
 
 def _own(node: dict) -> dict:
     """The node with its sub-trees blanked: the fields replay compares.
-    Comparing whole sub-trees at every level would make replay cubic."""
+    Comparing whole sub-trees at every level would make replay quadratic."""
     own = {k: None if k in ("child", "children") else v for k, v in node.items()}
     subs = own.get("subs")
     if isinstance(subs, list):

@@ -9,6 +9,7 @@ budget.  The whole process is a pure function of the GenSpec recipe.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 
@@ -119,11 +120,16 @@ def _sample(rng: random.Random, n: int) -> _Builder:
 def _repair_degrees(b: _Builder, rng: random.Random, n: int) -> bool:
     """Raise every degree to >= 5 by flipping edges of faces at deficient
     vertices; the flip adds an edge at the apex and cheapens two others."""
+    # (degree, v) for the deficient vertices, least first; an entry that no
+    # longer matches its vertex's degree is stale, dropped when on top
+    low = [(len(b.rot[v]), v) for v in range(1, n + 1) if len(b.rot[v]) < 5]
+    heapq.heapify(low)
     for _ in range(REPAIR_ROUNDS * 4):
-        low = [v for v in range(1, n + 1) if len(b.rot[v]) < 5]
+        while low and low[0][0] != len(b.rot[low[0][1]]):
+            heapq.heappop(low)
         if not low:
             return True
-        w = min(low, key=lambda v: (len(b.rot[v]), v))
+        w = low[0][1]
         ring = b.rot[w]
         cands = []
         for i in range(len(ring)):
@@ -142,7 +148,10 @@ def _repair_degrees(b: _Builder, rng: random.Random, n: int) -> bool:
         cands.sort(key=lambda t: (-t[0], t[1], t[2]))
         top = [c for c in cands if c[0] == cands[0][0]]
         _, u, v = top[rng.randrange(len(top))]
-        b.flip(u, v)
+        x, y = b.flip(u, v)
+        for z in (u, v, x, y):  # only a flip's four ends change degree
+            if len(b.rot[z]) < 5:
+                heapq.heappush(low, (len(b.rot[z]), z))
     return False
 
 

@@ -68,12 +68,6 @@ class Ratio:
         return f"{self.a}/{self.b}"
 
 
-ONE_FIFTH = Ratio(1, 5)
-TWO_NINTHS = Ratio(2, 9)
-THREE_THIRTEENTHS = Ratio(3, 13)
-PRESETS = {str(r): r for r in (ONE_FIFTH, TWO_NINTHS, THREE_THIRTEENTHS)}
-
-
 def neighborhood_floor(j: int, c: Ratio) -> int:
     """Least joint-neighborhood size a non-maximal independent j-set can
     have in a graph with no reduction at ratio c: floor((b-a)/a * j) + 2."""
@@ -353,6 +347,8 @@ def plans_for_independent_set(
     members x contracted with the first private pair {u_x, v_x} of N(x).
     Certification is the judge of every one of them."""
     nj = joint_neighborhood(g, j)
+    if not c.holds(len(j), len(nj)):
+        return  # a slack k only raises the bar
     s = frozenset(j) | nj
     pairs = {x: _private_pair(g, j, x) for x in j}
     with_pairs = [x for x in j if pairs[x]]

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -169,3 +170,13 @@ def seven_ring_fixture() -> EmbeddedGraph:
         faces.append((t[i], p[j], t[j]))
         faces.append((z, t[j], t[i]))
     return embedded_from_faces(faces)
+
+
+def v1_document(cert) -> str:
+    """``cert`` in the retired ``pig-certificate/1`` shape, whose nodes
+    repeated the running set and its ledger."""
+    payload = json.loads(cert.to_json())
+    payload["format"] = "pig-certificate/1"
+    payload["root"].update(n=cert.n, bound=cert.bound, size=cert.size,
+                           set=list(cert.independent_set))
+    return json.dumps(payload)

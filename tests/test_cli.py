@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import drum, glued_pair
+from conftest import drum, glued_pair, v1_document
 from pig.cli import main
 from pig.extract import extract
 from pig.generate import GenSpec, generate
@@ -159,6 +159,14 @@ def test_check_cert_malformed_exits_1(rot_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["check-cert", str(rot_file), str(cert)]) == 1
     assert capsys.readouterr().out.startswith("FAIL: ")
+
+
+def test_check_cert_format_1_exits_2(rot_file, tmp_path, capsys):
+    g = parse_rotation_graph(rot_file.read_text())
+    cert = tmp_path / "v1.cert"
+    cert.write_text(v1_document(extract(g, "3/13")))
+    assert main(["check-cert", str(rot_file), str(cert)]) == 2
+    assert "unknown certificate format" in capsys.readouterr().err
 
 
 def test_corpus_oracle_budget_exits_3(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import v1_document
 from pig import mis
 from pig.extract import (
     Certificate,
@@ -110,6 +111,30 @@ class TestDeterminism:
         assert again == cert
         ok, reason = check_certificate(g, again)
         assert ok, reason
+
+
+def _nodes(node):
+    """Every node of a certificate tree, parents first."""
+    yield node
+    kids = [node["child"]] if "child" in node else node.get("children", [])
+    kids = kids + [sub["child"] for sub in node.get("subs", [])]
+    for kid in kids:
+        yield from _nodes(kid)
+
+
+class TestCertificateFormat:
+    def test_nodes_record_each_step_once(self):
+        g = generate(GenSpec(seed=0, n=300))
+        cert = extract(g, C13)
+        nodes = list(_nodes(cert.root))
+        assert len(nodes) > 100
+        for node in nodes:
+            assert not {"n", "bound", "size", "set"} & node.keys(), node["op"]
+        assert len(cert.to_json()) <= 100 * g.n
+
+    def test_format_1_is_rejected(self, ico):
+        with pytest.raises(CertificateError, match="unknown certificate format"):
+            Certificate.from_json(v1_document(extract(ico, C13)))
 
 
 CERT_FIELDS = ("ratio", "graph_hash", "n", "bound", "independent_set", "root")
@@ -259,21 +284,7 @@ class TestStructuredFamilies:
 
 
 def _find_op(node, op):
-    if node["op"] == op:
-        return node
-    if "child" in node:
-        found = _find_op(node["child"], op)
-        if found:
-            return found
-    for child in node.get("children", []):
-        found = _find_op(child, op)
-        if found:
-            return found
-    for sub in node.get("subs", []):
-        found = _find_op(sub["child"], op)
-        if found:
-            return found
-    return None
+    return next((n for n in _nodes(node) if n["op"] == op), None)
 
 
 class TestSplitStage:
