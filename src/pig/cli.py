@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success; 1 bound or verification failure; 2 input error;
-3 incompleteness diagnostic.  PIG_ORACLE_BUDGET overrides the oracle's
-branch-node budget.
+Exit codes: 0 success; 1 bound or verification failure, or an engine fault;
+2 input error; 3 incompleteness diagnostic.  PIG_ORACLE_BUDGET overrides the
+oracle's branch-node budget.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .extract import (
 from .configs import iter_configs
 from .generate import GenSpec, GenerationError, generate
 from .graph import EmbeddedGraph, GraphError, ParseError, parse_rotation_graph
-from .reduce import Ratio
+from .reduce import LiftError, PlanRejected, Ratio
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -261,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DIAGNOSTIC
     except mis.OracleBudgetExceeded as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except (LiftError, PlanRejected) as exc:
+        print(f"engine fault: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -1,20 +1,22 @@
-"""Recursive certified extraction and replayable certificates.
+"""Certified extraction and replayable certificates.
 
 The extractor peels a planar graph down with the cheapest sound move at
 every level: per-component handling, an exact base case, triangulation,
 low-degree reductions, separating-triangle splits, then oracle-certified
 configuration reductions.  ``next_step`` is the one place that order is
 written; extraction, certificate replay and ``pig reduce`` all go through
-it.  Solutions are lifted bottom-up; every level
-checks its own size contract, so the final certificate either meets
-ceil(c*n) or the run raises a diagnostic carrying the offending graph.
+it, and ``_walk`` runs the levels for extraction and replay alike, on an
+explicit stack.  Solutions are lifted bottom-up; every level checks its
+own size contract and independence where its step could break it, and
+the whole set is checked once at the root, so the final certificate
+either meets ceil(c*n) or the run raises a typed error.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from . import mis
@@ -51,12 +53,16 @@ CERT_FORMAT = "pig-certificate/2"
 class IncompletenessDiagnostic(RuntimeError):
     """No certified reduction found on a min-degree-5 triangulation without
     separating triangles: a detector or planner gap.  Carries the offending
-    graph for triage; extraction never silently returns an undersized set."""
+    graph for triage; extraction never silently returns an undersized set.
+    A level whose set falls short of its size contract is reported with
+    the root graph and the level's ``path``, since its own graph is gone."""
 
-    def __init__(self, g: EmbeddedGraph, ratio: Ratio):
-        super().__init__(
-            f"no certified reduction on n={g.n} triangulation at ratio {ratio}"
+    def __init__(self, g: EmbeddedGraph, ratio: Ratio, path: str | None = None):
+        what = (
+            f"size contract broken at {path}" if path
+            else f"no certified reduction on n={g.n} triangulation"
         )
+        super().__init__(f"{what} at ratio {ratio}")
         self.graph_text = g.serialize()
         self.ratio = str(ratio)
 
@@ -91,7 +97,7 @@ class Certificate:
             "independent_set": list(self.independent_set),
             "root": self.root,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return _dumps(payload) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -116,6 +122,40 @@ class Certificate:
             raise CertificateError("independent_set is not a list") from None
 
 
+class _Raw(str):
+    """Text ``_dumps`` writes as it is."""
+
+
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))`` without
+    recursing into the step tree, which nests as deep as the steps go: a
+    container holding a dict is written on an explicit stack, any other
+    value by the encoder."""
+    out: list[str] = []
+    todo = [value]
+    while todo:
+        v = todo.pop()
+        if type(v) is _Raw:
+            out.append(v)
+            continue
+        items = v.values() if isinstance(v, dict) else v if isinstance(v, list) else ()
+        if not any(isinstance(x, dict) for x in items):
+            out.append(_ENCODE(v))
+        elif isinstance(v, dict):
+            todo.append(_Raw("}"))
+            keys = sorted(v)
+            for i in reversed(range(len(keys))):
+                todo += [v[keys[i]], _Raw(("," if i else "{") + _ENCODE(keys[i]) + ":")]
+        else:
+            todo.append(_Raw("]"))
+            for i in reversed(range(len(v))):
+                todo += [v[i], _Raw("," if i else "[")]
+    return "".join(out)
+
+
 # -- the step engine -------------------------------------------------------------
 
 
@@ -126,9 +166,9 @@ class Step:
 
     ``fields`` are the certificate fields the choice of step fixes.
     ``combine(sols, kids)`` maps the sub-solutions and the sub-instances'
-    certificate nodes to the solution and the node fields they add.  A node
-    records the step's choices only; the set is recorded once, in the
-    certificate header.
+    certificate nodes to the solution and the node fields they add; it
+    keeps no sub-instance alive.  A node records the step's choices only;
+    the set is recorded once, in the certificate header.
     """
 
     op: str
@@ -147,7 +187,13 @@ class Step:
 
 
 def _exact(g: EmbeddedGraph) -> Step:
-    return Step("exact", {}, (), lambda sols, kids: (frozenset(mis.mis_exact(g)), {}))
+    def combine(sols, kids):
+        out = frozenset(mis.mis_exact(g))
+        if not mis.verify_independent(g, out):
+            raise LiftError("exact solution not independent")  # unreachable
+        return out, {}
+
+    return Step("exact", {}, (), combine)
 
 
 def _components(g: EmbeddedGraph, comps) -> Step:
@@ -177,18 +223,19 @@ def _reduce(g: EmbeddedGraph, cert: CertifiedPlan, **label) -> Step:
 def _split(g: EmbeddedGraph, c: Ratio, triangle) -> Step:
     sp = split_plan(g, triangle, c)
     subs = split_subproblems(g, sp)
+    tags = [(sub.tag, sub.merged, sub.floor) for sub in subs]  # not the graphs
 
     def combine(sols, kids):
-        if any(len(sol) < sub.floor for sub, sol in zip(subs, sols)):
+        if any(len(sol) < floor for (_, _, floor), sol in zip(tags, sols)):
             raise LiftError("split sub-solution below its floor")  # unreachable
         out, recipe = split_combine(
             g, sp,
-            {sub.tag: sol for sub, sol in zip(subs, sols)},
-            {sub.tag: sub.merged for sub in subs},
+            {tag: sol for (tag, _, _), sol in zip(tags, sols)},
+            {tag: merged for tag, merged, _ in tags},
         )
         return out, {"recipe": recipe, "subs": [
-            {"tag": sub.tag, "merged": sub.merged, "child": kid}
-            for sub, kid in zip(subs, kids)
+            {"tag": tag, "merged": merged, "child": kid}
+            for (tag, merged, _), kid in zip(tags, kids)
         ]}
 
     fields = {
@@ -312,19 +359,70 @@ def _own(node: dict) -> dict:
 # -- extraction and replay -------------------------------------------------------
 
 
-def _solve(g: EmbeddedGraph, c: Ratio) -> tuple[frozenset[int], dict]:
-    step = next_step(g, c)
-    solved = [_solve(sub, c) for sub in step.subs]
-    out, node = step.finish([sol for sol, _ in solved], [kid for _, kid in solved])
-    if len(out) < c.ceil_mul(g.n) or not mis.verify_independent(g, out):
-        raise IncompletenessDiagnostic(g, c)  # size contract is checked everywhere
-    return out, node
+@dataclass
+class _Level:
+    """An open level of the walk: its step with the sub-instances taken
+    off, the sub-instances not yet run, and what the finished ones gave."""
+
+    step: Step
+    n: int
+    record: object  # the recorded node on replay
+    todo: list  # (graph, record) per sub-instance not yet run, last first
+    sols: list = field(default_factory=list)
+    nodes: list = field(default_factory=list)
+
+
+def _walk(g: EmbeddedGraph, record, expand, close) -> tuple[frozenset[int], dict]:
+    """Run the steps from ``g`` in post-order, on an explicit stack.
+
+    ``expand(g, record, where)`` returns the step taken on ``g`` and one
+    record per sub-instance.  ``close(level, out, node, where)`` checks a
+    finished level and returns the node its parent combines.  ``where()``
+    names the level at hand by its path of ops from the root.  Once a
+    level's sub-instances are on the stack it keeps only its combine data
+    and ``n``, so no level's graph outlives its step.
+    """
+    stack: list[_Level] = []
+
+    def where() -> str:
+        return "root" + "".join(f".{lv.step.op}[{len(lv.sols)}]" for lv in stack)
+
+    def push(sub: EmbeddedGraph, rec) -> None:
+        step, kids = expand(sub, rec, where)
+        todo = list(zip(step.subs, kids))[::-1]
+        stack.append(_Level(replace(step, subs=()), sub.n, rec, todo))
+
+    push(g, record)
+    while True:
+        top = stack[-1]
+        if top.todo:
+            push(*top.todo.pop())
+            continue
+        stack.pop()
+        out, node = top.step.finish(top.sols, top.nodes)
+        node = close(top, out, node, where)
+        if not stack:
+            return out, node
+        stack[-1].sols.append(out)
+        stack[-1].nodes.append(node)
 
 
 def extract(g: EmbeddedGraph, c: Ratio | str) -> Certificate:
     """Extract a verified independent set of size >= ceil(c*n) with trace."""
     ratio = Ratio.parse(c) if isinstance(c, str) else c
-    sol, root = _solve(g, ratio)
+
+    def expand(sub, rec, where):
+        step = next_step(sub, ratio)
+        return step, [None] * len(step.subs)
+
+    def close(level, out, node, where):
+        if len(out) < ratio.ceil_mul(level.n):  # checked at every level
+            raise IncompletenessDiagnostic(g, ratio, f"{where()} (n={level.n})")
+        return node
+
+    sol, root = _walk(g, None, expand, close)
+    if not mis.verify_independent(g, sol):
+        raise LiftError("extracted set not independent")
     return Certificate(
         ratio=str(ratio),
         graph_hash=g.graph_hash(),
@@ -335,32 +433,34 @@ def extract(g: EmbeddedGraph, c: Ratio | str) -> Certificate:
     )
 
 
-def _replay(g: EmbeddedGraph, node, c: Ratio, path: str) -> frozenset[int]:
+def _replay(g: EmbeddedGraph, root, c: Ratio) -> frozenset[int]:
     """Re-run the recorded steps and check each node's own fields."""
-    try:
-        op = node.get("op") if isinstance(node, dict) else None
-        if not isinstance(op, str) or op not in _REBUILD:
-            raise CertificateError("not a node with a known op")
-        step = _REBUILD[op](g, c, node)
-        kids = _recorded_kids(node)
-        if len(kids) != len(step.subs):
-            raise CertificateError(
-                f"{len(kids)} sub-trees recorded, the step makes {len(step.subs)}"
-            )
-    except CertificateError as exc:
-        raise CertificateError(f"{path}: {exc}") from None
-    sols = [
-        _replay(sub, kid, c, f"{path}.{step.op}[{i}]")
-        for i, (sub, kid) in enumerate(zip(step.subs, kids))
-    ]
-    got, fresh = step.finish(sols, kids)
-    ours, theirs = _own(fresh), _own(node)
-    if ours != theirs:
-        keys = sorted(k for k in ours | theirs if ours.get(k) != theirs.get(k))
-        raise CertificateError(f"{path}: replay diverges in {', '.join(keys)}")
-    if len(got) < c.ceil_mul(g.n) or not mis.verify_independent(g, got):
-        raise CertificateError(f"{path}: recorded set breaks the size contract")
-    return got
+
+    def expand(sub, node, where):
+        try:
+            op = node.get("op") if isinstance(node, dict) else None
+            if not isinstance(op, str) or op not in _REBUILD:
+                raise CertificateError("not a node with a known op")
+            step = _REBUILD[op](sub, c, node)
+            kids = _recorded_kids(node)
+            if len(kids) != len(step.subs):
+                raise CertificateError(
+                    f"{len(kids)} sub-trees recorded, the step makes {len(step.subs)}"
+                )
+        except CertificateError as exc:
+            raise CertificateError(f"{where()}: {exc}") from None
+        return step, kids
+
+    def close(level, got, fresh, where):
+        ours, theirs = _own(fresh), _own(level.record)
+        if ours != theirs:
+            keys = sorted(k for k in ours | theirs if ours.get(k) != theirs.get(k))
+            raise CertificateError(f"{where()}: replay diverges in {', '.join(keys)}")
+        if len(got) < c.ceil_mul(level.n):
+            raise CertificateError(f"{where()}: recorded set breaks the size contract")
+        return level.record  # the parent compares its own fields only
+
+    return _walk(g, root, expand, close)[0]
 
 
 def check_certificate(g: EmbeddedGraph, cert: Certificate) -> tuple[bool, str]:
@@ -375,11 +475,13 @@ def check_certificate(g: EmbeddedGraph, cert: Certificate) -> tuple[bool, str]:
     if cert.bound != ratio.ceil_mul(g.n) or cert.n != g.n:
         return False, "header bound/size mismatch"
     try:
-        got = _replay(g, cert.root, ratio, "root")
-    except (CertificateError, GraphError, LiftError) as exc:
+        got = _replay(g, cert.root, ratio)
+    except (CertificateError, GraphError, LiftError, PlanRejected) as exc:
         return False, str(exc)
     if tuple(sorted(got)) != cert.independent_set:
         return False, "final set differs from trace"
+    if not mis.verify_independent(g, got):
+        return False, "final set not independent"
     if len(got) < cert.bound:
         return False, "final set below bound"
     return True, "ok"

@@ -157,12 +157,14 @@ def _repair_degrees(b: _Builder, rng: random.Random, n: int) -> bool:
 
 def _repair_separating_triangles(
     b: _Builder, rng: random.Random, keep_degrees: bool
-) -> bool:
+) -> EmbeddedGraph | None:
+    """Flip an edge of a separating triangle until none is left; returns
+    the graph found free of them, or None."""
     for _ in range(REPAIR_ROUNDS):
         g = b.graph()
         tris = separating_triangles(g)
         if not tris:
-            return True
+            return g
         a, c, d = tris[rng.randrange(len(tris))]
         options = [(a, c), (a, d), (c, d)]
         rng.shuffle(options)
@@ -177,13 +179,13 @@ def _repair_separating_triangles(
             break
         if not done:
             if keep_degrees:
-                return False
+                return None
             u, v = options[0]
             if b.can_flip(u, v):
                 b.flip(u, v)
             else:
-                return False
-    return False
+                return None
+    return None
 
 
 def generate(spec: GenSpec) -> EmbeddedGraph:
@@ -204,16 +206,17 @@ def generate(spec: GenSpec) -> EmbeddedGraph:
         if spec.min_degree5:
             if not _repair_degrees(b, rng, spec.n):
                 continue
+        g = None
         if spec.no_separating_triangle:
-            if not _repair_separating_triangles(b, rng, spec.min_degree5):
+            g = _repair_separating_triangles(b, rng, spec.min_degree5)
+            if g is None:
                 continue
         if spec.min_degree5 and any(
             len(b.rot[v]) < 5 for v in range(1, spec.n + 1)
         ):
             continue
-        g = b.graph()
-        if spec.no_separating_triangle and separating_triangles(g):
-            continue
+        if g is None:
+            g = b.graph()
         if not g.is_triangulation():
             raise GraphError("generator produced a non-triangulation")
         return g

@@ -48,7 +48,10 @@ class EmbeddedGraph:
     (n - m + faces) / 2 by Euler's formula.
     """
 
-    __slots__ = ("_rot", "_adj", "_next_id", "_faces", "_m", "_nf", "_holes", "_ncomp")
+    __slots__ = (
+        "_rot", "_adj", "_next_id", "_faces", "_m", "_nf", "_holes", "_ncomp",
+        "_buckets",
+    )
 
     def __init__(
         self,
@@ -71,6 +74,7 @@ class EmbeddedGraph:
         self._nf: int | None = None
         self._holes: tuple[tuple[int, ...], ...] | None = None
         self._ncomp: int | None = None
+        self._buckets: dict[int, set[int]] | None = None  # by degree, on demand
         if validate:
             self._validate()
 
@@ -100,6 +104,19 @@ class EmbeddedGraph:
 
     def min_degree(self) -> int:
         return min((len(ns) for ns in self._rot.values()), default=0)
+
+    def by_degree(self, top: int) -> Iterator[int]:
+        """The vertices of degree at most ``top``, in (degree, id) order.
+
+        The degree buckets behind this are built on the first call; a graph
+        derived by a local edit takes its parent's over and moves only the
+        vertices the edit touched."""
+        if self._buckets is None:
+            self._buckets = {}
+            for v, ns in self._rot.items():
+                self._buckets.setdefault(len(ns), set()).add(v)
+        for d in range(top + 1):
+            yield from sorted(self._buckets.get(d, ()))
 
     def rotation(self, v: int) -> tuple[int, ...]:
         return self._rot[v]
@@ -372,6 +389,7 @@ class EmbeddedGraph:
         """
         g = EmbeddedGraph.__new__(EmbeddedGraph)
         g._rot, g._adj, g._next_id, g._faces = rot, adj, next_id, None
+        g._buckets = None
         g._check_rotations(touched)
         if gone is None:
             g._m = sum(len(rot[v]) for v in touched) // 2
@@ -420,6 +438,12 @@ class EmbeddedGraph:
                     f"m={g._m} f={nf}"
                 )
         g._ncomp = ncomp
+        if gone is not None and self._buckets is not None:
+            g._buckets, self._buckets = self._buckets, None
+            for v in itertools.chain(edited, gone):
+                g._buckets[len(self._rot[v])].discard(v)
+            for v in touched:
+                g._buckets.setdefault(len(rot[v]), set()).add(v)
         return g
 
     # -- serialization -------------------------------------------------------

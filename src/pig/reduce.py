@@ -24,10 +24,10 @@ from typing import Iterable, Iterator, Sequence
 
 from . import mis
 from .configs import ConfigurationMatch, joint_neighborhood
-from .graph import EmbeddedGraph, GraphError
+from .graph import EmbeddedGraph
 
 
-class PlanRejected(GraphError):
+class PlanRejected(Exception):
     """A plan failed validation or certification; never applied."""
 
 
@@ -117,13 +117,21 @@ class CertifiedPlan:
 
 @dataclass(frozen=True)
 class LiftContext:
-    graph: EmbeddedGraph
+    """What a lift needs of the graph it lifts into: its size and the
+    adjacency of S, not the graph itself."""
+
+    n: int
+    adj: dict[int, frozenset[int]]  # neighbors in the graph, for v in S
     cert: CertifiedPlan
     w_ids: tuple[int, ...]  # contracted vertex per part
 
     @property
     def plan(self) -> ReductionPlan:
         return self.cert.plan
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        """The oracle reads the window through this, as from a graph."""
+        return self.adj[v]
 
 
 def interior(g: EmbeddedGraph, s: frozenset[int]) -> frozenset[int]:
@@ -232,7 +240,8 @@ def apply_plan(
         cur = cur.delete_set(rest)
     if cur.n != g.n - len(plan.s) + plan.t:
         raise LiftError("reduced size mismatch")
-    return cur, LiftContext(g, cert, tuple(w_ids))
+    adj = {v: g.neighbors(v) for v in plan.s}
+    return cur, LiftContext(g.n, adj, cert, tuple(w_ids))
 
 
 def lift(reduced_set: Iterable[int], ctx: LiftContext) -> frozenset[int]:
@@ -241,11 +250,15 @@ def lift(reduced_set: Iterable[int], ctx: LiftContext) -> frozenset[int]:
     Selected part-vertices W are swapped out for an exact optimum T of the
     window I(S) ∪ (parts chosen by W); certification made |T| large enough
     that the result meets ceil(c*n).  The caller checks that contract.
+
+    Independence is checked at the window only: every edge the reduction
+    removed touches S, so with the reduced solution independent in the
+    reduced graph, the result is independent iff no vertex of T has a
+    neighbor in it.
     """
     plan = ctx.plan
-    g = ctx.graph
     red = frozenset(reduced_set)
-    n_red = g.n - len(plan.s) + plan.t
+    n_red = ctx.n - len(plan.s) + plan.t
     if len(red) < plan.ratio.ceil_mul(n_red):
         raise LiftError("reduced solution below its own bound")
     w_set = frozenset(ctx.w_ids) & red
@@ -253,10 +266,13 @@ def lift(reduced_set: Iterable[int], ctx: LiftContext) -> frozenset[int]:
     window = set(ctx.cert.interior)
     for i in chosen:
         window |= plan.parts[i]
-    t_set = frozenset(mis.mis_exact(g, vertices=window))
+    t_set = frozenset(mis.mis_exact(ctx, vertices=window))
     if len(t_set) < len(chosen) + ctx.cert.need:
         raise LiftError("window optimum below certified size")
-    return (red - w_set) | t_set
+    out = (red - w_set) | t_set
+    if any(ctx.adj[v] & out for v in t_set):
+        raise LiftError("lifted set has an edge at the window")
+    return out
 
 
 # -- low-degree pipeline -------------------------------------------------------
@@ -271,8 +287,7 @@ def find_low_degree_plan(g: EmbeddedGraph, c: Ratio) -> ReductionPlan | None:
     degrees at most 4.
     """
     d_pair = c.b // c.a  # max degree with b >= a*d
-    low = [v for v in g.vertices if g.degree(v) <= d_pair]
-    for v in sorted(low, key=lambda v: (g.degree(v), v)):
+    for v in g.by_degree(d_pair):
         d = g.degree(v)
         ns = sorted(g.neighbors(v))
         pair = None

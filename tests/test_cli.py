@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from pig.cli import main
 from pig.extract import extract
 from pig.generate import GenSpec, generate
 from pig.graph import cube, embedded_cycle, icosahedron, parse_rotation_graph
+from pig.reduce import LiftError, PlanRejected
 
 
 @pytest.fixture()
@@ -179,6 +181,20 @@ def test_corpus(capsys):
     assert main(["corpus", "--n", "24", "--count", "3", "--ratio", "3/13"]) == 0
     payload = json.loads(capsys.readouterr().out.splitlines()[0])
     assert payload["instances"] == 3 and payload["successes"] == 3
+
+
+@pytest.mark.parametrize("name, error", [
+    ("lift", LiftError), ("certify_plan", PlanRejected),
+])
+def test_engine_fault_exits_1(name, error, rot_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(importlib.import_module("pig.extract"), name, broken)
+    capsys.readouterr()
+    assert main(["extract", str(rot_file)]) == 1
+    err = capsys.readouterr().err
+    assert err == "engine fault: injected\n"
 
 
 def test_input_error_exit_code(tmp_path, capsys):

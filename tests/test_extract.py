@@ -1,6 +1,8 @@
 import importlib
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -15,7 +17,7 @@ from pig.extract import (
 )
 from pig.generate import GenSpec, generate
 from pig.graph import EmbeddedGraph, parse_rotation_graph
-from pig.reduce import Ratio
+from pig.reduce import LiftContext, LiftError, Ratio
 
 C13 = Ratio(3, 13)
 C5 = Ratio(1, 5)
@@ -252,6 +254,55 @@ class TestCheckCertificate:
         monkeypatch.setattr(engine, "lift", broken_lift)
         ok, reason = check_certificate(g, cert)
         assert not ok and reason == "window optimum below certified size"
+
+
+class TestEngine:
+    """The explicit-stack walk: no recursion in depth, no level's graph kept
+    past its step, and the reduce level's window-only independence check."""
+
+    def test_deep_plain_graph_at_default_recursion_limit(self):
+        g = generate(GenSpec(seed=7, n=2000))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            cert = extract(g, C13)
+            assert check_certificate(g, cert) == (True, "ok")
+            text = cert.to_json()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert Certificate.from_json(text) == cert
+
+    def test_peak_memory_is_local(self):
+        g = generate(GenSpec(seed=0, n=600))
+        tracemalloc.start()
+        try:
+            cert = extract(g, C13)
+            extract_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert check_certificate(g, cert) == (True, "ok")
+            replay_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # keeping every level's graph alive peaks near 15 MiB here
+        assert extract_peak < 4 * 2**20, extract_peak
+        assert replay_peak < 4 * 2**20, replay_peak
+
+    def test_lifted_edge_at_the_window_is_caught(self, monkeypatch):
+        exact = mis.mis_exact
+
+        def leaky(g, vertices=None, budget=None):
+            out = exact(g, vertices, budget)
+            if isinstance(g, LiftContext):  # T leaks into the rest of S
+                out += tuple(sorted(g.plan.s - set(vertices)))
+            return out
+
+        g = generate(GenSpec(seed=9, n=40))
+        cert = extract(g, C13)
+        monkeypatch.setattr(mis, "mis_exact", leaky)
+        with pytest.raises(LiftError, match="edge at the window"):
+            extract(g, C13)
+        ok, reason = check_certificate(g, cert)
+        assert not ok and reason == "lifted set has an edge at the window"
 
 
 class TestStructuredFamilies:

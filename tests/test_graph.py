@@ -401,6 +401,27 @@ class TestLocalEdits:
                 h = triangulate(h)
                 assert_same_as_fresh(h)
 
+    def test_degree_buckets_follow_edits(self):
+        def scan(h):
+            return sorted((v for v in h.vertices if h.degree(v) <= 6),
+                          key=lambda v: (h.degree(v), v))
+
+        g = generate(GenSpec(seed=2, n=60))
+        h = g
+        assert list(h.by_degree(6)) == scan(h)
+        for step in range(12):
+            v = h.vertices[(7 * step) % h.n]
+            if step % 3 == 0:
+                h = h.delete_set([v])
+            elif step % 3 == 1:
+                h, _ = h.contract_set({v, h.rotation(v)[0]})
+            else:
+                h = h.delete_edge(v, h.rotation(v)[0])
+            if h.is_connected() and not h.is_triangulation():
+                h = triangulate(h)
+            assert list(h.by_degree(6)) == scan(h)
+        assert list(g.by_degree(6)) == scan(g)  # the root's, rebuilt
+
     def test_disconnecting_deletions(self, graph_stacked):
         h = graph_stacked.delete_set({1, 2, 3})
         assert h.components() == [(4,), (5,)]
