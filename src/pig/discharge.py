@@ -1,9 +1,15 @@
-"""Exact-rational discharging on triangulations.
+"""Exact discharging on triangulations, in integers.
 
 Every vertex starts with charge d(v) - 6; rules move charge between
 neighbors, so the total 2m - 6n (equal to -12 on a triangulation) is
-conserved through every phase.  All arithmetic is `fractions.Fraction`:
-the engine asserts equalities, not tolerances.
+conserved through every phase.  The rules run on integer charges counted
+in units of 1/UNIT, UNIT = 168 * 60**2: 168 is the lcm of the rule
+denominators 2, 3, 4, 7 and 8, and each factor 60 keeps one equal split
+exact (M4 among at most five givers, M5 among at most six needy
+neighbors).  Every division asserts that it is exact.  Charges and amounts
+become ``fractions.Fraction`` only where a ``ChargeState`` or ``Transfer``
+is built, so callers see exact rationals and the engine asserts
+equalities, not tolerances.
 
 Two rule sets are implemented: a three-rule warmup and the five-rule main
 system whose last two rules redistribute surplus after the first pass.
@@ -11,11 +17,12 @@ system whose last two rules redistribute surplus after the first pass.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
-from .graph import EmbeddedGraph, GraphError, neighbor_cycle
+from .graph import EmbeddedGraph, GraphError
 
 
 class DischargeError(GraphError):
@@ -62,58 +69,47 @@ class NeighborProfile:
     the edge to w.
     """
 
-    vertex: int
     fives: tuple[int, ...]
     sixes: tuple[int, ...]
-    sevens: tuple[int, ...]
-    eight_plus: tuple[int, ...]
     isolated: frozenset[int]
     crowded: frozenset[int]
     plain: frozenset[int]
     h: Mapping[int, int]
 
 
-def classify(g: EmbeddedGraph, v: int) -> NeighborProfile:
-    nc = neighbor_cycle(g, v)
-    if not nc.is_induced_cycle:
+def _check_link(g: EmbeddedGraph, v: int, above: int = 0) -> None:
+    """The link of v is an induced cycle.  In a triangulation that holds iff
+    every edge at v has exactly two common neighbors; only the edges to
+    neighbors above ``above`` are checked."""
+    nv = g.neighbors(v)
+    if any(u > above and len(nv & g.neighbors(u)) != 2 for u in nv):
         raise DischargeError(
             f"neighborhood of {v} is not an induced cycle "
             f"(separating triangle or degree < 3 nearby)"
         )
-    ring = nc.order
-    k = len(ring)
-    deg = {u: g.degree(u) for u in ring}
-    fives = tuple(u for u in ring if deg[u] == 5)
-    sixes = tuple(u for u in ring if deg[u] == 6)
-    sevens = tuple(u for u in ring if deg[u] == 7)
-    eights = tuple(u for u in ring if deg[u] >= 8)
 
-    low = {u for u in ring if deg[u] <= 6}
-    isolated = set()
-    crowded = set()
-    plain = set()
-    for i, u in enumerate(ring):
-        if u not in low:
-            continue
-        left, right = ring[i - 1], ring[(i + 1) % k]
-        inside = [x for x in (left, right) if x in low]
-        if not inside:
-            isolated.add(u)
-        elif deg[u] == 5 and deg[left] == 6 and deg[right] == 6:
-            crowded.add(u)
-        elif deg[u] == 5:
-            plain.add(u)
+
+def classify(g: EmbeddedGraph, v: int) -> NeighborProfile:
+    _check_link(g, v)
+    return _profile(g, v)
+
+
+def _profile(g: EmbeddedGraph, v: int) -> NeighborProfile:
+    ring = g.rotation(v)
+    deg = [g.degree(u) for u in ring]
+    isolated, crowded, plain = set(), set(), set()
     h = {}
     for i, u in enumerate(ring):
-        if deg[u] <= 6:
-            left, right = ring[i - 1], ring[(i + 1) % k]
-            h[u] = sum(1 for x in (left, right) if deg[x] >= 7)
+        if deg[i] <= 6:
+            dl, dr = deg[i - 1], deg[(i + 1) % len(ring)]
+            h[u] = (dl >= 7) + (dr >= 7)
+            if h[u] == 2:
+                isolated.add(u)
+            elif deg[i] == 5:
+                (crowded if dl == dr == 6 else plain).add(u)
     return NeighborProfile(
-        vertex=v,
-        fives=fives,
-        sixes=sixes,
-        sevens=sevens,
-        eight_plus=eights,
+        fives=tuple(u for u, d in zip(ring, deg) if d == 5),
+        sixes=tuple(u for u, d in zip(ring, deg) if d == 6),
         isolated=frozenset(isolated),
         crowded=frozenset(crowded),
         plain=frozenset(plain),
@@ -121,32 +117,129 @@ def classify(g: EmbeddedGraph, v: int) -> NeighborProfile:
     )
 
 
-def initial_charges(g: EmbeddedGraph) -> ChargeState:
-    charge = {v: Fraction(g.degree(v) - 6) for v in g.vertices}
-    return ChargeState("initial", charge, ())
+# -- the integer core ----------------------------------------------------------
+
+UNIT = 168 * 60 * 60
+HALF, THIRD, QUARTER, EIGHTH = UNIT // 2, UNIT // 3, UNIT // 4, UNIT // 8
+SEVENTH, TWO_SEVENTHS = UNIT // 7, 2 * UNIT // 7
+
+_Entry = tuple[int, int, int, str]  # giver, receiver, units, rule
+_Phase = tuple[str, dict[int, int], int]  # name, charges, ledger prefix
 
 
-def _check_preconditions(g: EmbeddedGraph) -> None:
+def _setup(g: EmbeddedGraph):
+    """Check the common preconditions; the vertices, rotations, degrees and
+    initial charges."""
     if not g.is_triangulation():
         raise DischargeError("discharging rules need a triangulation")
     if g.min_degree() < 5:
         raise DischargeError("discharging rules need minimum degree 5")
+    vs = g.vertices
+    rot = {v: g.rotation(v) for v in vs}
+    deg = {v: len(ns) for v, ns in rot.items()}
+    return vs, rot, deg, {v: (d - 6) * UNIT for v, d in deg.items()}
 
 
-def _apply(charge: dict[int, Fraction], transfers: list[Transfer]) -> None:
-    for t in transfers:
-        if t.amount <= 0:
-            raise DischargeError(f"non-positive transfer {t}")
-        charge[t.giver] -= t.amount
-        charge[t.receiver] += t.amount
+def _apply(charge: dict[int, int], ledger: list[_Entry]) -> dict[int, int]:
+    out = dict(charge)
+    for giver, receiver, amount, _ in ledger:
+        if amount <= 0:
+            raise DischargeError(f"non-positive transfer {amount}/{UNIT}")
+        out[giver] -= amount
+        out[receiver] += amount
+    return out
 
 
-THIRD = Fraction(1, 3)
-SEVENTH = Fraction(1, 7)
-TWO_SEVENTHS = Fraction(2, 7)
-QUARTER = Fraction(1, 4)
-HALF = Fraction(1, 2)
-EIGHTH = Fraction(1, 8)
+def _main_core(g: EmbeddedGraph) -> tuple[list[_Phase], list[_Entry]]:
+    vs, rot, deg, init = _setup(g)
+    for v in vs:
+        _check_link(g, v, above=v)  # the first bad vertex is an edge's lower end
+    # the profiles M2 and M3 read, and the 6-vertices with a 5-neighbor
+    profiles = {v: _profile(g, v) for v in vs if deg[v] >= 7}
+    has_five = {
+        v for v in vs if deg[v] == 6 and any(deg[u] == 5 for u in rot[v])
+    }
+    givers = {  # each 5-vertex's positive senders under M1-M3
+        v: sum(
+            deg[u] >= 6 and (deg[u] != 7 or v not in profiles[u].crowded)
+            for u in rot[v]
+        )
+        for v in vs if deg[v] == 5
+    }
+    ledger: list[_Entry] = []
+    half_givers: dict[int, list[int]] = {}
+    for v in vs:
+        d = deg[v]
+        if d == 6:
+            ring = rot[v]
+            for i, u in enumerate(ring):
+                if deg[u] != 5:
+                    continue
+                apex = (deg[ring[i - 1]], deg[ring[(i + 1) % 6]])
+                if (6 in apex and 5 not in apex) or givers[u] >= 4:
+                    amount = QUARTER
+                else:
+                    amount = HALF
+                    half_givers.setdefault(u, []).append(v)
+                ledger.append((v, u, amount, "M1"))
+        elif d >= 8:
+            for u, h in profiles[v].h.items():
+                ledger.append((v, u, QUARTER + h * EIGHTH, "M2"))
+        elif d == 7:
+            prof = profiles[v]
+            for u in prof.fives:
+                if u in prof.isolated:
+                    ledger.append((v, u, HALF, "M3"))
+                elif u not in prof.crowded:
+                    ledger.append((v, u, QUARTER, "M3"))
+            for u in prof.sixes:
+                if prof.fives or u in has_five:
+                    ledger.append((v, u, QUARTER, "M3"))
+    charge1 = _apply(init, ledger)
+    r4 = _split(charge1, vs, deg, 5, "M4", lambda v: half_givers.get(v, ()))
+    charge2 = _apply(charge1, r4)
+    r5 = _split(charge2, vs, deg, 6, "M5", lambda v: (
+        u for u in rot[v] if deg[u] == 6 and charge2[u] < 0
+    ))
+    phases = [
+        ("initial", init, 0),
+        ("after-M1-M3", charge1, len(ledger)),
+        ("after-M4", charge2, len(ledger) + len(r4)),
+        ("after-M5", _apply(charge2, r5), len(ledger) + len(r4) + len(r5)),
+    ]
+    return phases, ledger + r4 + r5
+
+
+def _split(
+    charge: dict[int, int], vs: tuple[int, ...], deg: dict[int, int], d: int,
+    rule: str, receivers: Callable[[int], Iterable[int]],
+) -> list[_Entry]:
+    """Each d-vertex with positive charge splits it equally among its
+    receivers, in id order."""
+    out: list[_Entry] = []
+    for v in vs:
+        if deg[v] == d and charge[v] > 0:
+            to = sorted(receivers(v))
+            if to:
+                share, rest = divmod(charge[v], len(to))
+                assert not rest, f"{charge[v]}/{UNIT} splits unevenly in {len(to)}"
+                out.extend((v, u, share, rule) for u in to)
+    return out
+
+
+def _states(phases: list[_Phase], ledger: list[_Entry]) -> list[ChargeState]:
+    """The phases as ``ChargeState``s, one ``Fraction`` per distinct value."""
+    frac = functools.cache(lambda x: Fraction(x, UNIT))
+    transfers = tuple(Transfer(a, b, frac(x), rule) for a, b, x, rule in ledger)
+    return [
+        ChargeState(name, {v: frac(c) for v, c in charge.items()}, transfers[:k])
+        for name, charge, k in phases
+    ]
+
+
+def initial_charges(g: EmbeddedGraph) -> ChargeState:
+    charge = {v: Fraction(g.degree(v) - 6) for v in g.vertices}
+    return ChargeState("initial", charge, ())
 
 
 def run_warmup(g: EmbeddedGraph) -> ChargeState:
@@ -156,27 +249,21 @@ def run_warmup(g: EmbeddedGraph) -> ChargeState:
     W2: every 7⁺-vertex gives 1/7 to each 6-neighbor that has a 5-neighbor.
     W3: every 6-vertex gives 2/7 to each 5-neighbor.
     """
-    _check_preconditions(g)
-    deg = {v: g.degree(v) for v in g.vertices}
-    has_five = {
-        v: any(deg[u] == 5 for u in g.rotation(v)) for v in g.vertices
-    }
-    transfers: list[Transfer] = []
-    for v in g.vertices:
+    vs, rot, deg, init = _setup(g)
+    ledger: list[_Entry] = []
+    for v in vs:
         d = deg[v]
         if d >= 7:
-            for u in g.rotation(v):
+            for u in rot[v]:
                 if deg[u] == 5:
-                    transfers.append(Transfer(v, u, THIRD, "W1"))
-                elif deg[u] == 6 and has_five[u]:
-                    transfers.append(Transfer(v, u, SEVENTH, "W2"))
+                    ledger.append((v, u, THIRD, "W1"))
+                elif deg[u] == 6 and any(deg[x] == 5 for x in rot[u]):
+                    ledger.append((v, u, SEVENTH, "W2"))
         elif d == 6:
-            for u in g.rotation(v):
+            for u in rot[v]:
                 if deg[u] == 5:
-                    transfers.append(Transfer(v, u, TWO_SEVENTHS, "W3"))
-    charge = dict(initial_charges(g).charge)
-    _apply(charge, transfers)
-    return ChargeState("warmup", charge, tuple(transfers))
+                    ledger.append((v, u, TWO_SEVENTHS, "W3"))
+    return _states([("warmup", _apply(init, ledger), len(ledger))], ledger)[0]
 
 
 def main_phases(
@@ -197,93 +284,13 @@ def main_phases(
     Pass three (M5): a 6-vertex with positive charge splits it equally among
           its 6-neighbors with negative charge.
     """
-    _check_preconditions(g)
-    deg = {v: g.degree(v) for v in g.vertices}
-    profiles = {v: classify(g, v) for v in g.vertices}
-
-    def giver_count(five: int) -> int:
-        count = 0
-        for u in g.rotation(five):
-            d = deg[u]
-            if d == 6 or d >= 8:
-                count += 1
-            elif d == 7 and five not in profiles[u].crowded:
-                count += 1
-        return count
-
-    init = initial_charges(g)
-    transfers: list[Transfer] = []
-    for v in g.vertices:
-        d = deg[v]
-        prof = profiles[v]
-        if d == 6:
-            for u in prof.fives:
-                a1, a2 = g.apexes(v, u)
-                if (6 in (deg[a1], deg[a2])) and (5 not in (deg[a1], deg[a2])):
-                    amt = QUARTER
-                elif giver_count(u) >= 4:
-                    amt = QUARTER
-                else:
-                    amt = HALF
-                transfers.append(Transfer(v, u, amt, "M1"))
-        elif d >= 8:
-            for u in g.rotation(v):
-                if deg[u] <= 6:
-                    amt = QUARTER + Fraction(prof.h[u], 8)
-                    transfers.append(Transfer(v, u, amt, "M2"))
-        elif d == 7:
-            for u in prof.fives:
-                if u in prof.isolated:
-                    transfers.append(Transfer(v, u, HALF, "M3"))
-                elif u in prof.crowded:
-                    pass
-                else:
-                    transfers.append(Transfer(v, u, QUARTER, "M3"))
-            for u in prof.sixes:
-                if prof.fives or profiles[u].fives:
-                    transfers.append(Transfer(v, u, QUARTER, "M3"))
-
-    charge1 = dict(init.charge)
-    _apply(charge1, transfers)
-    state1 = ChargeState("after-M1-M3", charge1, tuple(transfers))
-
-    r4: list[Transfer] = []
-    half_givers: dict[int, list[int]] = {}
-    for t in transfers:
-        if t.rule == "M1" and t.amount == HALF:
-            half_givers.setdefault(t.receiver, []).append(t.giver)
-    for v in g.vertices:
-        if deg[v] == 5 and charge1[v] > 0:
-            givers = sorted(half_givers.get(v, ()))
-            if givers:
-                share = charge1[v] / len(givers)
-                for u in givers:
-                    r4.append(Transfer(v, u, share, "M4"))
-    charge2 = dict(charge1)
-    _apply(charge2, r4)
-    state2 = ChargeState("after-M4", charge2, tuple(transfers) + tuple(r4))
-
-    r5: list[Transfer] = []
-    for v in g.vertices:
-        if deg[v] == 6 and charge2[v] > 0:
-            needy = sorted(
-                u for u in g.rotation(v) if deg[u] == 6 and charge2[u] < 0
-            )
-            if needy:
-                share = charge2[v] / len(needy)
-                for u in needy:
-                    r5.append(Transfer(v, u, share, "M5"))
-    charge3 = dict(charge2)
-    _apply(charge3, r5)
-    state3 = ChargeState(
-        "after-M5", charge3, tuple(transfers) + tuple(r4) + tuple(r5)
-    )
-    return init, state1, state2, state3
+    return tuple(_states(*_main_core(g)))
 
 
 def run_main(g: EmbeddedGraph) -> ChargeState:
     """Final state of the five-rule system; see ``main_phases``."""
-    return main_phases(g)[3]
+    phases, ledger = _main_core(g)
+    return _states(phases[-1:], ledger)[0]
 
 
 def negative_vertices(cs: ChargeState) -> list[int]:

@@ -68,52 +68,43 @@ class _Builder:
         self.faces.append((b, c, w))
         self.faces.append((c, a, w))
 
-    def flip_apexes(self, u: int, v: int) -> tuple[int, int]:
+    def flippable(self, u: int, v: int) -> tuple[int, int] | None:
+        """The apexes of edge uv when flipping it keeps the graph simple."""
         ns = self.rot[u]
+        k = len(ns)
+        if k <= 3 or len(self.rot[v]) <= 3:
+            return None
         i = ns.index(v)
-        return ns[i - 1], ns[(i + 1) % len(ns)]
+        x, y = ns[i - 1], ns[(i + 1) % k]
+        return (x, y) if x != y and y not in self.adj[x] else None
 
-    def can_flip(self, u: int, v: int) -> bool:
-        if len(self.rot[u]) <= 3 or len(self.rot[v]) <= 3:
-            return False
-        x, y = self.flip_apexes(u, v)
-        return x != y and y not in self.adj[x]
-
-    def flip(self, u: int, v: int) -> tuple[int, int]:
-        """Replace edge uv by the edge between its two face apexes."""
-        x, y = self.flip_apexes(u, v)
-        self.rot[u].remove(v)
-        self.rot[v].remove(u)
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
-        rx = self.rot[x]
+    def flip(self, u: int, v: int, x: int, y: int) -> None:
+        """Replace edge uv by the edge between its two face apexes x, y."""
+        rot, adj = self.rot, self.adj
+        rot[u].remove(v)
+        rot[v].remove(u)
+        adj[u].discard(v)
+        adj[v].discard(u)
+        rx, ry = rot[x], rot[y]
         rx.insert(rx.index(v) + 1, y)
-        ry = self.rot[y]
         ry.insert(ry.index(u) + 1, x)
-        self.adj[x].add(y)
-        self.adj[y].add(x)
-        return x, y
+        adj[x].add(y)
+        adj[y].add(x)
 
     def graph(self) -> EmbeddedGraph:
         return EmbeddedGraph(self.rot)
-
-
-def _random_edge(b: _Builder, rng: random.Random, n: int) -> tuple[int, int]:
-    while True:
-        u = rng.randrange(1, n + 1)
-        v = rng.choice(b.rot[u])
-        return u, v
 
 
 def _sample(rng: random.Random, n: int) -> _Builder:
     b = _Builder()
     while len(b.rot) < n:
         b.insert_vertex(rng.randrange(len(b.faces)))
-    m = b.m
-    for _ in range(FLIP_WALK_FACTOR * m):
-        u, v = _random_edge(b, rng, n)
-        if b.can_flip(u, v):
-            b.flip(u, v)
+    for _ in range(FLIP_WALK_FACTOR * b.m):
+        u = rng.randrange(1, n + 1)
+        v = rng.choice(b.rot[u])
+        apexes = b.flippable(u, v)
+        if apexes:
+            b.flip(u, v, *apexes)
     return b
 
 
@@ -134,21 +125,22 @@ def _repair_degrees(b: _Builder, rng: random.Random, n: int) -> bool:
         cands = []
         for i in range(len(ring)):
             u, v = ring[i], ring[(i + 1) % len(ring)]
-            x, y = b.flip_apexes(u, v)
+            apexes = b.flippable(u, v)
+            if not apexes:
+                continue
+            x, y = apexes
             # flipping uv adds edge x-y; useful only when one apex is w
             apex = x if y == w else y if x == w else None
             if apex is None or apex == w or apex in b.adj[w]:
                 continue
-            if not b.can_flip(u, v):
-                continue
             score = min(len(b.rot[u]), len(b.rot[v]))
-            cands.append((score, u, v))
+            cands.append((score, u, v, x, y))
         if not cands:
             return False
         cands.sort(key=lambda t: (-t[0], t[1], t[2]))
         top = [c for c in cands if c[0] == cands[0][0]]
-        _, u, v = top[rng.randrange(len(top))]
-        x, y = b.flip(u, v)
+        _, u, v, x, y = top[rng.randrange(len(top))]
+        b.flip(u, v, x, y)
         for z in (u, v, x, y):  # only a flip's four ends change degree
             if len(b.rot[z]) < 5:
                 heapq.heappush(low, (len(b.rot[z]), z))
@@ -168,23 +160,16 @@ def _repair_separating_triangles(
         a, c, d = tris[rng.randrange(len(tris))]
         options = [(a, c), (a, d), (c, d)]
         rng.shuffle(options)
-        done = False
         for u, v in options:
-            if not b.can_flip(u, v):
+            apexes = b.flippable(u, v)
+            if not apexes:
                 continue
             if keep_degrees and (len(b.rot[u]) <= 5 or len(b.rot[v]) <= 5):
                 continue
-            b.flip(u, v)
-            done = True
+            b.flip(u, v, *apexes)
             break
-        if not done:
-            if keep_degrees:
-                return None
-            u, v = options[0]
-            if b.can_flip(u, v):
-                b.flip(u, v)
-            else:
-                return None
+        else:
+            return None
     return None
 
 

@@ -1,4 +1,8 @@
+import contextlib
+import io
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +16,7 @@ from pig.discharge import (
     run_warmup,
 )
 from pig.generate import GenSpec, generate
-from pig.graph import separating_triangles
+from pig.graph import neighbor_cycle, separating_triangles
 
 from conftest import seven_ring_fixture
 
@@ -347,3 +351,177 @@ class TestNegativeVertices:
         g = generate(GenSpec(seed=0, n=30))  # has low-degree vertices
         with pytest.raises(DischargeError):
             run_warmup(g)
+
+
+def precondition_graph(name):
+    from conftest import glued_pair
+    from pig.graph import cube, octahedron, stacked_k4s
+
+    if name == "glued-16-14":
+        return glued_pair(16, 14)
+    return {"stacked-k4s": stacked_k4s, "cube": cube,
+            "octahedron": octahedron}[name]()
+
+
+class TestPreconditions:
+    """Inputs outside the rules raise ``DischargeError``; the main rules also
+    need every link to be an induced cycle, checked edge by edge."""
+
+    @staticmethod
+    def first_bad_link(g):
+        bad = [v for v in g.vertices if not neighbor_cycle(g, v).is_induced_cycle]
+        return bad[0] if bad else None
+
+    @pytest.mark.parametrize("name, message", [
+        ("stacked-k4s", "minimum degree 5"),
+        ("glued-16-14", "is not an induced cycle"),
+        ("cube", "need a triangulation"),
+        ("octahedron", "minimum degree 5"),
+    ])
+    def test_main_rules_reject(self, name, message):
+        g = precondition_graph(name)
+        for rules in (main_phases, run_main):
+            with pytest.raises(DischargeError, match=message):
+                rules(g)
+
+    def test_glued_pair_names_the_first_bad_link(self):
+        g = precondition_graph("glued-16-14")
+        v = self.first_bad_link(g)
+        assert v is not None and g.min_degree() == 5
+        with pytest.raises(DischargeError, match=f"neighborhood of {v} is"):
+            run_main(g)
+        # the warmup rules read no link and accept the glued pair
+        assert run_warmup(g).total() == -12
+
+    def test_link_check_matches_neighbor_cycles(self):
+        # min degree 5 with separating triangles allowed: the edge check
+        # rejects exactly the graphs with a non-induced link, naming the
+        # same first vertex
+        from conftest import glued_pair
+
+        graphs = [
+            generate(GenSpec(seed=seed, n=40, min_degree5=True))
+            for seed in range(12)
+        ] + [glued_pair(15 + s, 14 + s, s, s + 5) for s in range(4)]
+        rejected = 0
+        for g in graphs:
+            v = self.first_bad_link(g)
+            if v is None:
+                run_main(g)
+                continue
+            rejected += 1
+            with pytest.raises(DischargeError, match=f"neighborhood of {v} is"):
+                run_main(g)
+        assert rejected == 5
+
+    @pytest.mark.parametrize(
+        "name", ["stacked-k4s", "glued-16-14", "cube", "octahedron"]
+    )
+    def test_cli_exits_2_with_one_line(self, name, tmp_path, capsys):
+        from pig.cli import main
+
+        path = tmp_path / f"{name}.rot"
+        path.write_text(precondition_graph(name).serialize())
+        assert main(["discharge", str(path), "--rules", "main"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
+# -- pinned charges and ledgers -------------------------------------------------
+#
+# ``data/discharge_golden.json`` holds, for each input below, every phase's
+# charges and the full ledger of ``main_phases`` and ``run_warmup``, plus the
+# ``pig discharge --rules main --json`` output for ``CLI_INPUT``.  They were
+# recorded before the rules moved to integer arithmetic and change only on
+# purpose; to re-record, run ``PYTHONPATH=src python tests/test_discharge.py``
+# from the repo root and say in the change log why they moved.
+
+DISCHARGE_GOLDEN = Path(__file__).parent / "data" / "discharge_golden.json"
+GOLDEN_INPUTS = (
+    ("icosahedron", "geodesic-1", "geodesic-2", "drum-20")
+    + tuple(f"flagged-s{s}-n{n}" for n in (60, 120) for s in range(4))
+)
+CLI_INPUT = "flagged-s0-n60"
+
+
+def golden_graph(name):
+    from conftest import drum, subdivide
+    from pig.graph import icosahedron
+
+    kind, _, rest = name.partition("-")
+    if kind == "icosahedron":
+        return icosahedron()
+    if kind == "geodesic":
+        g = icosahedron()
+        for _ in range(int(rest)):
+            g = subdivide(g)
+        return g
+    if kind == "drum":
+        return drum(int(rest))
+    seed, n = rest.split("-")
+    return flagged(int(seed[1:]), int(n[1:]))
+
+
+def _state(cs):
+    return {
+        "phase": cs.phase,
+        "charge": {str(v): str(c) for v, c in sorted(cs.charge.items())},
+    }
+
+
+def _ledger(cs):
+    return [[t.giver, t.receiver, str(t.amount), t.rule] for t in cs.ledger]
+
+
+def golden_snapshot(name):
+    g = golden_graph(name)
+    phases = main_phases(g)
+    warm = run_warmup(g)
+    return {
+        "main": [_state(cs) for cs in phases],
+        "main_ledgers": [_ledger(cs) for cs in phases],
+        "warmup": _state(warm),
+        "warmup_ledger": _ledger(warm),
+    }
+
+
+def golden_cli_output(tmp_dir):
+    from pig.cli import main
+
+    path = Path(tmp_dir) / f"{CLI_INPUT}.rot"
+    path.write_text(golden_graph(CLI_INPUT).serialize())
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["discharge", str(path), "--rules", "main", "--json"]) == 0
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def discharge_golden():
+    return json.loads(DISCHARGE_GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", GOLDEN_INPUTS)
+def test_pinned_charges_and_ledgers(name, discharge_golden):
+    assert golden_snapshot(name) == discharge_golden["inputs"][name]
+
+
+def test_pinned_cli_json(tmp_path, discharge_golden):
+    assert golden_cli_output(tmp_path) == discharge_golden["cli"][CLI_INPUT]
+
+
+if __name__ == "__main__":
+    import sys
+    import tempfile
+
+    sys.path.insert(0, str(Path(__file__).parent))
+    with tempfile.TemporaryDirectory() as tmp:
+        cli = golden_cli_output(tmp)
+    payload = {
+        "inputs": {name: golden_snapshot(name) for name in GOLDEN_INPUTS},
+        "cli": {CLI_INPUT: cli},
+    }
+    DISCHARGE_GOLDEN.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+    print(f"wrote {len(GOLDEN_INPUTS)} inputs to {DISCHARGE_GOLDEN}")
