@@ -43,9 +43,9 @@ class EmbeddedGraph:
     ``triangulate``) are local edits: they share the parent's unchanged
     rotations and neighbor sets, check only the rotations the edit touched,
     and re-trace only the faces through them.  Every graph knows its face
-    count, counting an isolated vertex as one face, and its non-triangular
-    faces; a planar one also knows its number of components, which is
-    (n - m + faces) / 2 by Euler's formula.
+    count, counting an isolated vertex as one face, its non-triangular
+    faces and its number of components c, with n - m + faces = 2c by
+    Euler's formula.
     """
 
     __slots__ = (
@@ -58,7 +58,6 @@ class EmbeddedGraph:
         rotations: Mapping[int, Sequence[int]],
         *,
         next_id: int | None = None,
-        validate: bool = True,
     ):
         rot: dict[int, tuple[int, ...]] = {
             v: tuple(ns) for v, ns in rotations.items()
@@ -69,14 +68,13 @@ class EmbeddedGraph:
         top = max(rot, default=0)
         self._next_id = max(next_id or 0, top + 1)
         self._faces: tuple[tuple[int, ...], ...] | None = None
-        # face count, non-triangular faces (canonical, in face order) and,
-        # once planarity is known, the number of components
+        # face count, non-triangular faces (canonical, in face order) and
+        # the number of components, which _validate sets
         self._nf: int | None = None
         self._holes: tuple[tuple[int, ...], ...] | None = None
         self._ncomp: int | None = None
         self._buckets: dict[int, set[int]] | None = None  # by degree, on demand
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- basic queries ----------------------------------------------------
 
@@ -145,7 +143,8 @@ class EmbeddedGraph:
             if not isinstance(v, int) or v <= 0:
                 raise EmbeddingError(f"vertex id {v!r} is not a positive int")
         self._check_rotations(self._rot)
-        self._check_euler()
+        nf = self._face_stats()[0]
+        self._ncomp = _euler(self.n, self._m, nf, len(self.components()))
 
     def _check_rotations(self, vs: Iterable[int]) -> None:
         """Rotations of ``vs``: no repeats, no loops, symmetric."""
@@ -163,28 +162,6 @@ class EmbeddedGraph:
                     raise EmbeddingError(
                         f"asymmetric adjacency: {v} lists {u} but not vice versa"
                     )
-
-    def _check_euler(self) -> None:
-        # Each component must close up: n - m + f = 2 per component, where
-        # an edgeless component contributes its single face.
-        comps = self.components()
-        face_owner: dict[int, int] = {}
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                face_owner[v] = ci
-        fcount = [0] * len(comps)
-        for face in self.faces():
-            fcount[face_owner[face[0]]] += 1
-        for ci, comp in enumerate(comps):
-            nc = len(comp)
-            mc = sum(len(self._rot[v]) for v in comp) // 2
-            fc = fcount[ci] if mc else 1
-            if nc - mc + fc != 2:
-                raise EmbeddingError(
-                    f"Euler trace fails on component of {comp[0]}: "
-                    f"n={nc} m={mc} f={fc}"
-                )
-        self._ncomp = len(comps)
 
     # -- faces -------------------------------------------------------------
 
@@ -235,10 +212,7 @@ class EmbeddedGraph:
         return out
 
     def is_connected(self) -> bool:
-        return self._component_count() <= 1
-
-    def _component_count(self) -> int:
-        return self._ncomp if self._ncomp is not None else len(self.components())
+        return self._ncomp <= 1
 
     def apexes(self, u: int, v: int) -> tuple[int, int]:
         """The two face-neighbors of edge uv: predecessor and successor of v
@@ -345,7 +319,7 @@ class EmbeddedGraph:
             new[w] = tuple(
                 new_id if x in merged else x for x in rot[w] if x not in lost
             )
-        g = self._edit(new, merged, ncomp=self._component_count(), next_id=new_id + 1)
+        g = self._edit(new, merged, ncomp=self._ncomp, next_id=new_id + 1)
         return g, new_id
 
     def _edit(
@@ -382,10 +356,8 @@ class EmbeddedGraph:
         ``touched`` are the child's vertices with new rotations and ``gone``
         the vertices it lost, or ``gone`` is None when the child was built
         from its own vertices alone (then every vertex counts as touched).
-        ``ncomp`` is the component count the edit keeps; Euler's formula is
-        checked against it.  Without it (a deletion, which keeps a plane
-        graph plane) Euler's formula gives the count, if this graph is
-        known to be plane.
+        ``ncomp`` is the component count the edit keeps, or None for a
+        deletion; Euler's formula is checked by ``_euler``.
         """
         g = EmbeddedGraph.__new__(EmbeddedGraph)
         g._rot, g._adj, g._next_id, g._faces = rot, adj, next_id, None
@@ -423,21 +395,7 @@ class EmbeddedGraph:
             (_canonical(rot, h) for h in holes),
             key=lambda h: (h[0], rot[h[0]].index(h[1])),
         ))
-        euler = len(rot) - g._m + nf
-        if ncomp is not None:
-            if euler != 2 * ncomp:
-                raise EmbeddingError(
-                    f"Euler trace fails after a local edit: n={len(rot)} "
-                    f"m={g._m} f={nf}, {ncomp} components"
-                )
-        elif self._ncomp is not None:  # a deletion keeps a plane graph plane
-            ncomp, odd = divmod(euler, 2)
-            if odd or not min(len(rot), 1) <= ncomp <= len(rot):
-                raise EmbeddingError(
-                    f"Euler trace fails after a deletion: n={len(rot)} "
-                    f"m={g._m} f={nf}"
-                )
-        g._ncomp = ncomp
+        g._ncomp = _euler(len(rot), g._m, nf, ncomp)
         if gone is not None and self._buckets is not None:
             g._buckets, self._buckets = self._buckets, None
             for v in itertools.chain(edited, gone):
@@ -464,15 +422,10 @@ class EmbeddedGraph:
         vs = self.vertices
         remap = {v: i + 1 for i, v in enumerate(vs)}
         lines = [f"{self.n} {self.m}"]
-        relabeled = any(v != remap[v] for v in vs)
-        if relabeled:
+        if any(v != remap[v] for v in vs):
             lines.insert(0, "# vertices relabeled to 1..n")
-        for v in vs:
-            ns = tuple(remap[u] for u in self._rot[v])
-            if ns:
-                k = ns.index(min(ns))
-                ns = ns[k:] + ns[:k]
-            lines.append(f"{remap[v]}: " + " ".join(map(str, ns)))
+        for v, ns in self.canonical_rotations().items():
+            lines.append(f"{remap[v]}: " + " ".join(str(remap[u]) for u in ns))
         return "\n".join(lines) + "\n"
 
     def graph_hash(self) -> str:
@@ -484,6 +437,23 @@ class EmbeddedGraph:
 
 
 # -- face tracing ------------------------------------------------------------
+
+
+def _euler(n: int, m: int, f: int, ncomp: int | None) -> int:
+    """The component count c, checked by Euler's formula n - m + f = 2c.
+
+    ``f`` counts an isolated vertex as one face.  A component of a simple,
+    symmetric rotation system has n_i - m_i + f_i = 2 - 2 g_i with genus
+    g_i >= 0, so the sum is 2c exactly when every component is plane.
+    ``ncomp`` is c where it is known; a deletion, which keeps a plane graph
+    plane, passes None and reads c off the formula.
+    """
+    c, odd = divmod(n - m + f, 2)
+    if odd or (c != ncomp if ncomp is not None else not min(n, 1) <= c <= n):
+        raise EmbeddingError(f"Euler trace fails: n={n} m={m} f={f}" + (
+            "" if ncomp is None else f", {ncomp} components"
+        ))
+    return c
 
 
 def _walks(
@@ -628,22 +598,6 @@ def neighbor_cycle(g: EmbeddedGraph, v: int) -> NeighborCycle:
     return NeighborCycle(order, is_cycle, induced, tuple(chords))
 
 
-def _disconnects(g: EmbeddedGraph, triple: tuple[int, int, int]) -> bool:
-    drop = set(triple)
-    rest = [v for v in g.vertices if v not in drop]
-    if len(rest) <= 1:
-        return False
-    seen = {rest[0]}
-    stack = [rest[0]]
-    while stack:
-        x = stack.pop()
-        for y in g.rotation(x):
-            if y not in drop and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) < len(rest)
-
-
 def triangles(g: EmbeddedGraph) -> list[tuple[int, int, int]]:
     out = []
     for u, v in g.edges():
@@ -655,16 +609,16 @@ def triangles(g: EmbeddedGraph) -> list[tuple[int, int, int]]:
 
 
 def separating_triangles(g: EmbeddedGraph) -> list[tuple[int, int, int]]:
-    """All triangles whose removal disconnects the graph, sorted.
+    """The triangles whose removal disconnects the triangulation ``g``,
+    sorted: exactly its triangles that are not faces.
 
-    In a triangulation only non-face triangles can separate, which prunes
-    the candidate list; every candidate is still verified by deletion.  A
-    triangle uvw is a face of a triangulation iff w is an apex of uv.
+    By the Jordan curve theorem a triangle of a simple triangulation that
+    is not a face has a vertex on each side, and a face has none on its
+    face side.  A triangle uvw is a face iff w is an apex of uv.
     """
-    cands = triangles(g)
-    if g.is_triangulation():
-        cands = [(u, v, w) for u, v, w in cands if w not in g.apexes(u, v)]
-    return [t for t in cands if _disconnects(g, t)]
+    if not g.is_triangulation():
+        raise GraphError("separating triangles need a triangulation")
+    return [(u, v, w) for u, v, w in triangles(g) if w not in g.apexes(u, v)]
 
 
 # -- triangulation -------------------------------------------------------------

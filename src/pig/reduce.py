@@ -288,23 +288,15 @@ def find_low_degree_plan(g: EmbeddedGraph, c: Ratio) -> ReductionPlan | None:
     """
     d_pair = c.b // c.a  # max degree with b >= a*d
     for v in g.by_degree(d_pair):
-        d = g.degree(v)
-        ns = sorted(g.neighbors(v))
-        pair = None
-        for i, u in enumerate(ns):
-            for w in ns[i + 1:]:
-                if not g.adjacent(u, w):
-                    pair = (u, w)
-                    break
-            if pair:
-                break
+        s = g.neighbors(v) | {v}
+        pair = _private_pair(g, (v,), v)
         if pair is None:
             # clique neighborhood: delete N[v], keep v in the window
-            if c.ceil_mul(d + 1) > 1:
+            if c.ceil_mul(len(s)) > 1:
                 continue
             return ReductionPlan(
                 kind="delete-closed-nbhd",
-                s=frozenset(ns) | {v},
+                s=s,
                 parts=(),
                 ratio=c,
                 provenance="low-degree-clique",
@@ -313,7 +305,7 @@ def find_low_degree_plan(g: EmbeddedGraph, c: Ratio) -> ReductionPlan | None:
             )
         return ReductionPlan(
             kind="anchored-pairs",
-            s=frozenset(ns) | {v},
+            s=s,
             parts=(frozenset((v,) + pair),),
             ratio=c,
             provenance="low-degree",

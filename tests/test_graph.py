@@ -69,11 +69,15 @@ class TestParse:
             parse_rotation_graph("3 2\n1: 2 3\n2: 3 1\n3: 1 2\n")
 
     def test_invalid_embedding(self):
-        # K4 rotations scrambled to a torus-like system fail the Euler trace
-        with pytest.raises(ParseError):
-            parse_rotation_graph(
-                "4 6\n1: 2 3 4\n2: 1 3 4\n3: 1 2 4\n4: 1 2 3\n"
-            )
+        torus_k4 = "1: 2 3 4\n2: 1 3 4\n3: 1 2 4\n4: 1 2 3\n"
+        for text in (
+            # K4 rotations scrambled to a torus-like system fail the Euler trace
+            "4 6\n" + torus_k4,
+            # beside a plane triangle: n - m + f sums to 2 + 0, not 2 per component
+            "7 9\n" + torus_k4 + "5: 6 7\n6: 7 5\n7: 5 6\n",
+        ):
+            with pytest.raises(ParseError, match="Euler"):
+                parse_rotation_graph(text)
 
     def test_isolated_vertices(self):
         g = parse_rotation_graph("2 0\n1:\n2:\n")
@@ -164,10 +168,18 @@ class TestSeparatingTriangles:
     def test_k4(self, graph_k4):
         assert separating_triangles(graph_k4) == []
 
-    def test_matches_brute_on_corpus(self):
-        for seed in range(6):
-            g = generate(GenSpec(seed=seed, n=18))
+    def test_matches_brute_on_corpus(self, graph_stacked):
+        from conftest import glued_pair
+
+        graphs = [generate(GenSpec(seed=seed, n=18)) for seed in range(6)]
+        graphs += [graph_stacked, glued_pair(16, 14), generate(GenSpec(seed=5, n=40))]
+        for g in graphs:
             assert separating_triangles(g) == sorted(brute_separating_triangles(g))
+
+    def test_needs_a_triangulation(self, graph_cube):
+        for g in (graph_cube, embedded_cycle(5)):
+            with pytest.raises(GraphError, match="triangulation"):
+                separating_triangles(g)
 
 
 class TestNeighborCycle:
@@ -448,21 +460,27 @@ class TestLocalEdits:
         from pig.graph import EmbeddingError, icosahedron, octahedron
 
         for base in (octahedron(), icosahedron()):
-            rot = {v: list(base.rotation(v)) for v in base.vertices}
-            rot[1][0], rot[1][1] = rot[1][1], rot[1][0]  # symmetric, not plane
-            bad = EmbeddedGraph(rot, validate=False)
+            bad = _corrupted(base, 1)
             with pytest.raises(EmbeddingError):
                 triangulate(bad)
             with pytest.raises(EmbeddingError):
-                bad.contract_set({1, base.rotation(1)[2]})
+                bad.contract_set({1, bad.rotation(1)[2]})
 
     def test_contract_corrupted_rotation_raises_on_the_local_check(self):
         from pig.graph import EmbeddingError
 
         g = generate(GenSpec(seed=1, n=30))
-        rot = {v: list(g.rotation(v)) for v in g.vertices}
-        v = g.vertices[-1]
-        rot[v][0], rot[v][1] = rot[v][1], rot[v][0]
-        bad = EmbeddedGraph(rot, validate=False)
+        bad = _corrupted(g, g.vertices[-1])
         with pytest.raises(EmbeddingError, match="Euler"):
             bad.contract_set({1})
+
+
+def _corrupted(g, v):
+    """``g`` with the first two entries of v's rotation swapped in place
+    and its face caches cleared: still simple and symmetric, but not plane,
+    which the entry check would have refused."""
+    ns = list(g._rot[v])
+    ns[0], ns[1] = ns[1], ns[0]
+    g._rot[v] = tuple(ns)
+    g._faces = g._nf = g._holes = None
+    return g
