@@ -2,7 +2,7 @@
 
 Exit codes: 0 success; 1 bound or verification failure, or an engine fault;
 2 input error; 3 incompleteness diagnostic.  PIG_ORACLE_BUDGET overrides the
-oracle's branch-node budget.
+exact oracle's node budget (one node per sub-problem it solves; see pig.mis).
 """
 
 from __future__ import annotations
@@ -168,9 +168,8 @@ def cmd_gen(args) -> int:
 
 def cmd_alpha(args) -> int:
     g = _load(args.file)
-    value = mis.alpha(g)
     best = mis.mis_exact(g)
-    print(f"alpha={value}")
+    print(f"alpha={len(best)}")
     print("set:", " ".join(map(str, best)))
     return EXIT_OK
 

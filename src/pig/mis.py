@@ -1,9 +1,14 @@
 """Exact maximum-independent-set oracle.
 
-Bitmask branch-and-bound with component splitting and closed forms for
-paths/cycles.  Deterministic: ties in the optimum are broken toward the
-lexicographically smallest vertex set.  A node budget bounds worst-case
-latency; it is far from reachable on the small windows reductions use.
+Bitmask branch and reduce: peel degree-0/1 vertices and dominated vertices
+(u, v adjacent with N[u] ⊆ N[v]: drop v), split off components, close
+cycles in closed form, else branch on a vertex of maximum degree.  Each
+public call builds one solver whose memo maps every pool it has solved to
+its α; nothing outlives the call.  Deterministic: ties in the optimum are
+broken toward the lexicographically smallest vertex set.  The budget counts
+nodes, one per uncached ``alpha`` call on a non-empty pool; it bounds
+worst-case latency and is far from reachable on the small windows
+reductions use.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ class _Solver:
             self.masks[i] = acc
         self.budget = budget
         self.nodes = 0
+        self.memo: dict[int, int] = {}
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -54,31 +60,46 @@ class _Solver:
             raise OracleBudgetExceeded(f"exceeded {self.budget} branch nodes")
 
     def alpha(self, pool: int) -> int:
-        self._tick()
         if pool == 0:
             return 0
+        known = self.memo.get(pool)
+        if known is None:
+            self._tick()
+            known = self.memo[pool] = self._solve(pool)
+        return known
+
+    def _solve(self, pool: int) -> int:
         masks = self.masks
-        # peel simplicial-ish easy vertices: degree 0 or 1 in the pool
+        # peel degree-0/1 vertices and vertices dominated by a neighbour;
+        # a removal re-queues the neighbours it may have made peelable
         total = 0
-        changed = True
-        while changed and pool:
-            changed = False
-            p = pool
-            while p:
-                low = p & -p
-                p ^= low
-                if not pool & low:
-                    continue
-                i = low.bit_length() - 1
-                nb = masks[i] & pool
-                if nb == 0:
-                    pool ^= low
-                    total += 1
-                    changed = True
-                elif nb & (nb - 1) == 0:
-                    pool &= ~(low | nb)
-                    total += 1
-                    changed = True
+        p = pool
+        while p:
+            low = p & -p
+            p ^= low
+            if not pool & low:
+                continue
+            i = low.bit_length() - 1
+            nb = masks[i] & pool
+            if nb == 0:
+                pool ^= low
+                total += 1
+            elif nb & (nb - 1) == 0:
+                pool &= ~(low | nb)
+                total += 1
+                p |= masks[nb.bit_length() - 1] & pool
+            else:
+                # N[i] ⊆ N[j] for a neighbour j: some optimum avoids j
+                closed = nb | low
+                q = nb
+                while q:
+                    b = q & -q
+                    q ^= b
+                    j = b.bit_length() - 1
+                    if not closed & ~(masks[j] | b):
+                        pool ^= b
+                        closed ^= b
+                        p |= masks[j] & pool
         if pool == 0:
             return total
         # split off one connected component
@@ -97,23 +118,19 @@ class _Solver:
             frontier = nxt
         if comp != pool:
             return total + self.alpha(comp) + self.alpha(pool ^ comp)
-        # connected, min degree >= 2: path/cycle closed form if max degree <= 2
+        # connected, min degree >= 2: a cycle if max degree <= 2
         best_i, best_d = -1, -1
-        edges2 = 0
         p = pool
         while p:
             b = p & -p
             p ^= b
             i = b.bit_length() - 1
             d = (masks[i] & pool).bit_count()
-            edges2 += d
             if d > best_d:
                 best_d = d
                 best_i = i
-        k = pool.bit_count()
         if best_d <= 2:
-            # connected with degrees <= 2 and min degree 2 here: a cycle
-            return total + k // 2
+            return total + pool.bit_count() // 2
         v = 1 << best_i
         take = 1 + self.alpha(pool & ~(v | masks[best_i]))
         skip = self.alpha(pool ^ v)

@@ -1,12 +1,51 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pig import mis
 from pig.generate import GenSpec, generate
-from pig.graph import embedded_cycle
+from pig.graph import embedded_cycle, parse_rotation_graph, stacked_k4s
 
 from conftest import brute_alpha
+
+
+class _Bare:
+    """A graph given by its edges on vertices 1..n, with no embedding."""
+
+    def __init__(self, n, edges):
+        self.vertices = tuple(range(1, n + 1))
+        self._nbr = {v: set() for v in self.vertices}
+        for a, b in edges:
+            self._nbr[a].add(b)
+            self._nbr[b].add(a)
+
+    def neighbors(self, v):
+        return frozenset(self._nbr[v])
+
+    def has_vertex(self, v):
+        return v in self._nbr
+
+
+def _lex_smallest_optimum(g, a):
+    for c in itertools.combinations(sorted(g.vertices), a):
+        if mis.verify_independent(g, c):
+            return c
+    raise AssertionError("no independent set of size alpha")
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return _Bare(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def _oracle_graph(n, seed):
+    spec = GenSpec(seed=seed, n=n, min_degree5=True, no_separating_triangle=True)
+    return parse_rotation_graph(generate(spec).serialize())
 
 
 def test_icosahedron(ico):
@@ -148,3 +187,59 @@ def test_big_seven_plus_windows_have_alpha_four():
             if checked >= 40:
                 return
     assert checked > 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_small_graphs())
+def test_small_graphs_match_brute_force(g):
+    a = brute_alpha(g)
+    assert mis.alpha(g) == a
+    assert mis.mis_exact(g) == _lex_smallest_optimum(g, a)
+    assert mis.alpha_at_least(g, a)
+    assert not mis.alpha_at_least(g, a + 1)
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        # K4 on 1..4 with a pendant vertex 5 at 1
+        (_Bare(5, [*itertools.combinations(range(1, 5), 2), (1, 5)]), (2, 5)),
+        # K4s on {1,2,3,4} and {1,2,3,5}
+        (stacked_k4s(), (4, 5)),
+        # N[1] = {1,2,3} lies inside N[2] = {1,2,3,4} and N[3] = {1,2,3,5}
+        (_Bare(5, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)]), (1, 4)),
+    ],
+)
+def test_domination_cases(g, expected):
+    assert mis.alpha(g) == brute_alpha(g) == len(expected)
+    assert mis.mis_exact(g) == _lex_smallest_optimum(g, len(expected)) == expected
+    # every vertex is peeled or dominated: one node, no branching
+    s = mis._solver(g, None, None)
+    s.alpha((1 << len(s.ids)) - 1)
+    assert s.nodes == 1
+
+
+ORACLE_EXACT_OPTIMA = {
+    (50, 7): (5, 8, 19, 20, 25, 29, 30, 31, 32, 33, 37, 40, 42, 45, 46, 48),
+    (55, 7): (1, 2, 4, 5, 8, 12, 16, 22, 30, 31, 33, 38, 40, 42, 45, 49, 54),
+    (60, 0): (1, 2, 3, 5, 6, 7, 8, 19, 20, 24, 39, 40, 42, 47, 48, 51, 57, 58),
+    (65, 0): (
+        1, 2, 3, 12, 19, 21, 25, 31, 33, 35, 37, 38, 39, 42, 47, 48, 49, 57, 59, 65,
+    ),
+    (70, 7): (
+        4, 6, 7, 8, 10, 17, 18, 23, 29, 30, 31, 32, 33, 44, 49, 55, 56, 57, 60,
+        62, 68, 70,
+    ),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(ORACLE_EXACT_OPTIMA))
+def test_oracle_exact_optima_pinned(n, seed):
+    assert mis.mis_exact(_oracle_graph(n, seed)) == ORACLE_EXACT_OPTIMA[n, seed]
+
+
+def test_branch_nodes_flagged_n70():
+    # 19,011 nodes by maximum-degree branching with only the degree-0/1 peel
+    s = mis._solver(_oracle_graph(70, 7), None, None)
+    assert s.alpha((1 << len(s.ids)) - 1) == 22
+    assert s.nodes <= 1_000
