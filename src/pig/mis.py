@@ -24,7 +24,7 @@ _BUDGET_ENV = "PIG_ORACLE_BUDGET"
 
 
 class OracleBudgetExceeded(RuntimeError):
-    """Branch-node budget ran out; caller should shrink the window."""
+    """Node budget ran out; caller should shrink the window."""
 
 
 def default_budget() -> int:
@@ -57,7 +57,7 @@ class _Solver:
     def _tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
-            raise OracleBudgetExceeded(f"exceeded {self.budget} branch nodes")
+            raise OracleBudgetExceeded(f"exceeded {self.budget} nodes")
 
     def alpha(self, pool: int) -> int:
         if pool == 0:

@@ -100,19 +100,7 @@ def test_random_graphs_match_brute():
             for j in range(i + 1, n + 1)
             if rng.random() < 0.4
         }
-
-        class Bare:
-            vertices = tuple(range(1, n + 1))
-
-            def neighbors(self, v):
-                return frozenset(
-                    b if a == v else a for a, b in edges if v in (a, b)
-                )
-
-            def has_vertex(self, v):
-                return 1 <= v <= n
-
-        g = Bare()
+        g = _Bare(n, edges)
         a = brute_alpha(g)
         assert mis.alpha(g) == a
         s = mis.mis_exact(g)
@@ -239,7 +227,7 @@ def test_oracle_exact_optima_pinned(n, seed):
 
 
 def test_branch_nodes_flagged_n70():
-    # 19,011 nodes by maximum-degree branching with only the degree-0/1 peel
+    # without the memo and the domination rule this takes 19,011 nodes
     s = mis._solver(_oracle_graph(70, 7), None, None)
     assert s.alpha((1 << len(s.ids)) - 1) == 22
     assert s.nodes <= 1_000
