@@ -19,6 +19,11 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 
+# An edit's report: the darts (x, v) whose successor at v it changed, in the
+# parent graph and in the child.
+Darts = tuple[list[tuple[int, int]], list[tuple[int, int]]]
+
+
 class GraphError(ValueError):
     """Structural problem with a graph or an operation on it."""
 
@@ -39,13 +44,13 @@ class EmbeddedGraph:
     (v, w) where w is the successor of u in the rotation at v.
 
     A graph built here is validated whole.  Graphs derived from it
-    (``subgraph``, ``delete_set``, ``delete_edge``, ``contract_set``,
-    ``triangulate``) are local edits: they share the parent's unchanged
-    rotations and neighbor sets, check only the rotations the edit touched,
-    and re-trace only the faces through them.  Every graph knows its face
-    count, counting an isolated vertex as one face, its non-triangular
-    faces and its number of components c, with n - m + faces = 2c by
-    Euler's formula.
+    (``subgraph``, ``delete_set``, ``contract_set``, ``triangulate``) are
+    local edits: they share the parent's unchanged rotations and neighbor
+    sets, check only the rotations the edit touched, and re-trace only the
+    faces through the darts the edit names as changed.  Every graph knows
+    its face count, counting an isolated vertex as one face, its
+    non-triangular faces and its number of components c, with
+    n - m + faces = 2c by Euler's formula.
     """
 
     __slots__ = (
@@ -168,12 +173,11 @@ class EmbeddedGraph:
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """All face walks, each a cyclic vertex sequence, in a fixed order."""
         if self._faces is None:
-            self._faces = tuple(self._trace_faces())
+            rot = self._rot
+            self._faces = tuple(
+                _walks(rot, ((u, v) for u in sorted(rot) for v in rot[u]))
+            )
         return self._faces
-
-    def _trace_faces(self) -> Iterator[tuple[int, ...]]:
-        rot = self._rot
-        return _walks(rot, ((u, v) for u in sorted(rot) for v in rot[u]))
 
     def _face_stats(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """Face count (an isolated vertex counts as one face) and the
@@ -232,11 +236,21 @@ class EmbeddedGraph:
             raise GraphError(f"unknown vertices {sorted(bad)}")
         if 2 * len(ks) >= len(self._rot):
             gone = self._rot.keys() - ks
-            touched = {u for v in gone for u in self._rot[v] if u not in gone}
-            return self._edit(
-                {v: tuple(u for u in self._rot[v] if u in ks) for v in touched},
-                gone,
-            )
+            darts: Darts = ([], [])
+            lost: dict[int, set[int]] = {}  # a survivor's gone neighbors
+            for v in gone:
+                for u in self._rot[v]:
+                    darts[0].append((u, v))
+                    if u not in gone:
+                        lost.setdefault(u, set()).add(v)
+            new = {}
+            for v, ls in lost.items():
+                ns = list(self._rot[v])
+                for u in ls:
+                    ns.remove(u)
+                new[v] = tuple(ns)
+                _changed_darts(v, self._rot[v], new[v], ls, (), darts)
+            return self._edit(new, gone, darts)
         # A small part: build it from the kept side, in O(|keep|).
         rot, adj = {}, {}
         for v in sorted(ks):
@@ -245,7 +259,8 @@ class EmbeddedGraph:
             else:
                 rot[v] = tuple(u for u in self._rot[v] if u in ks)
                 adj[v] = frozenset(rot[v])
-        return self._derive(rot, adj, rot.keys(), None, None, self._next_id)
+        darts = ([], [(u, v) for v, ns in rot.items() for u in ns])
+        return self._derive(rot, adj, rot.keys(), None, darts, None, self._next_id)
 
     def delete_set(self, drop: Iterable[int]) -> "EmbeddedGraph":
         ds = set(drop)
@@ -253,14 +268,6 @@ class EmbeddedGraph:
         if bad:
             raise GraphError(f"unknown vertices {sorted(bad)}")
         return self.subgraph(self._rot.keys() - ds)
-
-    def delete_edge(self, u: int, v: int) -> "EmbeddedGraph":
-        if v not in self._adj[u]:
-            raise GraphError(f"no edge {u}-{v}")
-        return self._edit({
-            u: tuple(x for x in self._rot[u] if x != v),
-            v: tuple(x for x in self._rot[v] if x != u),
-        }, ())
 
     def contract_set(self, part: Iterable[int]) -> tuple["EmbeddedGraph", int]:
         """Contract the connected set ``part`` to one fresh vertex.
@@ -302,43 +309,46 @@ class EmbeddedGraph:
             ring = [d for d in ring if d[1] not in merged]
 
         # Collapse parallel edges at the merged vertex, keeping first slots;
-        # the neighbor drops the twin of every dart dropped here.
-        seen_nbr: set[int] = set()
-        keep: list[int] = []
-        dropped: dict[int, set[int]] = {}
+        # the neighbor renames the first and drops the twins of the rest.
+        at: dict[int, list[int]] = {}  # neighbor -> its merged neighbors
         for p, w in ring:
-            if w in seen_nbr:
-                dropped.setdefault(w, set()).add(p)
-            else:
-                seen_nbr.add(w)
-                keep.append(w)
-
-        new = {new_id: tuple(keep)}
-        for w in seen_nbr:
-            lost = dropped.get(w, ())
-            new[w] = tuple(
-                new_id if x in merged else x for x in rot[w] if x not in lost
-            )
-        g = self._edit(new, merged, ncomp=self._ncomp, next_id=new_id + 1)
+            at.setdefault(w, []).append(p)
+        new = {new_id: tuple(at)}
+        darts: Darts = (
+            [(x, p) for p in merged for x in rot[p]],
+            [(w, new_id) for w in at],
+        )
+        for w, ps in at.items():
+            ns = list(rot[w])
+            for p in ps[1:]:
+                ns.remove(p)
+            ns[ns.index(ps[0])] = new_id
+            new[w] = tuple(ns)
+            _changed_darts(w, rot[w], new[w], set(ps), (new_id,), darts)
+        g = self._edit(new, merged, darts, ncomp=self._ncomp, next_id=new_id + 1)
         return g, new_id
 
     def _edit(
         self,
         new: dict[int, tuple[int, ...]],
         gone: Collection[int],
+        darts: Darts,
         *,
         ncomp: int | None = None,
         next_id: int | None = None,
     ) -> "EmbeddedGraph":
         """This graph without ``gone`` and with the rotations in ``new``
-        (of touched or fresh vertices); the maps are copied, not rebuilt."""
+        (of touched or fresh vertices); the maps are copied, not rebuilt.
+        ``darts`` names every dart whose successor the edit changed, on
+        either side; a dart whose face did not change may be named only if
+        it is named on both sides (see ``_derive``)."""
         rot, adj = dict(self._rot), dict(self._adj)
         for v in gone:
             del rot[v], adj[v]
         rot.update(new)
         adj.update((v, frozenset(ns)) for v, ns in new.items())
         return self._derive(
-            rot, adj, new.keys(), gone, ncomp,
+            rot, adj, new.keys(), gone, darts, ncomp,
             self._next_id if next_id is None else next_id,
         )
 
@@ -348,6 +358,7 @@ class EmbeddedGraph:
         adj: dict[int, frozenset[int]],
         touched: Collection[int],
         gone: Collection[int] | None,
+        darts: Darts,
         ncomp: int | None,
         next_id: int,
     ) -> "EmbeddedGraph":
@@ -356,6 +367,12 @@ class EmbeddedGraph:
         ``touched`` are the child's vertices with new rotations and ``gone``
         the vertices it lost, or ``gone`` is None when the child was built
         from its own vertices alone (then every vertex counts as touched).
+        ``darts`` = (old, new) are the darts (x, v) of this graph and of
+        the child whose successor at v the edit changed: every such dart
+        must be named on its side (a dart that exists on one side only is
+        changed), and a dart whose face did not change may be named only
+        if it is named on both.  Faces are re-traced from these darts
+        alone; with ``gone`` None, new names every dart of the child.
         ``ncomp`` is the component count the edit keeps, or None for a
         deletion; Euler's formula is checked by ``_euler``.
         """
@@ -365,7 +382,7 @@ class EmbeddedGraph:
         g._check_rotations(touched)
         if gone is None:
             g._m = sum(len(rot[v]) for v in touched) // 2
-            nf, holes = _local_faces(rot, touched, _darts_into(rot, {}, touched))
+            nf, holes = _local_faces(rot, touched, darts[1])
         else:
             # an untouched survivor kept its rotation: what it lists must
             # still exist and list it back
@@ -382,11 +399,8 @@ class EmbeddedGraph:
             g._m = self._m + degrees // 2
             # A face changed iff one of its darts got a new successor.
             nf, holes = self._face_stats()
-            at = [*edited, *gone]
-            old, old_holes = _local_faces(
-                self._rot, at, _darts_into(self._rot, rot, at)
-            )
-            new, new_holes = _local_faces(rot, touched, _darts_into(rot, self._rot, touched))
+            old, old_holes = _local_faces(self._rot, [*edited, *gone], darts[0])
+            new, new_holes = _local_faces(rot, touched, darts[1])
             nf += new - old
             dropped = {_canonical(self._rot, h) for h in old_holes}
             holes = [h for h in holes if h not in dropped] + new_holes
@@ -476,23 +490,26 @@ def _walks(
         yield tuple(walk)
 
 
-def _darts_into(
-    rot: Mapping[int, Sequence[int]],
-    other: Mapping[int, Sequence[int]],
-    vs: Iterable[int],
-) -> list[tuple[int, int]]:
-    """The darts (x, v), v in ``vs``, whose successor at v in ``rot`` is not
-    their successor in ``other``: the darts whose faces an edit changed."""
-    out = []
-    for v in vs:
-        ns = rot[v]
-        theirs = other.get(v)
-        if not theirs:
-            out.extend((x, v) for x in ns)
-            continue
-        kept = set(zip(theirs, theirs[1:] + theirs[:1]))
-        out.extend((x, v) for x, y in zip(ns, ns[1:] + ns[:1]) if (x, y) not in kept)
-    return out
+def _changed_darts(
+    v: int, was: Sequence[int], now: Sequence[int],
+    removed: Collection[int], inserted: Collection[int], darts: Darts,
+) -> None:
+    """Add to ``darts`` = (old, new) the darts (x, v) whose successor at v
+    changed when v's rotation went from ``was`` to ``now`` by dropping the
+    neighbors ``removed`` and adding ``inserted``.  A dart keeps its
+    successor unless it, or its successor, was dropped or added; so the
+    changed darts are those and their predecessors."""
+    old, new = darts
+    for u in removed:
+        p = was[was.index(u) - 1]
+        old += ((u, v), (p, v))
+        if p not in removed:
+            new.append((p, v))
+    for u in inserted:
+        p = now[now.index(u) - 1]
+        new += ((u, v), (p, v))
+        if p not in inserted:
+            old.append((p, v))
 
 
 def _local_faces(
@@ -651,26 +668,39 @@ def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
 
     adj = g._adj
     stack = [list(f) for f in g._face_stats()[1] if len(f) > 3]
+    fast = False  # the walk on top of the stack passed the test below
     while stack:
         walk = stack.pop()
         k = len(walk)
-        # ear positions p where chord walk[p]..walk[p+2] is addable
-        best = None
-        for p in range(k):
-            a, b = walk[p], walk[(p + 2) % k]
-            if (best is None or a < walk[best]) and a != b and (
-                b not in adj[a] and b not in chords.get(a, ())
-            ):
-                best = p
-        if best is None:
-            raise EmbeddingError("face admits no chord; cannot triangulate")
+        a, b = walk[-1], walk[1]
+        if fast and b not in adj[a] and b not in chords.get(a, ()):
+            best = k - 1
+        else:
+            # ear positions p where chord walk[p]..walk[p+2] is addable
+            best = None
+            for p in range(k):
+                a, b = walk[p], walk[(p + 2) % k]
+                if (best is None or a < walk[best]) and a != b and (
+                    b not in adj[a] and b not in chords.get(a, ())
+                ):
+                    best = p
+            if best is None:
+                raise EmbeddingError("face admits no chord; cannot triangulate")
         q = (best + 2) % k
         add_chord(walk, best, q)
         rest = walk[q:] + walk[:best + 1] if q > best else walk[q:best + 1]
+        # Cutting walk[best + 1] changed only the ears of the two vertices
+        # before it, and a chord only takes candidates away.  So if
+        # walk[best], now last on the rest, is on it once and the vertex
+        # before it is larger, its own ear is the next best if addable.
+        fast = len(rest) > 3 and rest[-2] > rest[-1] and rest.count(rest[-1]) == 1
         if len(rest) > 3:
             stack.append(rest)
 
-    out = g._edit({v: tuple(ns) for v, ns in rot.items()}, (), ncomp=1)
+    darts: Darts = ([], [])
+    for v, ns in rot.items():
+        _changed_darts(v, g.rotation(v), ns, (), chords[v], darts)
+    out = g._edit({v: tuple(ns) for v, ns in rot.items()}, (), darts, ncomp=1)
     if not out.is_triangulation() or out.m != 3 * out.n - 6:
         raise EmbeddingError("triangulation postcondition failed")
     return out

@@ -7,6 +7,8 @@ from pig.graph import (
     EmbeddedGraph,
     GraphError,
     ParseError,
+    _canonical,
+    _local_faces,
     embedded_cycle,
     neighbor_cycle,
     parse_rotation_graph,
@@ -397,40 +399,17 @@ class TestLocalEdits:
                 assert_same_as_fresh(h)
 
     def test_chained_edits(self):
-        g = generate(GenSpec(seed=2, n=60))
-        h = g
-        for step in range(12):
-            v = h.vertices[(7 * step) % h.n]
-            if step % 3 == 0:
-                h = h.delete_set([v])
-            elif step % 3 == 1:
-                h, _ = h.contract_set({v, h.rotation(v)[0]})
-            else:
-                u = h.rotation(v)[0]
-                h = h.delete_edge(v, u)
+        for h in chained_walk(generate(GenSpec(seed=2, n=200))):
             assert_same_as_fresh(h)
-            if h.is_connected() and not h.is_triangulation():
-                h = triangulate(h)
-                assert_same_as_fresh(h)
 
     def test_degree_buckets_follow_edits(self):
         def scan(h):
             return sorted((v for v in h.vertices if h.degree(v) <= 6),
                           key=lambda v: (h.degree(v), v))
 
-        g = generate(GenSpec(seed=2, n=60))
-        h = g
-        assert list(h.by_degree(6)) == scan(h)
-        for step in range(12):
-            v = h.vertices[(7 * step) % h.n]
-            if step % 3 == 0:
-                h = h.delete_set([v])
-            elif step % 3 == 1:
-                h, _ = h.contract_set({v, h.rotation(v)[0]})
-            else:
-                h = h.delete_edge(v, h.rotation(v)[0])
-            if h.is_connected() and not h.is_triangulation():
-                h = triangulate(h)
+        g = generate(GenSpec(seed=2, n=200))
+        assert list(g.by_degree(6)) == scan(g)
+        for h in chained_walk(g):
             assert list(h.by_degree(6)) == scan(h)
         assert list(g.by_degree(6)) == scan(g)  # the root's, rebuilt
 
@@ -475,6 +454,28 @@ class TestLocalEdits:
             bad.contract_set({1})
 
 
+def chained_walk(g):
+    """Twelve chained edits from ``g``: delete a vertex, contract an edge,
+    keep a connected part under half (a subgraph built from the kept
+    side), re-triangulating after each.  Yields every graph made."""
+    h = g
+    for step in range(12):
+        v = h.vertices[(7 * step) % h.n]
+        if step % 3 == 0:
+            h = h.delete_set([v])
+        elif step % 3 == 1:
+            h, _ = h.contract_set({v, h.rotation(v)[0]})
+        else:
+            near = [v]  # breadth-first order from v
+            for x in near:
+                near += [y for y in h.rotation(x) if y not in near]
+            h = h.subgraph(near[:(h.n - 1) // 2])
+        yield h
+        if h.is_connected() and not h.is_triangulation():
+            h = triangulate(h)
+            yield h
+
+
 def _corrupted(g, v):
     """``g`` with the first two entries of v's rotation swapped in place
     and its face caches cleared: still simple and symmetric, but not plane,
@@ -484,3 +485,157 @@ def _corrupted(g, v):
     g._rot[v] = tuple(ns)
     g._faces = g._nf = g._holes = None
     return g
+
+
+# -- dart reports: each edit's named darts against a whole-rotation diff ------
+
+
+def _darts_into(rot, other, vs):
+    """The darts (x, v), v in ``vs``, whose successor at v in ``rot`` is not
+    their successor in ``other``: the reference for the darts whose faces
+    an edit changed, found by diffing whole rotations."""
+    out = []
+    for v in vs:
+        ns = rot[v]
+        theirs = other.get(v)
+        if not theirs:
+            out.extend((x, v) for x in ns)
+            continue
+        kept = set(zip(theirs, theirs[1:] + theirs[:1]))
+        out.extend((x, v) for x, y in zip(ns, ns[1:] + ns[:1]) if (x, y) not in kept)
+    return out
+
+
+def _traced(rot, vs, darts):
+    """Face count and canonical non-triangular faces through ``darts``."""
+    count, holes = _local_faces(rot, vs, darts)
+    return count, sorted(_canonical(rot, h) for h in holes)
+
+
+def checking_dart_reports(monkeypatch):
+    """Make every derived graph check its edit's dart report against the
+    rotation diff, on both sides: the report names every changed dart,
+    names any other dart on both sides, and re-traces the same faces.
+    Returns the list of the degrees of the vertices each edit touched,
+    which grows as edits are made."""
+    degrees = []
+    original = EmbeddedGraph._derive
+
+    def checked(self, rot, adj, touched, gone, darts, ncomp, next_id):
+        if gone is None:
+            assert sorted(darts[1]) == sorted(_darts_into(rot, {}, touched))
+        else:
+            was = [v for v in touched if v in self._rot] + list(gone)
+            ref = (_darts_into(self._rot, rot, was),
+                   _darts_into(rot, self._rot, touched))
+            extra = [set(d) - set(r) for d, r in zip(darts, ref)]
+            assert extra[0] == extra[1]
+            assert all(set(r) <= set(d) for d, r in zip(darts, ref))
+            assert _traced(self._rot, was, darts[0]) == _traced(self._rot, was, ref[0])
+            assert _traced(rot, touched, darts[1]) == _traced(rot, touched, ref[1])
+            degrees.extend(len(self._rot[v]) for v in was)
+        return original(self, rot, adj, touched, gone, darts, ncomp, next_id)
+
+    monkeypatch.setattr(EmbeddedGraph, "_derive", checked)
+    return degrees
+
+
+def test_dart_reports_match_the_rotation_diff(monkeypatch):
+    ex = importlib.import_module("pig.extract")
+    degrees = checking_dart_reports(monkeypatch)
+    for _, build, ratio in KERNEL_CASES:
+        ex.extract(build(), ratio)
+    assert max(degrees) >= 40  # edits at hubs, where a diff scans the most
+    edits = len(degrees)
+    for _ in chained_walk(generate(GenSpec(seed=2, n=200))):
+        pass
+    assert len(degrees) > edits
+
+
+# -- the ear order of triangulate against the quadratic scan ------------------
+
+
+def reference_triangulate(g):
+    """The rotations of ``triangulate(g)`` and its chords in order, by the
+    quadratic ear scan alone: on each face, the ear of the smallest vertex
+    whose chord is addable, the first on the walk on ties."""
+    rot = {v: list(g.rotation(v)) for v in g.vertices}
+    order = []
+    stack = [list(f) for f in g._face_stats()[1] if len(f) > 3]
+    while stack:
+        walk = stack.pop()
+        k = len(walk)
+        best = None
+        for p in range(k):
+            a, b = walk[p], walk[(p + 2) % k]
+            if (best is None or a < walk[best]) and a != b and b not in rot[a]:
+                best = p
+        q = (best + 2) % k
+        a, b = walk[best], walk[q]
+        rot[a].insert(rot[a].index(walk[best - 1]) + 1, b)
+        rot[b].insert(rot[b].index(walk[q - 1]) + 1, a)
+        order.append((a, b))
+        rest = walk[q:] + walk[:best + 1] if q > best else walk[q:best + 1]
+        if len(rest) > 3:
+            stack.append(rest)
+    return {v: tuple(ns) for v, ns in rot.items()}, order
+
+
+def triangulate_in_order(monkeypatch, g):
+    """``triangulate(g)`` and the chords it added, in order.  Each chord
+    reads the rotations of its two ends from ``g`` as it is added, before
+    any other read, so the first two reads per chord spell the order."""
+    reads = []
+    original = EmbeddedGraph.rotation
+
+    def reading(self, v):
+        if self is g:
+            reads.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(EmbeddedGraph, "rotation", reading)
+    t = triangulate(g)
+    monkeypatch.setattr(EmbeddedGraph, "rotation", original)
+    k = t.m - g.m
+    return t, list(zip(reads[:2 * k:2], reads[1:2 * k:2]))
+
+
+def test_triangulate_matches_the_ear_scan_on_kernel_cases(monkeypatch):
+    ex = importlib.import_module("pig.extract")
+    inputs = []
+
+    def recording(g):
+        inputs.append(g)
+        return triangulate(g)
+
+    monkeypatch.setattr(ex, "triangulate", recording)
+    for _, build, ratio in KERNEL_CASES:
+        ex.extract(build(), ratio)
+    assert len(inputs) > 100
+    for g in inputs:
+        t = triangulate(g)
+        assert {v: t.rotation(v) for v in t.vertices} == reference_triangulate(g)[0]
+
+
+# Two wheels glued at rim vertex 1: the one hole, 1 9 8 7 6 1 5 4 3 2, passes
+# 1 twice, so after the first cut the ear at 1's other corner comes first on
+# the walk.
+BOWTIE = {1: (2, 9, 21, 6, 5, 20), 2: (1, 20, 3), 3: (2, 20, 4), 4: (3, 20, 5),
+          5: (1, 4, 20), 6: (1, 21, 7), 7: (6, 21, 8), 8: (7, 21, 9),
+          9: (1, 8, 21), 20: (1, 5, 4, 3, 2), 21: (1, 9, 8, 7, 6)}
+
+
+@pytest.mark.parametrize("rot", [
+    BOWTIE,
+    # the path 1-3-2-4-5: fanning from 1 leaves 2 before 1 on the walk,
+    # and 2's ear then beats 1's
+    {1: (3,), 3: (1, 2), 2: (3, 4), 4: (2, 5), 5: (4,)},
+    # the path 1-2-3 of test_path_with_cut_vertex
+    {1: (2,), 2: (1, 3), 3: (2,)},
+], ids=["bowtie", "path-13245", "path-123"])
+def test_triangulate_ear_ties(monkeypatch, rot):
+    g = EmbeddedGraph(rot)
+    t, order = triangulate_in_order(monkeypatch, g)
+    ref_rot, ref_order = reference_triangulate(g)
+    assert {v: t.rotation(v) for v in t.vertices} == ref_rot
+    assert order == ref_order
