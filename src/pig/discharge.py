@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .graph import EmbeddedGraph, GraphError
+from .graph import EmbeddedGraph, GraphError, separating_triangles
 
 
 class DischargeError(GraphError):
@@ -77,20 +77,16 @@ class NeighborProfile:
     h: Mapping[int, int]
 
 
-def _check_link(g: EmbeddedGraph, v: int, above: int = 0) -> None:
-    """The link of v is an induced cycle.  In a triangulation that holds iff
-    every edge at v has exactly two common neighbors; only the edges to
-    neighbors above ``above`` are checked."""
-    nv = g.neighbors(v)
-    if any(u > above and len(nv & g.neighbors(u)) != 2 for u in nv):
-        raise DischargeError(
-            f"neighborhood of {v} is not an induced cycle "
-            f"(separating triangle or degree < 3 nearby)"
-        )
+_BAD_LINK = ("neighborhood of {} is not an induced cycle "
+             "(separating triangle or degree < 3 nearby)")
 
 
 def classify(g: EmbeddedGraph, v: int) -> NeighborProfile:
-    _check_link(g, v)
+    # the link of v is an induced cycle; in a triangulation that holds iff
+    # every edge at v has exactly two common neighbors
+    nv = g.neighbors(v)
+    if any(len(nv & g.neighbors(u)) != 2 for u in nv):
+        raise DischargeError(_BAD_LINK.format(v))
     return _profile(g, v)
 
 
@@ -152,13 +148,14 @@ def _apply(charge: dict[int, int], ledger: list[_Entry]) -> dict[int, int]:
 
 def _main_core(g: EmbeddedGraph) -> tuple[list[_Phase], list[_Entry]]:
     vs, rot, deg, init = _setup(g)
-    for v in vs:
-        _check_link(g, v, above=v)  # the first bad vertex is an edge's lower end
+    # With minimum degree 5 every link is an induced cycle iff no triangle
+    # separates; the first bad link is the smallest triangle's lowest vertex.
+    septris = separating_triangles(g)
+    if septris:
+        raise DischargeError(_BAD_LINK.format(septris[0][0]))
     # the profiles M2 and M3 read, and the 6-vertices with a 5-neighbor
     profiles = {v: _profile(g, v) for v in vs if deg[v] >= 7}
-    has_five = {
-        v for v in vs if deg[v] == 6 and any(deg[u] == 5 for u in rot[v])
-    }
+    has_five = {u for v in vs if deg[v] == 5 for u in rot[v] if deg[u] == 6}
     givers = {  # each 5-vertex's positive senders under M1-M3
         v: sum(
             deg[u] >= 6 and (deg[u] != 7 or v not in profiles[u].crowded)
@@ -294,4 +291,4 @@ def run_main(g: EmbeddedGraph) -> ChargeState:
 
 
 def negative_vertices(cs: ChargeState) -> list[int]:
-    return sorted(v for v, c in cs.charge.items() if c < 0)
+    return sorted(v for v, c in cs.charge.items() if c.numerator < 0)

@@ -55,7 +55,7 @@ class EmbeddedGraph:
 
     __slots__ = (
         "_rot", "_adj", "_next_id", "_faces", "_m", "_nf", "_holes", "_ncomp",
-        "_buckets",
+        "_buckets", "_septris",
     )
 
     def __init__(
@@ -79,6 +79,7 @@ class EmbeddedGraph:
         self._holes: tuple[tuple[int, ...], ...] | None = None
         self._ncomp: int | None = None
         self._buckets: dict[int, set[int]] | None = None  # by degree, on demand
+        self._septris: tuple | None = None  # separating triangles, on demand
         self._validate()
 
     # -- basic queries ----------------------------------------------------
@@ -378,7 +379,7 @@ class EmbeddedGraph:
         """
         g = EmbeddedGraph.__new__(EmbeddedGraph)
         g._rot, g._adj, g._next_id, g._faces = rot, adj, next_id, None
-        g._buckets = None
+        g._buckets = g._septris = None
         g._check_rotations(touched)
         if gone is None:
             g._m = sum(len(rot[v]) for v in touched) // 2
@@ -615,27 +616,29 @@ def neighbor_cycle(g: EmbeddedGraph, v: int) -> NeighborCycle:
     return NeighborCycle(order, is_cycle, induced, tuple(chords))
 
 
-def triangles(g: EmbeddedGraph) -> list[tuple[int, int, int]]:
-    out = []
-    for u, v in g.edges():
-        for w in g.neighbors(u) & g.neighbors(v):
-            if w > v:
-                out.append((u, v, w))
-    out.sort()
-    return out
-
-
 def separating_triangles(g: EmbeddedGraph) -> list[tuple[int, int, int]]:
     """The triangles whose removal disconnects the triangulation ``g``,
     sorted: exactly its triangles that are not faces.
 
     By the Jordan curve theorem a triangle of a simple triangulation that
     is not a face has a vertex on each side, and a face has none on its
-    face side.  A triangle uvw is a face iff w is an apex of uv.
+    face side.  A triangle uvw is a face iff w is an apex of uv.  The
+    apexes of an edge are common neighbors of its ends (one vertex when
+    n = 3), so an edge whose ends have at most two lies on no separating
+    triangle; only the rare other edges are tested.  The sweep runs once
+    per graph and is kept on it.
     """
     if not g.is_triangulation():
         raise GraphError("separating triangles need a triangulation")
-    return [(u, v, w) for u, v, w in triangles(g) if w not in g.apexes(u, v)]
+    if g._septris is None:
+        adj = g._adj
+        g._septris = tuple(sorted(
+            (u, v, w)
+            for u, nu in adj.items() for v in nu
+            if v > u and len(common := nu & adj[v]) > 2
+            for w in common if w > v and w not in g.apexes(u, v)
+        ))
+    return list(g._septris)
 
 
 # -- triangulation -------------------------------------------------------------

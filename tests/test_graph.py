@@ -173,10 +173,20 @@ class TestSeparatingTriangles:
     def test_matches_brute_on_corpus(self, graph_stacked):
         from conftest import glued_pair
 
+        glued = glued_pair(16, 14)
         graphs = [generate(GenSpec(seed=seed, n=18)) for seed in range(6)]
-        graphs += [graph_stacked, glued_pair(16, 14), generate(GenSpec(seed=5, n=40))]
+        graphs += [graph_stacked, glued, generate(GenSpec(seed=5, n=40))]
+        graphs.append(embedded_cycle(3))  # the lone triangle: both apexes coincide
+        # local edits of a graph already swept: each child sweeps afresh
+        assert separating_triangles(glued)
+        graphs += [triangulate(glued.delete_set(vs)) for vs in ([1], [1, 6])]
+        graphs += [triangulate(glued.contract_set(p)[0]) for p in ([1, 6], [1, 8])]
         for g in graphs:
-            assert separating_triangles(g) == sorted(brute_separating_triangles(g))
+            want = sorted(brute_separating_triangles(g))
+            got = separating_triangles(g)
+            assert got == want
+            got.append((0, 0, 0))  # the caller's list is its own
+            assert separating_triangles(g) == want
 
     def test_needs_a_triangulation(self, graph_cube):
         for g in (graph_cube, embedded_cycle(5)):
