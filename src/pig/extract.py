@@ -47,7 +47,9 @@ from .reduce import (
 )
 
 BASE_EXACT_N = 20
-CERT_FORMAT = "pig-certificate/2"
+CERT_FORMAT = "pig-certificate/3"
+_HEADER = {"format", "ratio", "graph_hash", "n", "bound", "size",
+           "independent_set", "root"}
 
 
 class IncompletenessDiagnostic(RuntimeError):
@@ -105,21 +107,25 @@ class Certificate:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CertificateError(f"bad JSON: {exc}") from None
+        except RecursionError:
+            raise CertificateError("bad JSON: nested too deep") from None
         if not isinstance(payload, dict) or payload.get("format") != CERT_FORMAT:
             raise CertificateError("unknown certificate format")
-        try:
-            return cls(
-                ratio=payload["ratio"],
-                graph_hash=payload["graph_hash"],
-                n=payload["n"],
-                bound=payload["bound"],
-                independent_set=tuple(payload["independent_set"]),
-                root=payload["root"],
-            )
-        except KeyError as exc:
-            raise CertificateError(f"missing field {exc}") from None
-        except TypeError:
-            raise CertificateError("independent_set is not a list") from None
+        if payload.keys() != _HEADER:
+            odd = ", ".join(sorted(payload.keys() ^ _HEADER))
+            raise CertificateError(f"header fields missing or unknown: {odd}")
+        if not isinstance(payload["independent_set"], list):
+            raise CertificateError("independent_set is not a list")
+        if payload["size"] != len(payload["independent_set"]):
+            raise CertificateError("header size is not the set's size")
+        return cls(
+            ratio=payload["ratio"],
+            graph_hash=payload["graph_hash"],
+            n=payload["n"],
+            bound=payload["bound"],
+            independent_set=tuple(payload["independent_set"]),
+            root=payload["root"],
+        )
 
 
 class _Raw(str):
@@ -267,7 +273,7 @@ def _certified_config_plan(g: EmbeddedGraph, c: Ratio) -> tuple[CertifiedPlan, s
     sweep_scopes = [s for s in (windows, frozenset(g.vertices)) if s]
     for scope in sweep_scopes:
         for jset in tight_sets(g, scope):
-            for plan in plans_for_independent_set(g, jset, c, "sweep", 0):
+            for plan in plans_for_independent_set(g, jset, c):
                 try:
                     return certify_plan(g, plan), "sweep"
                 except PlanRejected:
@@ -309,15 +315,11 @@ def _ids(value) -> bool:
 def _recorded_reduce(g: EmbeddedGraph, c: Ratio, node: dict) -> Step:
     rec = _get(node, "plan", lambda v: isinstance(v, dict))
     plan = ReductionPlan(
-        kind=_get(rec, "kind", lambda v: isinstance(v, str)),
         s=frozenset(_get(rec, "S", _ids)),
         parts=tuple(map(frozenset, _get(
             rec, "parts", lambda v: isinstance(v, list) and all(map(_ids, v))
         ))),
         ratio=c,
-        provenance=_get(rec, "provenance", lambda v: isinstance(v, str)),
-        j=tuple(_get(rec, "j", _ids)),
-        k=_get(rec, "k", lambda v: v is None or type(v) is int),
     )
     label = {}
     if "match" in node:  # recorded for the catalog's steps, never interpreted

@@ -17,7 +17,12 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
+# Deep enough for the solver's branching and for ``json.loads`` on a plain
+# n=10^4 certificate (its step tree nests about 4,975 deep).  Much higher,
+# and the C JSON scanner overflows an 8 MiB C stack on a hostile document
+# before Python can raise RecursionError.
+RECURSION_LIMIT = 20_000
+sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_LIMIT))
 
 DEFAULT_BUDGET = 10_000_000
 _BUDGET_ENV = "PIG_ORACLE_BUDGET"

@@ -10,7 +10,7 @@ set of size |X| + ceil(c(|S|-t)); that inequality is exactly what makes the
 lift meet its size contract no matter which part-vertices the recursion
 returns.  Plans are never applied uncertified.
 
-Also here: the separating-triangle split with its residue arithmetic and
+Also here: the separating-triangle split with its guarantee arithmetic and
 candidate recombination recipes, and the low-degree reductions that make
 ratio 1/5 total on all planar graphs.
 """
@@ -78,15 +78,11 @@ def neighborhood_floor(j: int, c: Ratio) -> int:
 
 @dataclass(frozen=True)
 class ReductionPlan:
-    """One constructive reduction: S, its parts, and bookkeeping."""
+    """One constructive reduction: S and its parts, at a ratio."""
 
-    kind: str  # delete-closed-nbhd | anchored-pairs
     s: frozenset[int]
     parts: tuple[frozenset[int], ...]
     ratio: Ratio
-    provenance: str
-    j: tuple[int, ...] = ()
-    k: int | None = None
 
     @property
     def t(self) -> int:
@@ -97,12 +93,8 @@ class ReductionPlan:
 
     def summary(self) -> dict:
         return {
-            "kind": self.kind,
-            "provenance": self.provenance,
             "S": sorted(self.s),
             "parts": [sorted(p) for p in self.parts],
-            "j": list(self.j),
-            "k": self.k,
             "need": self.need(),
         }
 
@@ -173,8 +165,6 @@ def certify_plan(g: EmbeddedGraph, plan: ReductionPlan) -> CertifiedPlan:
         raise PlanRejected("S empty or referencing dead vertices")
     if plan.t >= len(s):
         raise PlanRejected("need t < |S|")
-    if not set(plan.j) <= s:
-        raise PlanRejected("J outside S")
     covered: set[int] = set()
     for p in plan.parts:
         if not p or not p <= s:
@@ -184,23 +174,6 @@ def certify_plan(g: EmbeddedGraph, plan: ReductionPlan) -> CertifiedPlan:
         covered |= p
         if len(g.subgraph(p).components()) != 1:
             raise PlanRejected(f"part {sorted(p)} not connected")
-    if plan.kind == "anchored-pairs":
-        if not plan.j:
-            raise PlanRejected("anchored plan missing its independent set")
-        others = {
-            y: g.neighbors(y) for y in plan.j
-        }
-        for p in plan.parts:
-            anchors = [x for x in p if x in plan.j]
-            if len(anchors) != 1 or len(p) != 3:
-                raise PlanRejected("anchored part must be {x, u, v} with x in J")
-            x = anchors[0]
-            u, v = sorted(p - {x})
-            if g.adjacent(u, v):
-                raise PlanRejected("anchored pair not independent")
-            for y in plan.j:
-                if y != x and (u in others[y] or v in others[y]):
-                    raise PlanRejected("anchored pair not private")
     inside = interior(g, s)
     need = plan.need()
     n = g.n
@@ -294,24 +267,8 @@ def find_low_degree_plan(g: EmbeddedGraph, c: Ratio) -> ReductionPlan | None:
             # clique neighborhood: delete N[v], keep v in the window
             if c.ceil_mul(len(s)) > 1:
                 continue
-            return ReductionPlan(
-                kind="delete-closed-nbhd",
-                s=s,
-                parts=(),
-                ratio=c,
-                provenance="low-degree-clique",
-                j=(v,),
-                k=None,
-            )
-        return ReductionPlan(
-            kind="anchored-pairs",
-            s=s,
-            parts=(frozenset((v,) + pair),),
-            ratio=c,
-            provenance="low-degree",
-            j=(v,),
-            k=0,
-        )
+            return ReductionPlan(s, (), c)
+        return ReductionPlan(s, (frozenset((v,) + pair),), c)
     return None
 
 
@@ -339,15 +296,11 @@ def candidate_plans(
     g: EmbeddedGraph, match: ConfigurationMatch, c: Ratio
 ) -> Iterator[ReductionPlan]:
     """Reduction plans for a match, in the order they are tried."""
-    yield from plans_for_independent_set(g, match.j, c, match.kind, match.preferred_k)
+    yield from plans_for_independent_set(g, match.j, c, match.preferred_k)
 
 
 def plans_for_independent_set(
-    g: EmbeddedGraph,
-    j: tuple[int, ...],
-    c: Ratio,
-    provenance: str,
-    preferred_k: int = 0,
+    g: EmbeddedGraph, j: tuple[int, ...], c: Ratio, preferred_k: int = 0
 ) -> Iterator[ReductionPlan]:
     """Plans around an independent set J: S = J ∪ N(J), and for each slack
     k (``preferred_k`` first) that the ratio allows, every choice of |J| - k
@@ -369,15 +322,7 @@ def plans_for_independent_set(
             continue
         for members in itertools.combinations(with_pairs, t):
             parts = tuple(frozenset((x,) + pairs[x]) for x in members)
-            yield ReductionPlan(
-                kind="anchored-pairs",
-                s=s,
-                parts=parts,
-                ratio=c,
-                provenance=f"{provenance}:k={k}",
-                j=j,
-                k=k,
-            )
+            yield ReductionPlan(s, parts, c)
 
 
 # -- separating-triangle split ---------------------------------------------------
@@ -385,21 +330,15 @@ def plans_for_independent_set(
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Decomposition along a separating triangle plus its size arithmetic.
-
-    ``guarantees`` maps each recombination strategy to the independent-set size
-    it promises from bound-respecting sub-solutions; at least one strategy
-    always reaches ceil(c*n).
+    """Decomposition along a separating triangle, and the recombination
+    strategy whose ``split_guarantees`` entry reaches the target ceil(c*n).
     """
 
     triangle: tuple[int, int, int]
     side1: frozenset[int]  # includes the triangle
     side2: frozenset[int]
     ratio: Ratio
-    n: int
     target: int
-    residues: tuple[tuple[int, ...], tuple[int, ...]]  # k_i^j for j=0..3
-    guarantees: tuple[tuple[str, int], ...]
     strategy: str  # chosen: fewest sub-solves among those meeting the target
 
 
@@ -433,19 +372,12 @@ def split_plan(g: EmbeddedGraph, triangle: Sequence[int], c: Ratio) -> SplitPlan
     strategy = next((name for name in order if gs[name] >= target), None)
     if strategy is None:
         raise PlanRejected("no split strategy reaches the bound")  # unreachable
-    residues = tuple(
-        tuple(((c.a * (ni + j) - 1) % c.b) + 1 for j in range(4))
-        for ni in (n1, n2)
-    )
     return SplitPlan(
         triangle=tri,
         side1=side1,
         side2=side2,
         ratio=c,
-        n=g.n,
         target=target,
-        residues=residues,
-        guarantees=tuple(sorted(gs.items())),
         strategy=strategy,
     )
 

@@ -296,13 +296,9 @@ def _walk_reduce_steps(g, node, c, visit):
     elif op == "reduce":
         summary = node["plan"]
         plan = ReductionPlan(
-            kind=summary["kind"],
             s=frozenset(summary["S"]),
             parts=tuple(frozenset(p) for p in summary["parts"]),
             ratio=c,
-            provenance=summary.get("provenance", "replay"),
-            j=tuple(summary.get("j", ())),
-            k=summary.get("k"),
         )
         visit(g, plan)
         cert = certify_plan(g, plan)

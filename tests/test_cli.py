@@ -1,11 +1,16 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pig
 from conftest import drum, glued_pair, v1_document
 from pig.cli import main
-from pig.extract import extract
+from pig.extract import CERT_FORMAT, extract
 from pig.generate import GenSpec, generate
 from pig.graph import cube, embedded_cycle, icosahedron, parse_rotation_graph
 from pig.reduce import LiftError, PlanRejected
@@ -169,6 +174,22 @@ def test_check_cert_format_1_exits_2(rot_file, tmp_path, capsys):
     cert.write_text(v1_document(extract(g, "3/13")))
     assert main(["check-cert", str(rot_file), str(cert)]) == 2
     assert "unknown certificate format" in capsys.readouterr().err
+
+
+def test_check_cert_deep_document_exits_2(rot_file, tmp_path):
+    # 95,000 nested lists overflowed the C stack in the JSON scanner
+    # (exit 139) while the recursion limit stood at 100,000
+    cert = tmp_path / "deep.cert"
+    deep = "[" * 95_000 + "]" * 95_000
+    cert.write_text(f'{{"format":"{CERT_FORMAT}","root":{deep}}}')
+    src = str(Path(pig.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "pig.cli", "check-cert", str(rot_file), str(cert)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("input error: ")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
 
 
 def test_corpus_oracle_budget_exits_3(monkeypatch, capsys):

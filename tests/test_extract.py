@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+import string
 import sys
 import tracemalloc
 
@@ -154,12 +155,20 @@ def _reduce_node(payload):
     return _find_op(payload["root"], "reduce")
 
 
+def _without_match(value):
+    """A parsed certificate with every ``match`` value blanked."""
+    if isinstance(value, dict):
+        return {k: None if k == "match" else _without_match(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_without_match(v) for v in value]
+    return value
+
+
 MALFORMED = {
     "missing-child": lambda p: _reduce_node(p).pop("child"),
-    "missing-plan-kind": lambda p: _reduce_node(p)["plan"].pop("kind"),
+    "plan-extra-kind": lambda p: _reduce_node(p)["plan"].update(kind="anchored-pairs"),
     "plan-S-not-ids": lambda p: _reduce_node(p)["plan"].update(S=["a"]),
     "plan-null": lambda p: _reduce_node(p).update(plan=None),
-    "plan-j-absent-vertex": lambda p: _reduce_node(p)["plan"].update(j=[10**6]),
     "split-absent-triangle": lambda p: p["root"].update(
         op="split", triangle=[10**6, 10**6 + 1, 10**6 + 2]
     ),
@@ -221,16 +230,22 @@ class TestCheckCertificate:
             assert not ok
 
     def test_bad_format(self):
-        with pytest.raises(CertificateError):
-            Certificate.from_json("{}")
-        with pytest.raises(CertificateError):
-            Certificate.from_json("not json")
-        with pytest.raises(CertificateError):
-            Certificate.from_json("[]")
-        payload = json.loads(extract(generate(GenSpec(seed=9, n=40)), C13).to_json())
-        payload["independent_set"] = None
-        with pytest.raises(CertificateError):
-            Certificate.from_json(json.dumps(payload))
+        text = extract(generate(GenSpec(seed=9, n=40)), C13).to_json()
+        Certificate.from_json(text)
+        edits = [
+            lambda p: p.update(independent_set=None),
+            lambda p: p.update(size=p["size"] + 5),
+            lambda p: p.update(wize=p.pop("size")),
+            lambda p: p.update(format="pig-certificate/2"),
+        ]
+        bad = ["{}", "not json", "[]"]
+        for edit in edits:
+            payload = json.loads(text)
+            edit(payload)
+            bad.append(json.dumps(payload))
+        for doc in bad:
+            with pytest.raises(CertificateError):
+                Certificate.from_json(doc)
 
     @pytest.mark.parametrize("tamper", sorted(MALFORMED))
     def test_malformed_certificate_fails_without_raising(self, tamper):
@@ -240,6 +255,27 @@ class TestCheckCertificate:
         MALFORMED[tamper](payload)
         ok, reason = check_certificate(g, _direct(payload))
         assert not ok and reason
+
+    def test_accepted_byte_edits_change_no_checked_value(self):
+        # every recorded value but the catalog steps' ``match`` label is
+        # bound by a check, so a one-byte edit that still passes may only
+        # change that label or the JSON's spelling
+        g = generate(
+            GenSpec(seed=7, n=120, min_degree5=True, no_separating_triangle=True)
+        )
+        text = extract(g, C13).to_json()
+        want = _without_match(json.loads(text))
+        assert check_certificate(g, Certificate.from_json(text)) == (True, "ok")
+        rng = random.Random(12)
+        for _ in range(600):
+            i = rng.randrange(len(text))
+            mutant = text[:i] + rng.choice(string.printable) + text[i + 1:]
+            try:
+                cert = Certificate.from_json(mutant)
+            except CertificateError:
+                continue
+            if check_certificate(g, cert)[0]:
+                assert _without_match(json.loads(mutant)) == want, mutant[i - 20:i + 20]
 
     def test_lift_error_is_reported(self, monkeypatch):
         from pig.reduce import LiftError

@@ -39,7 +39,7 @@ def tight_pair_plan(g):
     neighborhood at most 8 that the tight-set sweep yields."""
     pair = next(js for js in tight_sets(g, g.vertices) if len(js) == 2)
     assert len(joint_neighborhood(g, pair)) <= 8
-    return next(plans_for_independent_set(g, pair, C13, "test"))
+    return next(plans_for_independent_set(g, pair, C13))
 
 
 class TestRatio:
@@ -86,13 +86,12 @@ class TestNeighborhoodFloor:
 class TestLowDegree:
     def test_k4_clique_neighborhood(self, graph_k4):
         plan = find_low_degree_plan(graph_k4, C13)
-        assert plan.kind == "delete-closed-nbhd"
+        assert plan.parts == ()
         assert plan.s == frozenset({1, 2, 3, 4})
         certify_plan(graph_k4, plan)
 
     def test_octahedron_antipodal_pair(self, graph_octahedron):
         plan = find_low_degree_plan(graph_octahedron, C13)
-        assert plan.kind == "anchored-pairs"
         (part,) = plan.parts
         assert 1 in part
         u, w = sorted(part - {1})
@@ -109,7 +108,7 @@ class TestLowDegree:
 
     def test_icosahedron_found_at_one_fifth(self, ico):
         plan = find_low_degree_plan(ico, C5)
-        assert plan is not None and plan.kind == "anchored-pairs"
+        assert plan is not None and len(plan.parts) == 1
         certify_plan(ico, plan)
 
     def test_every_planar_graph_reduces_at_one_fifth(self):
@@ -123,9 +122,7 @@ class TestLowDegree:
 class TestCertification:
     def test_rejects_t_not_less_than_s(self, ico):
         s = frozenset({1})
-        plan = ReductionPlan(
-            kind="grown-parts", s=s, parts=(s,), ratio=C13, provenance="test"
-        )
+        plan = ReductionPlan(s=s, parts=(s,), ratio=C13)
         with pytest.raises(PlanRejected, match="t <"):
             certify_plan(ico, plan)
 
@@ -133,44 +130,16 @@ class TestCertification:
         ring = ico.rotation(1)
         s = frozenset({1}) | set(ring)
         p = frozenset({1, ring[0], ring[1]})
-        plan = ReductionPlan(
-            kind="grown-parts", s=s, parts=(p, p), ratio=C13, provenance="test"
-        )
+        plan = ReductionPlan(s=s, parts=(p, p), ratio=C13)
         with pytest.raises(PlanRejected, match="overlap"):
             certify_plan(ico, plan)
-
-    def test_rejects_non_private_pair(self):
-        g = flagged(0, 60)
-        m = next(iter_configs(g))
-        plan = next(candidate_plans(g, m, C13), None)
-        if plan is None or plan.kind != "anchored-pairs":
-            pytest.skip("first match gave no ind-red plan")
-        x, y = plan.j[0], plan.j[-1]
-        bad_pool = sorted(g.neighbors(y))
-        bad = ReductionPlan(
-            kind="anchored-pairs",
-            s=plan.s | set(bad_pool[:2]),
-            parts=(frozenset([x] + bad_pool[:2]),),
-            ratio=C13,
-            provenance="corrupted",
-            j=plan.j,
-            k=plan.k,
-        )
-        with pytest.raises(PlanRejected):
-            certify_plan(g, bad)
 
     def test_rejects_disconnected_part(self, ico):
         far = next(
             v for v in ico.vertices if v != 1 and not ico.adjacent(1, v)
         )
         s = frozenset(ico.vertices)
-        plan = ReductionPlan(
-            kind="grown-parts",
-            s=s,
-            parts=(frozenset({1, far}),),
-            ratio=C13,
-            provenance="test",
-        )
+        plan = ReductionPlan(s=s, parts=(frozenset({1, far}),), ratio=C13)
         with pytest.raises(PlanRejected, match="connected"):
             certify_plan(ico, plan)
 
@@ -186,9 +155,7 @@ class TestCertification:
         # their joint neighborhood has size 8 and the pair plan certifies
         # with all four part subsets
         plan = tight_pair_plan(ico)
-        x, y = plan.j
-        assert len(ico.neighbors(x) | ico.neighbors(y)) == 8
-        assert plan.kind == "anchored-pairs"
+        assert len(plan.s) == 10  # the pair and its 8 neighbors
         assert plan.t == 2
         cert = certify_plan(ico, plan)
         checked = {c for c, _ in cert.checked}
@@ -277,7 +244,9 @@ class TestSplit:
         sp = split_plan(graph_stacked, (1, 2, 3), C13)
         assert sp.triangle == (1, 2, 3)
         assert sp.target == 2
-        assert dict(sp.guarantees)["delete-both"] == 2  # ceil(3/13)+ceil(3/13)
+        n1, n2 = len(sp.side1) - 3, len(sp.side2) - 3
+        # ceil(3/13) + ceil(3/13)
+        assert split_guarantees(n1, n2, C13)["delete-both"] == 2
         assert sp.strategy == "delete-both"
         subs = split_subproblems(graph_stacked, sp)
         solved = {s.tag: frozenset(mis.mis_exact(s.graph)) for s in subs}
@@ -313,21 +282,28 @@ class TestSplit:
         sp = split_plan(g, tris[0], C13)
         assert len(sp.side1 | sp.side2) == g.n
         assert len(sp.side1 & sp.side2) == 3
-        for row in sp.residues:
-            assert all(1 <= k <= 13 for k in row)
 
 
 class TestPlanner:
-    def test_planner_yields_preferred_k_first(self):
+    def test_planner_yields_preferred_k_first(self, graph_cube):
+        # a cube vertex and its antipode: |N(J)| = 6 allows slack k = 0 and
+        # k = 1 at 3/13, and a plan has t = |J| - k parts
+        near = {1} | graph_cube.neighbors(1)
+        (far,) = set(graph_cube.vertices) - near - {
+            u for v in near for u in graph_cube.neighbors(v)
+        }
+        for preferred_k, ts in ((0, [2, 1, 1]), (1, [1, 1, 2])):
+            plans = list(
+                plans_for_independent_set(graph_cube, (1, far), C13, preferred_k)
+            )
+            assert [len(p.parts) for p in plans] == ts
         g = flagged(4, 70)
         for m in iter_configs(g):
             plans = list(itertools.islice(candidate_plans(g, m, C13), 8))
             if not plans:
                 continue
-            kinds = [p.kind for p in plans]
-            assert set(kinds) == {"anchored-pairs"}
             for p in plans:
-                assert p.s >= set(p.j)
+                assert p.s >= set(m.j)
                 for part in p.parts:
                     assert part <= p.s
             break
