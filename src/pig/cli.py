@@ -43,7 +43,7 @@ EXIT_DIAGNOSTIC = 3
 def _load(path: str) -> EmbeddedGraph:
     try:
         return parse_rotation_graph(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -79,7 +79,7 @@ def cmd_check_cert(args) -> int:
     g = _load(args.file)
     try:
         cert = Certificate.from_json(Path(args.cert).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.cert}: {exc}") from None
     ok, reason = check_certificate(g, cert)
     print(f"{'ok' if ok else 'FAIL'}: {reason}")

@@ -116,6 +116,9 @@ class Certificate:
             raise CertificateError(f"header fields missing or unknown: {odd}")
         if not isinstance(payload["independent_set"], list):
             raise CertificateError("independent_set is not a list")
+        numbers = (payload["n"], payload["bound"], payload["size"])
+        if any(type(x) is not int for x in (*numbers, *payload["independent_set"])):
+            raise CertificateError("n, bound, size and the set's members must be ints")
         if payload["size"] != len(payload["independent_set"]):
             raise CertificateError("header size is not the set's size")
         return cls(

@@ -270,21 +270,34 @@ class EmbeddedGraph:
             raise GraphError(f"unknown vertices {sorted(bad)}")
         return self.subgraph(self._rot.keys() - ds)
 
-    def contract_set(self, part: Iterable[int]) -> tuple["EmbeddedGraph", int]:
-        """Contract the connected set ``part`` to one fresh vertex.
+    def induces_connected(self, vs: Iterable[int]) -> bool:
+        """Whether ``vs`` is non-empty and induces a connected subgraph: one
+        search over this graph's adjacency, limited to ``vs``."""
+        vs = set(vs)
+        return bool(vs) and len(_reach(self._adj, [min(vs)], vs)) == len(vs)
+
+    def contract_set(
+        self, part: Iterable[int], drop: Iterable[int] = ()
+    ) -> tuple["EmbeddedGraph", int]:
+        """Contract the connected set ``part`` to one fresh vertex and
+        delete the vertices ``drop``, in one edit.
 
         Rotations are merged along the boundary walk; loops are dropped and
         parallel edges collapsed to the slot appearing first.  Returns the
-        new graph and the fresh vertex id.  Only the rotations at the part
-        and its neighbors are read or rewritten.
+        new graph and the fresh vertex id.  Only the rotations at the part,
+        ``drop`` and their neighbors are read or rewritten.  The result is
+        ``contract_set(part)`` followed by ``delete_set(drop)``.
         """
         ps = sorted(set(part))
+        ds = set(drop)
         if not ps:
             raise GraphError("cannot contract an empty set")
-        for v in ps:
+        for v in itertools.chain(ps, ds):
             if v not in self._rot:
                 raise GraphError(f"unknown vertex {v}")
-        if len(self.subgraph(ps).components()) != 1:
+        if ds.intersection(ps):
+            raise GraphError("cannot contract and delete the same vertex")
+        if not self.induces_connected(ps):
             raise GraphError(f"contraction set {ps} does not induce a connected subgraph")
 
         rot = self._rot
@@ -310,23 +323,31 @@ class EmbeddedGraph:
             ring = [d for d in ring if d[1] not in merged]
 
         # Collapse parallel edges at the merged vertex, keeping first slots;
-        # the neighbor renames the first and drops the twins of the rest.
-        at: dict[int, list[int]] = {}  # neighbor -> its merged neighbors
+        # a neighbor renames the first and drops the twins of the rest, and
+        # every survivor drops its neighbors in ``drop``.
+        at: dict[int, int] = {}  # neighbor -> its first merged neighbor
         for p, w in ring:
-            at.setdefault(w, []).append(p)
-        new = {new_id: tuple(at)}
+            at.setdefault(w, p)
+        gone = merged | ds
+        new = {new_id: tuple(w for w in at if w not in ds)}
         darts: Darts = (
-            [(x, p) for p in merged for x in rot[p]],
-            [(w, new_id) for w in at],
+            [(x, p) for p in gone for x in rot[p]],
+            [(w, new_id) for w in new[new_id]],
         )
-        for w, ps in at.items():
-            ns = list(rot[w])
-            for p in ps[1:]:
-                ns.remove(p)
-            ns[ns.index(ps[0])] = new_id
-            new[w] = tuple(ns)
-            _changed_darts(w, rot[w], new[w], set(ps), (new_id,), darts)
-        g = self._edit(new, merged, darts, ncomp=self._ncomp, next_id=new_id + 1)
+        for w in dict.fromkeys(w for p in gone for w in rot[p] if w not in gone):
+            ns, first = rot[w], at.get(w)
+            new[w] = tuple(
+                new_id if u == first else u for u in ns if u == first or u not in gone
+            )
+            inserted = () if first is None else (new_id,)
+            _changed_darts(w, ns, new[w], gone.intersection(ns), inserted, darts)
+        # A component of this graph inside ``drop`` vanishes.
+        adj, ncomp = self._adj, self._ncomp
+        left = ds - _reach(adj, [d for d in ds if not adj[d] <= ds], ds)
+        while left:
+            ncomp -= 1
+            left -= _reach(adj, [min(left)], left)
+        g = self._edit(new, gone, darts, ncomp=ncomp, next_id=new_id + 1)
         return g, new_id
 
     def _edit(
@@ -375,7 +396,12 @@ class EmbeddedGraph:
         if it is named on both.  Faces are re-traced from these darts
         alone; with ``gone`` None, new names every dart of the child.
         ``ncomp`` is the component count the edit keeps, or None for a
-        deletion; Euler's formula is checked by ``_euler``.
+        deletion; Euler's formula is checked by ``_euler``.  An edit that
+        removes vertices and still gives a count (a contraction) keeps
+        every edge between survivors and ties its fresh vertex to one
+        component, so the count holds if one search from the fresh vertex,
+        limited to the touched vertices, reaches them all; otherwise the
+        components are counted afresh.
         """
         g = EmbeddedGraph.__new__(EmbeddedGraph)
         g._rot, g._adj, g._next_id, g._faces = rot, adj, next_id, None
@@ -405,6 +431,11 @@ class EmbeddedGraph:
             nf += new - old
             dropped = {_canonical(self._rot, h) for h in old_holes}
             holes = [h for h in holes if h not in dropped] + new_holes
+            if ncomp is not None and gone:  # a contraction
+                fresh = [v for v in touched if v not in self._rot]
+                if len(_reach(adj, fresh[:1], set(touched))) != len(touched):
+                    g._ncomp = None
+                    ncomp = len(g.components())
         g._nf = nf
         g._holes = tuple(sorted(
             (_canonical(rot, h) for h in holes),
@@ -469,6 +500,19 @@ def _euler(n: int, m: int, f: int, ncomp: int | None) -> int:
             "" if ncomp is None else f", {ncomp} components"
         ))
     return c
+
+
+def _reach(
+    adj: Mapping[int, frozenset[int]], starts: Collection[int], within: set[int]
+) -> set[int]:
+    """The vertices reached from ``starts`` by paths inside ``within``."""
+    seen, stack = set(starts), list(starts)
+    while stack:
+        for u in adj[stack.pop()] & within:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 def _walks(

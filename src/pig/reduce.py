@@ -172,7 +172,7 @@ def certify_plan(g: EmbeddedGraph, plan: ReductionPlan) -> CertifiedPlan:
         if covered & p:
             raise PlanRejected("parts overlap")
         covered |= p
-        if len(g.subgraph(p).components()) != 1:
+        if not g.induces_connected(p):
             raise PlanRejected(f"part {sorted(p)} not connected")
     inside = interior(g, s)
     need = plan.need()
@@ -203,13 +203,13 @@ def apply_plan(
     g: EmbeddedGraph, cert: CertifiedPlan
 ) -> tuple[EmbeddedGraph, LiftContext]:
     plan = cert.plan
+    rest = plan.s - {v for p in plan.parts for v in p}
     cur = g
     w_ids = []
-    for part in plan.parts:
-        cur, w = cur.contract_set(part)
+    for i, part in enumerate(plan.parts, 1):  # the last one deletes the rest
+        cur, w = cur.contract_set(part, rest if i == len(plan.parts) else ())
         w_ids.append(w)
-    rest = plan.s - {v for p in plan.parts for v in p}
-    if rest:
+    if not plan.parts:
         cur = cur.delete_set(rest)
     if cur.n != g.n - len(plan.s) + plan.t:
         raise LiftError("reduced size mismatch")

@@ -224,5 +224,21 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert main(["extract", str(bad)]) == 2
 
 
+def test_non_utf8_input_exits_2(rot_file, tmp_path, capsys):
+    bad = tmp_path / "bad.rot"
+    bad.write_bytes(rot_file.read_bytes() + b"# \xff\n")
+    capsys.readouterr()
+    assert main(["alpha", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot read {bad}") and err.count("\n") == 1
+    cert = tmp_path / "bad.cert"
+    main(["extract", str(rot_file), "--json", str(cert)])
+    cert.write_bytes(b"\xff" + cert.read_bytes())
+    capsys.readouterr()
+    assert main(["check-cert", str(rot_file), str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot read {cert}") and err.count("\n") == 1
+
+
 def test_missing_file(capsys):
     assert main(["alpha", "/nonexistent.rot"]) == 2

@@ -247,6 +247,34 @@ class TestCheckCertificate:
             with pytest.raises(CertificateError):
                 Certificate.from_json(doc)
 
+    def test_numbers_bound_by_type(self):
+        g = generate(
+            GenSpec(seed=7, n=120, min_degree5=True, no_separating_triangle=True)
+        )
+        text = extract(g, C13).to_json()
+        payload = json.loads(text)
+        assert (payload["n"], payload["size"], payload["independent_set"][0]) == (120, 32, 6)
+        payload.update(n=120.0, size=32.0)
+        payload["independent_set"][0] = 6.0
+        floats = json.dumps(payload)
+        assert '"n": 120.0' in floats and '"size": 32.0' in floats
+        edits = [
+            lambda p: p.update(n=float(p["n"])),
+            lambda p: p.update(bound=float(p["bound"])),
+            lambda p: p.update(size=float(p["size"])),
+            lambda p: p["independent_set"].__setitem__(0, float(p["independent_set"][0])),
+            lambda p: p.update(independent_set=[True] + p["independent_set"][1:]),
+            lambda p: p.update(n=str(p["n"])),
+        ]
+        bad = [floats]
+        for edit in edits:
+            payload = json.loads(text)
+            edit(payload)
+            bad.append(json.dumps(payload))
+        for doc in bad:
+            with pytest.raises(CertificateError, match="ints"):
+                Certificate.from_json(doc)
+
     @pytest.mark.parametrize("tamper", sorted(MALFORMED))
     def test_malformed_certificate_fails_without_raising(self, tamper):
         g = generate(GenSpec(seed=9, n=40))

@@ -239,6 +239,20 @@ class TestDeleteContract:
         with pytest.raises(GraphError, match="connected"):
             ico.contract_set({1, far[0]})
 
+    def test_induces_connected(self, ico):
+        far = next(v for v in ico.vertices if v != 1 and not ico.adjacent(1, v))
+        assert not ico.induces_connected(set())
+        assert ico.induces_connected({1})
+        assert not ico.induces_connected({1, far})
+        assert ico.induces_connected({1, far, *(ico.neighbors(1) & ico.neighbors(far))})
+        assert ico.induces_connected(ico.vertices)
+
+    def test_contract_and_drop_rejects_bad_sets(self, ico):
+        with pytest.raises(GraphError, match="same vertex"):
+            ico.contract_set({1, 2}, {2, 3})
+        with pytest.raises(GraphError, match="unknown"):
+            ico.contract_set({1}, {99})
+
     def test_ids_never_reused(self, ico):
         g, w = ico.contract_set({1, ico.rotation(1)[0]})
         g2, w2 = g.contract_set({w, g.rotation(w)[0]})
@@ -459,9 +473,44 @@ class TestLocalEdits:
         from pig.graph import EmbeddingError
 
         g = generate(GenSpec(seed=1, n=30))
-        bad = _corrupted(g, g.vertices[-1])
+        v = g.vertices[-1]
+        bad = _corrupted(g, v)
         with pytest.raises(EmbeddingError, match="Euler"):
             bad.contract_set({1})
+        # the same through the form that also deletes, away from v
+        drop = next(u for u in g.rotation(1) if u != v and not g.adjacent(u, v))
+        with pytest.raises(EmbeddingError, match="Euler"):
+            bad.contract_set({1}, {drop})
+
+    def test_contract_and_drop_that_disconnects(self, graph_stacked):
+        # the fresh vertex left alone, next to an isolated apex
+        h, w = graph_stacked.contract_set({4}, {1, 2, 3})
+        assert (w, h.components()) == (6, [(5,), (6,)])
+        assert_same_as_fresh(h)
+        # a path cut in two, and a component deleted whole
+        path = parse_rotation_graph("5 4\n1: 2\n2: 1 3\n3: 2 4\n4: 3 5\n5: 4\n")
+        h, w = path.contract_set({1, 2}, {4})
+        assert h.components() == [(3, 6), (5,)]
+        assert_same_as_fresh(h)
+        two = parse_rotation_graph("4 2\n1: 2\n2: 1\n3: 4\n4: 3\n")
+        for part, drop, comps in (({1}, {3, 4}, [(2, 5)]), ({1, 2}, {3}, [(4,), (5,)])):
+            h, w = two.contract_set(part, drop)
+            assert h.components() == comps
+            assert_same_as_fresh(h)
+        # a wheel: its hub contracted stays joined to what is left of the
+        # rim; a rim vertex contracted with the hub gone may split the rim
+        wheel = EmbeddedGraph({1: (2, 3, 4, 5, 6), 2: (1, 6, 3), 3: (1, 2, 4),
+                               4: (1, 3, 5), 5: (1, 4, 6), 6: (1, 5, 2)})
+        for drop in ({3}, {3, 5}, {2, 3, 4, 5, 6}):
+            h, w = wheel.contract_set({1}, drop)
+            assert h.is_connected()
+            assert_same_as_fresh(h)
+        h, w = wheel.contract_set({2}, {1, 4})
+        assert h.components() == [(3, 5, 6, 7)]
+        assert_same_as_fresh(h)
+        h, w = wheel.contract_set({2}, {1, 3, 5})
+        assert h.components() == [(4,), (6, 7)]
+        assert_same_as_fresh(h)
 
 
 def chained_walk(g):
@@ -495,6 +544,50 @@ def _corrupted(g, v):
     g._rot[v] = tuple(ns)
     g._faces = g._nf = g._holes = None
     return g
+
+
+# -- one edit per reduction: contract the last part and delete the rest -------
+
+
+def applied_plans(monkeypatch, g, ratio):
+    """(graph, plan) for every reduction plan applied while extracting."""
+    ex = importlib.import_module("pig.extract")
+    seen = []
+    original = ex.apply_plan
+
+    def recording(h, cert):
+        seen.append((h, cert.plan))
+        return original(h, cert)
+
+    monkeypatch.setattr(ex, "apply_plan", recording)
+    ex.extract(g, ratio)
+    monkeypatch.setattr(ex, "apply_plan", original)
+    return seen
+
+
+def assert_same_edit(a, b):
+    assert {v: a.rotation(v) for v in a.vertices} == {v: b.rotation(v) for v in b.vertices}
+    assert (a.m, a.next_id, a._face_stats()) == (b.m, b.next_id, b._face_stats())
+    assert a._ncomp == b._ncomp == len(a.components()) == len(b.components())
+
+
+def test_one_edit_equals_contract_then_delete(monkeypatch):
+    dropped = 0
+    for _, build, ratio in KERNEL_CASES:
+        for g, plan in applied_plans(monkeypatch, build(), ratio):
+            if not plan.parts:
+                continue
+            rest = plan.s - {v for p in plan.parts for v in p}
+            for part in plan.parts[:-1]:
+                g, _ = g.contract_set(part)
+            one, w1 = g.contract_set(plan.parts[-1], rest)
+            two, w2 = g.contract_set(plan.parts[-1])
+            if rest:
+                two = two.delete_set(rest)
+                dropped += 1
+            assert w1 == w2
+            assert_same_edit(one, two)
+    assert dropped > 50
 
 
 # -- dart reports: each edit's named darts against a whole-rotation diff ------
