@@ -205,9 +205,9 @@ def _exact(g: EmbeddedGraph) -> Step:
     return Step("exact", {}, (), combine)
 
 
-def _components(g: EmbeddedGraph, comps) -> Step:
+def _components(g: EmbeddedGraph) -> Step:
     return Step(
-        "components", {}, tuple(g.subgraph(comp) for comp in comps),
+        "components", {}, tuple(g.subgraph(comp) for comp in g.components()),
         lambda sols, kids: (frozenset().union(*sols), {"children": kids}),
     )
 
@@ -286,9 +286,8 @@ def _certified_config_plan(g: EmbeddedGraph, c: Ratio) -> tuple[CertifiedPlan, s
 
 def next_step(g: EmbeddedGraph, c: Ratio) -> Step:
     """The step the extractor takes on ``g``: the one copy of the order."""
-    comps = g.components()
-    if len(comps) > 1:
-        return _components(g, comps)
+    if not g.is_connected():
+        return _components(g)
     if g.n <= BASE_EXACT_N:
         return _exact(g)
     if not g.is_triangulation():
@@ -333,7 +332,7 @@ def _recorded_reduce(g: EmbeddedGraph, c: Ratio, node: dict) -> Step:
 # Rebuild the step of a recorded node from its recorded choices alone.
 _REBUILD = {
     "exact": lambda g, c, node: _exact(g),
-    "components": lambda g, c, node: _components(g, g.components()),
+    "components": lambda g, c, node: _components(g),
     "triangulate": lambda g, c, node: _triangulate(g),
     "reduce": _recorded_reduce,
     "split": lambda g, c, node: _split(g, c, _get(node, "triangle", _ids)),

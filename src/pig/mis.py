@@ -9,6 +9,16 @@ broken toward the lexicographically smallest vertex set.  The budget counts
 nodes, one per uncached ``alpha`` call on a non-empty pool; it bounds
 worst-case latency and is far from reachable on the small windows
 reductions use.
+
+A node pays for what its branch changed, not for its whole pool.  The peel
+starts from ``dirty`` and re-queues only the neighbours of what it removes,
+then one pass over the lowest vertex's component both splits it off and
+picks the branch vertex.  The invariant is that no vertex of the pool
+outside ``dirty`` is peelable: a vertex's peel status (pool degree ≤ 1, or
+N[x] ⊆ N[j] for a pool neighbour j) changes only when it loses a pool
+neighbour.  A peeled pool has no peelable vertex, so a component split
+passes nothing, the skip branch passes N(v) and the take branch passes the
+neighbours of N(v).
 """
 
 from __future__ import annotations
@@ -64,21 +74,23 @@ class _Solver:
         if self.nodes > self.budget:
             raise OracleBudgetExceeded(f"exceeded {self.budget} nodes")
 
-    def alpha(self, pool: int) -> int:
+    def alpha(self, pool: int, dirty: int) -> int:
+        """α of ``pool``; no vertex of ``pool`` outside ``dirty`` may be
+        peelable (pass ``pool`` itself when nothing is known)."""
         if pool == 0:
             return 0
         known = self.memo.get(pool)
         if known is None:
             self._tick()
-            known = self.memo[pool] = self._solve(pool)
+            known = self.memo[pool] = self._solve(pool, dirty)
         return known
 
-    def _solve(self, pool: int) -> int:
+    def _solve(self, pool: int, dirty: int) -> int:
         masks = self.masks
         # peel degree-0/1 vertices and vertices dominated by a neighbour;
         # a removal re-queues the neighbours it may have made peelable
         total = 0
-        p = pool
+        p = pool & dirty
         while p:
             low = p & -p
             p ^= low
@@ -107,49 +119,48 @@ class _Solver:
                         p |= masks[j] & pool
         if pool == 0:
             return total
-        # split off one connected component
-        low = pool & -pool
-        comp = low
-        frontier = low
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= masks[b.bit_length() - 1] & pool
-            nxt &= ~comp
-            comp |= nxt
-            frontier = nxt
-        if comp != pool:
-            return total + self.alpha(comp) + self.alpha(pool ^ comp)
-        # connected, min degree >= 2: a cycle if max degree <= 2
+        # one pass over the lowest vertex's component: its vertex set and its
+        # vertex of maximum degree, ties toward the lowest index
+        comp = todo = pool & -pool
         best_i, best_d = -1, -1
-        p = pool
-        while p:
-            b = p & -p
-            p ^= b
+        while todo:
+            b = todo & -todo
+            todo ^= b
             i = b.bit_length() - 1
-            d = (masks[i] & pool).bit_count()
-            if d > best_d:
-                best_d = d
-                best_i = i
+            nb = masks[i] & pool
+            d = nb.bit_count()
+            if d > best_d or (d == best_d and i < best_i):
+                best_i, best_d = i, d
+            nb &= ~comp
+            comp |= nb
+            todo |= nb
+        if comp != pool:
+            return total + self.alpha(comp, 0) + self.alpha(pool ^ comp, 0)
+        # connected, min degree >= 2: a cycle if max degree <= 2
         if best_d <= 2:
             return total + pool.bit_count() // 2
         v = 1 << best_i
-        take = 1 + self.alpha(pool & ~(v | masks[best_i]))
-        skip = self.alpha(pool ^ v)
+        nv = masks[best_i] & pool
+        # taking v removes N[v]: only the neighbours of N(v) lose one
+        around = 0
+        q = nv
+        while q:
+            b = q & -q
+            q ^= b
+            around |= masks[b.bit_length() - 1]
+        take = 1 + self.alpha(pool & ~(v | nv), around)
+        skip = self.alpha(pool ^ v, nv)
         return total + max(take, skip)
 
     def lex_smallest_optimum(self, pool: int) -> list[int]:
-        target = self.alpha(pool)
+        target = self.alpha(pool, pool)
         out: list[int] = []
         for i in range(len(self.ids)):
             bit = 1 << i
             if not pool & bit:
                 continue
             rest = pool & ~(bit | self.masks[i])
-            if self.alpha(rest) == target - 1:
+            if self.alpha(rest, rest) == target - 1:
                 out.append(self.ids[i])
                 pool = rest
                 target -= 1
@@ -169,7 +180,8 @@ def _solver(g, vertices: Iterable[int] | None, budget: int | None) -> _Solver:
 def alpha(g, vertices: Iterable[int] | None = None, budget: int | None = None) -> int:
     """Independence number of g (or of the induced subgraph on vertices)."""
     s = _solver(g, vertices, budget)
-    return s.alpha((1 << len(s.ids)) - 1)
+    pool = (1 << len(s.ids)) - 1
+    return s.alpha(pool, pool)
 
 
 def mis_exact(
@@ -190,7 +202,7 @@ def alpha_at_least(
     pool = (1 << len(s.ids)) - 1
     if pool.bit_count() < k:
         return False
-    return s.alpha(pool) >= k
+    return s.alpha(pool, pool) >= k
 
 
 def verify_independent(g, s: Iterable[int]) -> bool:

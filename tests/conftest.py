@@ -1,17 +1,82 @@
 import itertools
 import json
+from dataclasses import dataclass
 
 import pytest
 
-from pig.graph import (
-    EmbeddedGraph,
-    cube,
-    embedded_from_faces,
-    icosahedron,
-    k4,
-    octahedron,
-    stacked_k4s,
-)
+from pig.graph import EmbeddedGraph, GraphError, embedded_from_faces, icosahedron
+
+
+# -- small fixed graphs ---------------------------------------------------------
+
+
+def k4() -> EmbeddedGraph:
+    return embedded_from_faces([(1, 2, 3), (1, 3, 4), (1, 4, 2), (2, 4, 3)])
+
+
+def embedded_cycle(k: int) -> EmbeddedGraph:
+    if k < 3:
+        raise GraphError("cycle needs k >= 3")
+    rot = {
+        i + 1: ((i - 1) % k + 1, (i + 1) % k + 1) for i in range(k)
+    }
+    return EmbeddedGraph(rot)
+
+
+def octahedron() -> EmbeddedGraph:
+    return embedded_from_faces(
+        [
+            (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 2),
+            (6, 3, 2), (6, 4, 3), (6, 5, 4), (6, 2, 5),
+        ]
+    )
+
+
+def cube() -> EmbeddedGraph:
+    return embedded_from_faces(
+        [
+            (1, 2, 3, 4), (5, 8, 7, 6),
+            (1, 5, 6, 2), (2, 6, 7, 3), (3, 7, 8, 4), (4, 8, 5, 1),
+        ]
+    )
+
+
+def stacked_k4s() -> EmbeddedGraph:
+    """Two K4s glued on triangle {1,2,3}; apexes 4 and 5.  The glue triangle
+    is separating."""
+    return embedded_from_faces(
+        [
+            (1, 2, 4), (2, 3, 4), (3, 1, 4),
+            (2, 1, 5), (3, 2, 5), (1, 3, 5),
+        ]
+    )
+
+
+@dataclass(frozen=True)
+class NeighborCycle:
+    """Rotation order of N(v) plus whether it is the induced structure."""
+
+    order: tuple[int, ...]
+    is_cycle: bool          # consecutive rotation neighbors are adjacent
+    is_induced_cycle: bool  # additionally no chords inside N(v)
+    chords: tuple[tuple[int, int], ...]
+
+
+def neighbor_cycle(g: EmbeddedGraph, v: int) -> NeighborCycle:
+    order = g.rotation(v)
+    k = len(order)
+    if k < 3:
+        return NeighborCycle(order, False, False, ())
+    is_cycle = all(g.adjacent(order[i], order[(i + 1) % k]) for i in range(k))
+    chords = []
+    for i in range(k):
+        for j in range(i + 2, k):
+            if i == 0 and j == k - 1:
+                continue
+            if g.adjacent(order[i], order[j]):
+                chords.append((order[i], order[j]))
+    induced = is_cycle and not chords
+    return NeighborCycle(order, is_cycle, induced, tuple(chords))
 
 
 @pytest.fixture(scope="session")

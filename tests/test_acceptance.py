@@ -18,7 +18,7 @@ from pig.configs import detect_apex_pair
 from pig.discharge import main_phases, run_warmup
 from pig.extract import IncompletenessDiagnostic, check_certificate, extract
 from pig.generate import GenSpec, generate
-from pig.graph import EmbeddedGraph, k4
+from pig.graph import EmbeddedGraph
 from pig.reduce import (
     Ratio,
     ReductionPlan,
@@ -31,7 +31,7 @@ from pig.reduce import (
     split_subproblems,
 )
 
-from conftest import seven_ring_fixture
+from conftest import k4, seven_ring_fixture
 
 C13 = Ratio(3, 13)
 C5 = Ratio(1, 5)

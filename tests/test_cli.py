@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 import pig
-from conftest import drum, glued_pair, v1_document
+from conftest import cube, drum, embedded_cycle, glued_pair, v1_document
 from pig.cli import main
 from pig.extract import CERT_FORMAT, extract
 from pig.generate import GenSpec, generate
-from pig.graph import cube, embedded_cycle, icosahedron, parse_rotation_graph
+from pig.graph import icosahedron, parse_rotation_graph
 from pig.reduce import LiftError, PlanRejected
 
 

@@ -16,9 +16,9 @@ from pig.discharge import (
     run_warmup,
 )
 from pig.generate import GenSpec, generate
-from pig.graph import neighbor_cycle, separating_triangles
+from pig.graph import separating_triangles
 
-from conftest import seven_ring_fixture
+from conftest import neighbor_cycle, seven_ring_fixture
 
 F = Fraction
 
@@ -354,8 +354,7 @@ class TestNegativeVertices:
 
 
 def precondition_graph(name):
-    from conftest import glued_pair
-    from pig.graph import cube, octahedron, stacked_k4s
+    from conftest import cube, glued_pair, octahedron, stacked_k4s
 
     if name == "glued-16-14":
         return glued_pair(16, 14)

@@ -9,15 +9,13 @@ from pig.graph import (
     ParseError,
     _canonical,
     _local_faces,
-    embedded_cycle,
-    neighbor_cycle,
     parse_rotation_graph,
     separating_triangles,
     triangulate,
 )
 from pig.generate import GenSpec, generate
 
-from conftest import brute_separating_triangles
+from conftest import brute_separating_triangles, embedded_cycle, neighbor_cycle
 
 
 def euler_ok(g):
@@ -460,7 +458,8 @@ class TestLocalEdits:
         assert cert.size >= cert.bound
 
     def test_triangulate_corrupted_rotation_raises(self):
-        from pig.graph import EmbeddingError, icosahedron, octahedron
+        from conftest import octahedron
+        from pig.graph import EmbeddingError, icosahedron
 
         for base in (octahedron(), icosahedron()):
             bad = _corrupted(base, 1)

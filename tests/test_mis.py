@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from pig import mis
 from pig.generate import GenSpec, generate
-from pig.graph import embedded_cycle, parse_rotation_graph, stacked_k4s
+from pig.graph import parse_rotation_graph
 
-from conftest import brute_alpha
+from conftest import brute_alpha, embedded_cycle, stacked_k4s
 
 
 class _Bare:
@@ -203,7 +203,8 @@ def test_domination_cases(g, expected):
     assert mis.mis_exact(g) == _lex_smallest_optimum(g, len(expected)) == expected
     # every vertex is peeled or dominated: one node, no branching
     s = mis._solver(g, None, None)
-    s.alpha((1 << len(s.ids)) - 1)
+    pool = (1 << len(s.ids)) - 1
+    s.alpha(pool, pool)
     assert s.nodes == 1
 
 
@@ -229,5 +230,80 @@ def test_oracle_exact_optima_pinned(n, seed):
 def test_branch_nodes_flagged_n70():
     # without the memo and the domination rule this takes 19,011 nodes
     s = mis._solver(_oracle_graph(70, 7), None, None)
-    assert s.alpha((1 << len(s.ids)) - 1) == 22
+    pool = (1 << len(s.ids)) - 1
+    assert s.alpha(pool, pool) == 22
     assert s.nodes <= 1_000
+
+
+# (n, seed): branch nodes of alpha and of mis_exact, each on a fresh solver.
+# They pin the search tree: a change to the peel, the split or the choice of
+# branch vertex moves them.
+ORACLE_NODES = {
+    (50, 7): (156, 237),
+    (55, 7): (118, 192),
+    (60, 0): (144, 229),
+    (65, 0): (179, 271),
+    (70, 7): (141, 195),
+    (70, 0): (198, 473),
+    (70, 1): (227, 363),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(ORACLE_NODES))
+def test_branch_nodes_pinned(n, seed):
+    g = _oracle_graph(n, seed)
+    s = mis._solver(g, None, None)
+    pool = (1 << len(s.ids)) - 1
+    s.alpha(pool, pool)
+    t = mis._solver(g, None, None)
+    t.lex_smallest_optimum(pool)
+    assert (s.nodes, t.nodes) == ORACLE_NODES[n, seed]
+
+
+class _PeelEverything(mis._Solver):
+    """Starts every node's peel at every vertex of its pool."""
+
+    def alpha(self, pool, dirty):
+        return super().alpha(pool, pool)
+
+
+@st.composite
+def _sparse_graphs(draw, max_n, max_degree):
+    """Graphs on 1..n whose degrees stay at most max_degree: paths,
+    cycles, pendant cycles and cubic pieces."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.permutations(list(itertools.combinations(range(1, n + 1), 2))))
+    deg = dict.fromkeys(range(1, n + 1), 0)
+    edges = []
+    for a, b in pairs[: draw(st.integers(0, 2 * n))]:
+        if deg[a] < max_degree and deg[b] < max_degree:
+            deg[a] += 1
+            deg[b] += 1
+            edges.append((a, b))
+    return _Bare(n, edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_small_graphs(), _sparse_graphs(24, 4)))
+def test_dirty_peel_matches_full_peel(g):
+    # no vertex outside dirty is peelable, so peeling only from dirty
+    # removes what peeling from every vertex removes, node for node
+    ids = list(g.vertices)
+    nbr = {v: g.neighbors(v) for v in ids}
+    s = mis._Solver(ids, nbr, mis.DEFAULT_BUDGET)
+    ref = _PeelEverything(ids, nbr, mis.DEFAULT_BUDGET)
+    pool = (1 << len(ids)) - 1
+    assert s.alpha(pool, pool) == ref.alpha(pool, pool)
+    assert s.nodes == ref.nodes
+    assert s.lex_smallest_optimum(pool) == ref.lex_smallest_optimum(pool)
+    assert s.nodes == ref.nodes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_sparse_graphs(16, 3))
+def test_max_degree_three_matches_brute_force(g):
+    # paths and pendant cycles: a missed degree-1 peel would reach the
+    # cycle closed form on a graph that is not a cycle
+    a = brute_alpha(g)
+    assert mis.alpha(g) == a
+    assert mis.mis_exact(g) == _lex_smallest_optimum(g, a)
