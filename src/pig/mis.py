@@ -141,7 +141,7 @@ class _Solver:
             return total + pool.bit_count() // 2
         v = 1 << best_i
         nv = masks[best_i] & pool
-        # taking v removes N[v]: only the neighbours of N(v) lose one
+        # taking v removes N[v]: only the neighbours of N(v) lose a neighbour
         around = 0
         q = nv
         while q:
