@@ -4,11 +4,20 @@ Bitmask branch and reduce: peel degree-0/1 vertices and dominated vertices
 (u, v adjacent with N[u] ⊆ N[v]: drop v), split off components, close
 cycles in closed form, else branch on a vertex of maximum degree.  Each
 public call builds one solver whose memo maps every pool it has solved to
-its α; nothing outlives the call.  Deterministic: ties in the optimum are
-broken toward the lexicographically smallest vertex set.  The budget counts
-nodes, one per uncached ``alpha`` call on a non-empty pool; it bounds
-worst-case latency and is far from reachable on the small windows
-reductions use.
+its α and a witness, one maximum independent set of the pool as a bitmask;
+nothing outlives the call.  Deterministic: ties in the optimum are broken
+toward the lexicographically smallest vertex set.  The budget counts nodes,
+one per uncached ``solve`` call on a non-empty pool; it bounds worst-case
+latency and is far from reachable on the small windows reductions use.
+
+The peel finds all dominated neighbours of i in one AND over N(i), which
+stops as soon as it is empty (no neighbour dominates i, the common case).
+Any two of them are adjacent, so dropping them together drops what dropping
+them in turn would.  The lexicographic search accepts a vertex of its
+current witness without a query, since the witness without it is an
+optimum of the rest; it asks the solver only about the other vertices, and
+a branch tie keeps the witness holding the lowest vertex the two differ in,
+so the witness tends to agree with the answer.
 
 A node pays for what its branch changed, not for its whole pool.  The peel
 starts from ``dirty`` and re-queues only the neighbours of what it removes,
@@ -67,29 +76,30 @@ class _Solver:
             self.masks[i] = acc
         self.budget = budget
         self.nodes = 0
-        self.memo: dict[int, int] = {}
+        self.memo: dict[int, tuple[int, int]] = {}
 
     def _tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise OracleBudgetExceeded(f"exceeded {self.budget} nodes")
 
-    def alpha(self, pool: int, dirty: int) -> int:
-        """α of ``pool``; no vertex of ``pool`` outside ``dirty`` may be
-        peelable (pass ``pool`` itself when nothing is known)."""
+    def solve(self, pool: int, dirty: int) -> tuple[int, int]:
+        """(α, witness) of ``pool``; no vertex of ``pool`` outside ``dirty``
+        may be peelable (pass ``pool`` itself when nothing is known)."""
         if pool == 0:
-            return 0
+            return 0, 0
         known = self.memo.get(pool)
         if known is None:
             self._tick()
             known = self.memo[pool] = self._solve(pool, dirty)
         return known
 
-    def _solve(self, pool: int, dirty: int) -> int:
+    def _peel(self, pool: int, dirty: int) -> tuple[int, int]:
+        """Peel degree-0/1 and dominated vertices; returns the rest of the
+        pool and the peeled vertices some optimum takes.  A removal re-queues
+        the neighbours it may have made peelable."""
         masks = self.masks
-        # peel degree-0/1 vertices and vertices dominated by a neighbour;
-        # a removal re-queues the neighbours it may have made peelable
-        total = 0
+        taken = 0
         p = pool & dirty
         while p:
             low = p & -p
@@ -100,25 +110,36 @@ class _Solver:
             nb = masks[i] & pool
             if nb == 0:
                 pool ^= low
-                total += 1
+                taken |= low
             elif nb & (nb - 1) == 0:
                 pool &= ~(low | nb)
-                total += 1
+                taken |= low
                 p |= masks[nb.bit_length() - 1] & pool
             else:
-                # N[i] ⊆ N[j] for a neighbour j: some optimum avoids j
-                closed = nb | low
+                # the neighbours j with N[i] ⊆ N[j]: some optimum avoids them
+                dom = nb
                 q = nb
                 while q:
                     b = q & -q
                     q ^= b
-                    j = b.bit_length() - 1
-                    if not closed & ~(masks[j] | b):
-                        pool ^= b
-                        closed ^= b
-                        p |= masks[j] & pool
+                    dom &= masks[b.bit_length() - 1] | b
+                    if not dom:
+                        break
+                else:
+                    pool ^= dom
+                    while dom:
+                        b = dom & -dom
+                        dom ^= b
+                        p |= masks[b.bit_length() - 1]
+                    p &= pool
+        return pool, taken
+
+    def _solve(self, pool: int, dirty: int) -> tuple[int, int]:
+        masks = self.masks
+        pool, taken = self._peel(pool, dirty)
+        total = taken.bit_count()
         if pool == 0:
-            return total
+            return total, taken
         # one pass over the lowest vertex's component: its vertex set and its
         # vertex of maximum degree, ties toward the lowest index
         comp = todo = pool & -pool
@@ -135,10 +156,20 @@ class _Solver:
             comp |= nb
             todo |= nb
         if comp != pool:
-            return total + self.alpha(comp, 0) + self.alpha(pool ^ comp, 0)
-        # connected, min degree >= 2: a cycle if max degree <= 2
+            a, w = self.solve(comp, 0)
+            c, x = self.solve(pool ^ comp, 0)
+            return total + a + c, taken | w | x
+        # connected, min degree >= 2: a cycle if max degree <= 2; take every
+        # other vertex, walking from the lowest toward its lower neighbour
         if best_d <= 2:
-            return total + pool.bit_count() // 2
+            k = pool.bit_count()
+            prev, cur = 0, pool & -pool
+            for t in range(k - 1):
+                if not t & 1:
+                    taken |= cur
+                nxt = masks[cur.bit_length() - 1] & pool & ~prev
+                prev, cur = cur, nxt & -nxt
+            return total + k // 2, taken
         v = 1 << best_i
         nv = masks[best_i] & pool
         # taking v removes N[v]: only the neighbours of N(v) lose a neighbour
@@ -148,31 +179,45 @@ class _Solver:
             b = q & -q
             q ^= b
             around |= masks[b.bit_length() - 1]
-        take = 1 + self.alpha(pool & ~(v | nv), around)
-        skip = self.alpha(pool ^ v, nv)
-        return total + max(take, skip)
+        take, tw = self.solve(pool & ~(v | nv), around)
+        skip, sw = self.solve(pool ^ v, nv)
+        take += 1
+        tw |= v
+        # on a tie keep the witness holding the lowest vertex they differ in
+        d = tw ^ sw
+        if take > skip or (take == skip and d & -d & tw):
+            return total + take, taken | tw
+        return total + skip, taken | sw
 
     def lex_smallest_optimum(self, pool: int) -> list[int]:
-        target = self.alpha(pool, pool)
+        """Accept each vertex, lowest first, iff it lies in some optimum of
+        what is left.  A vertex of the current witness needs no query: the
+        witness without it is an optimum of the rest."""
+        target, witness = self.solve(pool, pool)
         out: list[int] = []
         for i in range(len(self.ids)):
+            if target == 0:
+                break
             bit = 1 << i
             if not pool & bit:
                 continue
             rest = pool & ~(bit | self.masks[i])
-            if self.alpha(rest, rest) == target - 1:
-                out.append(self.ids[i])
-                pool = rest
-                target -= 1
-                if target == 0:
-                    break
+            if witness & bit:
+                witness ^= bit
             else:
-                pool ^= bit
+                a, w = self.solve(rest, rest)
+                if a != target - 1:
+                    pool ^= bit
+                    continue
+                witness = w
+            out.append(self.ids[i])
+            pool = rest
+            target -= 1
         return out
 
 
 def _solver(g, vertices: Iterable[int] | None, budget: int | None) -> _Solver:
-    ids = sorted(vertices) if vertices is not None else list(g.vertices)
+    ids = sorted(set(vertices)) if vertices is not None else list(g.vertices)
     nbr = {v: g.neighbors(v) for v in ids}
     return _Solver(ids, nbr, budget if budget is not None else default_budget())
 
@@ -181,7 +226,7 @@ def alpha(g, vertices: Iterable[int] | None = None, budget: int | None = None) -
     """Independence number of g (or of the induced subgraph on vertices)."""
     s = _solver(g, vertices, budget)
     pool = (1 << len(s.ids)) - 1
-    return s.alpha(pool, pool)
+    return s.solve(pool, pool)[0]
 
 
 def mis_exact(
@@ -202,7 +247,7 @@ def alpha_at_least(
     pool = (1 << len(s.ids)) - 1
     if pool.bit_count() < k:
         return False
-    return s.alpha(pool, pool) >= k
+    return s.solve(pool, pool)[0] >= k
 
 
 def verify_independent(g, s: Iterable[int]) -> bool:

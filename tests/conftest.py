@@ -104,6 +104,22 @@ def graph_stacked():
     return stacked_k4s()
 
 
+# (n, seed) of a flagged triangulation: the lexicographically smallest
+# optimum the oracle returns on it (the `oracle-exact` inputs).
+ORACLE_EXACT_OPTIMA = {
+    (50, 7): (5, 8, 19, 20, 25, 29, 30, 31, 32, 33, 37, 40, 42, 45, 46, 48),
+    (55, 7): (1, 2, 4, 5, 8, 12, 16, 22, 30, 31, 33, 38, 40, 42, 45, 49, 54),
+    (60, 0): (1, 2, 3, 5, 6, 7, 8, 19, 20, 24, 39, 40, 42, 47, 48, 51, 57, 58),
+    (65, 0): (
+        1, 2, 3, 12, 19, 21, 25, 31, 33, 35, 37, 38, 39, 42, 47, 48, 49, 57, 59, 65,
+    ),
+    (70, 7): (
+        4, 6, 7, 8, 10, 17, 18, 23, 29, 30, 31, 32, 33, 44, 49, 55, 56, 57, 60,
+        62, 68, 70,
+    ),
+}
+
+
 def brute_alpha(g) -> int:
     """Independent reference: enumerate all subsets, largest independent."""
     vs = g.vertices

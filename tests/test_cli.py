@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 import pig
-from conftest import cube, drum, embedded_cycle, glued_pair, v1_document
+from conftest import (
+    ORACLE_EXACT_OPTIMA,
+    cube,
+    drum,
+    embedded_cycle,
+    glued_pair,
+    v1_document,
+)
 from pig.cli import main
 from pig.extract import CERT_FORMAT, extract
 from pig.generate import GenSpec, generate
@@ -38,10 +45,19 @@ def test_gen_writes_parseable(rot_file, capsys):
     assert text.splitlines()[0] == "30 84"
 
 
-def test_alpha(rot_file, capsys):
-    assert main(["alpha", str(rot_file)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("alpha=")
+def test_alpha(tmp_path, capsys):
+    path = tmp_path / "f60.rot"
+    code = main(
+        ["gen", "--n", "60", "--seed", "0", "--delta5", "--no-septri", "-o", str(path)]
+    )
+    assert code == 0
+    capsys.readouterr()
+    assert main(["alpha", str(path)]) == 0
+    best = ORACLE_EXACT_OPTIMA[60, 0]
+    assert capsys.readouterr().out.splitlines() == [
+        f"alpha={len(best)}",
+        "set: " + " ".join(map(str, best)),
+    ]
 
 
 def test_extract_verify_and_check_cert(rot_file, tmp_path, capsys):

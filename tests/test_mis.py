@@ -8,7 +8,7 @@ from pig import mis
 from pig.generate import GenSpec, generate
 from pig.graph import parse_rotation_graph
 
-from conftest import brute_alpha, embedded_cycle, stacked_k4s
+from conftest import ORACLE_EXACT_OPTIMA, brute_alpha, embedded_cycle, stacked_k4s
 
 
 class _Bare:
@@ -204,22 +204,8 @@ def test_domination_cases(g, expected):
     # every vertex is peeled or dominated: one node, no branching
     s = mis._solver(g, None, None)
     pool = (1 << len(s.ids)) - 1
-    s.alpha(pool, pool)
+    s.solve(pool, pool)
     assert s.nodes == 1
-
-
-ORACLE_EXACT_OPTIMA = {
-    (50, 7): (5, 8, 19, 20, 25, 29, 30, 31, 32, 33, 37, 40, 42, 45, 46, 48),
-    (55, 7): (1, 2, 4, 5, 8, 12, 16, 22, 30, 31, 33, 38, 40, 42, 45, 49, 54),
-    (60, 0): (1, 2, 3, 5, 6, 7, 8, 19, 20, 24, 39, 40, 42, 47, 48, 51, 57, 58),
-    (65, 0): (
-        1, 2, 3, 12, 19, 21, 25, 31, 33, 35, 37, 38, 39, 42, 47, 48, 49, 57, 59, 65,
-    ),
-    (70, 7): (
-        4, 6, 7, 8, 10, 17, 18, 23, 29, 30, 31, 32, 33, 44, 49, 55, 56, 57, 60,
-        62, 68, 70,
-    ),
-}
 
 
 @pytest.mark.parametrize("n, seed", sorted(ORACLE_EXACT_OPTIMA))
@@ -231,21 +217,22 @@ def test_branch_nodes_flagged_n70():
     # without the memo and the domination rule this takes 19,011 nodes
     s = mis._solver(_oracle_graph(70, 7), None, None)
     pool = (1 << len(s.ids)) - 1
-    assert s.alpha(pool, pool) == 22
+    assert s.solve(pool, pool)[0] == 22
     assert s.nodes <= 1_000
 
 
 # (n, seed): branch nodes of alpha and of mis_exact, each on a fresh solver.
 # They pin the search tree: a change to the peel, the split or the choice of
-# branch vertex moves them.
+# branch vertex moves them, and so does a change to how witnesses are built
+# (mis_exact queries only the vertices its witness leaves open).
 ORACLE_NODES = {
-    (50, 7): (156, 237),
-    (55, 7): (118, 192),
-    (60, 0): (144, 229),
-    (65, 0): (179, 271),
-    (70, 7): (141, 195),
-    (70, 0): (198, 473),
-    (70, 1): (227, 363),
+    (50, 7): (156, 206),
+    (55, 7): (118, 124),
+    (60, 0): (144, 153),
+    (65, 0): (179, 194),
+    (70, 7): (141, 173),
+    (70, 0): (198, 415),
+    (70, 1): (227, 290),
 }
 
 
@@ -254,7 +241,7 @@ def test_branch_nodes_pinned(n, seed):
     g = _oracle_graph(n, seed)
     s = mis._solver(g, None, None)
     pool = (1 << len(s.ids)) - 1
-    s.alpha(pool, pool)
+    s.solve(pool, pool)
     t = mis._solver(g, None, None)
     t.lex_smallest_optimum(pool)
     assert (s.nodes, t.nodes) == ORACLE_NODES[n, seed]
@@ -263,8 +250,8 @@ def test_branch_nodes_pinned(n, seed):
 class _PeelEverything(mis._Solver):
     """Starts every node's peel at every vertex of its pool."""
 
-    def alpha(self, pool, dirty):
-        return super().alpha(pool, pool)
+    def solve(self, pool, dirty):
+        return super().solve(pool, pool)
 
 
 @st.composite
@@ -293,7 +280,7 @@ def test_dirty_peel_matches_full_peel(g):
     s = mis._Solver(ids, nbr, mis.DEFAULT_BUDGET)
     ref = _PeelEverything(ids, nbr, mis.DEFAULT_BUDGET)
     pool = (1 << len(ids)) - 1
-    assert s.alpha(pool, pool) == ref.alpha(pool, pool)
+    assert s.solve(pool, pool) == ref.solve(pool, pool)
     assert s.nodes == ref.nodes
     assert s.lex_smallest_optimum(pool) == ref.lex_smallest_optimum(pool)
     assert s.nodes == ref.nodes
@@ -307,3 +294,91 @@ def test_max_degree_three_matches_brute_force(g):
     a = brute_alpha(g)
     assert mis.alpha(g) == a
     assert mis.mis_exact(g) == _lex_smallest_optimum(g, a)
+
+
+def test_duplicate_vertices_count_once():
+    triangle = _Bare(3, [(1, 2), (2, 3), (1, 3)])
+    assert mis.alpha(triangle, [1, 1]) == 1
+    assert mis.mis_exact(triangle, [1, 1]) == (1,)
+    assert not mis.alpha_at_least(triangle, 2, [1, 1])
+    assert mis.alpha_at_least(triangle, 1, iter([3, 3, 3]))
+
+
+def _assert_witnesses(s):
+    for pool, (a, w) in s.memo.items():
+        assert w & ~pool == 0
+        assert w.bit_count() == a
+        q = w
+        while q:
+            b = q & -q
+            q ^= b
+            assert not s.masks[b.bit_length() - 1] & w
+
+
+class _OneAtATimeDomination(mis._Solver):
+    """Drops dominated neighbours one at a time, re-testing each against the
+    closed neighbourhood left by the drops before it."""
+
+    def _peel(self, pool, dirty):
+        masks = self.masks
+        taken = 0
+        p = pool & dirty
+        while p:
+            low = p & -p
+            p ^= low
+            if not pool & low:
+                continue
+            i = low.bit_length() - 1
+            nb = masks[i] & pool
+            if nb == 0:
+                pool ^= low
+                taken |= low
+            elif nb & (nb - 1) == 0:
+                pool &= ~(low | nb)
+                taken |= low
+                p |= masks[nb.bit_length() - 1] & pool
+            else:
+                closed = nb | low
+                q = nb
+                while q:
+                    b = q & -q
+                    q ^= b
+                    j = b.bit_length() - 1
+                    if not closed & ~(masks[j] | b):
+                        pool ^= b
+                        closed ^= b
+                        p |= masks[j] & pool
+        return pool, taken
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_small_graphs(), _sparse_graphs(24, 4)))
+def test_witnesses_are_optima(g):
+    # every memo entry's witness is an independent subset of its pool of
+    # size α, after alpha and after the lexicographic search
+    ids = list(g.vertices)
+    nbr = {v: g.neighbors(v) for v in ids}
+    pool = (1 << len(ids)) - 1
+    s = mis._Solver(ids, nbr, mis.DEFAULT_BUDGET)
+    s.solve(pool, pool)
+    _assert_witnesses(s)
+    s.lex_smallest_optimum(pool)
+    _assert_witnesses(s)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_small_graphs(), _sparse_graphs(24, 4)))
+def test_batch_domination_matches_one_at_a_time(g):
+    # any two neighbours of i that dominate it are adjacent, so dropping
+    # them all at once drops what dropping them in turn drops
+    ids = list(g.vertices)
+    nbr = {v: g.neighbors(v) for v in ids}
+    pool = (1 << len(ids)) - 1
+    s = mis._Solver(ids, nbr, mis.DEFAULT_BUDGET)
+    ref = _OneAtATimeDomination(ids, nbr, mis.DEFAULT_BUDGET)
+    assert s.solve(pool, pool) == ref.solve(pool, pool)
+    assert s.nodes == ref.nodes
+    s = mis._Solver(ids, nbr, mis.DEFAULT_BUDGET)
+    ref = _OneAtATimeDomination(ids, nbr, mis.DEFAULT_BUDGET)
+    assert s.lex_smallest_optimum(pool) == ref.lex_smallest_optimum(pool)
+    assert s.nodes == ref.nodes
