@@ -32,6 +32,9 @@ SPECS = (
     {"family": "glued", "n1": 16, "n2": 14, "ratio": "3/13"},
     {"family": "drum", "rings": 8, "ratio": "3/13"},
     {"family": "geodesic", "levels": 1, "ratio": "3/13"},
+    # many hub vertices: plain-large's input, and a larger geodesic sphere
+    {"family": "plain", "n": 1000, "seed": 0, "ratio": "3/13"},
+    {"family": "geodesic", "levels": 2, "ratio": "3/13"},
 )
 
 
