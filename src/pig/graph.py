@@ -42,11 +42,14 @@ class EmbeddedGraph:
     neighbors.  The face tracing rule: the dart (u, v) is followed by
     (v, w) where w is the successor of u in the rotation at v.
 
-    A graph built here is validated whole.  Graphs derived from it
-    (``subgraph``, ``delete_set``, ``contract_set``, ``triangulate``) are
-    local edits: they share the parent's unchanged rotations and neighbor
-    sets, check only the rotations the edit touched, and re-trace only the
-    faces through the darts the edit names as changed.  Every graph knows
+    A graph built here is validated whole.  Every graph derived from it
+    (``subgraph``, ``delete_set``, ``contract_set``, ``triangulate``) is
+    one checked local edit, ``_edit``: it shares the parent's unchanged
+    rotations and neighbor sets, checks only the rotations the edit
+    touched, and re-traces only the faces through the darts the edit
+    names as changed.  Deletion and contraction share one rewrite of the
+    survivors' rotations, ``_without``; a small induced part is an edit
+    of the empty graph.  Every graph knows
     its face count, counting an isolated vertex as one face, its
     non-triangular faces and its number of components c, with
     n - m + faces = 2c by Euler's formula.
@@ -230,44 +233,23 @@ class EmbeddedGraph:
 
     def subgraph(self, keep: Iterable[int]) -> "EmbeddedGraph":
         """Induced subgraph; keeps ids and the inherited embedding."""
-        ks = set(keep)
-        bad = ks.difference(self._rot)  # probes the dict: O(|keep|)
-        if bad:
-            raise GraphError(f"unknown vertices {sorted(bad)}")
+        ks = self._known(keep)
         if 2 * len(ks) >= len(self._rot):
-            gone = self._rot.keys() - ks
-            darts: Darts = ([], [])
-            lost: dict[int, set[int]] = {}  # a survivor's gone neighbors
-            for v in gone:
-                for u in self._rot[v]:
-                    darts[0].append((u, v))
-                    if u not in gone:
-                        lost.setdefault(u, set()).add(v)
-            new = {}
-            for v, ls in lost.items():
-                ns = list(self._rot[v])
-                for u in ls:
-                    ns.remove(u)
-                new[v] = tuple(ns)
-                _changed_darts(v, self._rot[v], new[v], ls, (), darts)
-            return self._edit(new, gone, darts)
-        # A small part: build it from the kept side, in O(|keep|).
-        rot, adj = {}, {}
-        for v in sorted(ks):
-            if self._adj[v] <= ks:
-                rot[v], adj[v] = self._rot[v], self._adj[v]
-            else:
-                rot[v] = tuple(u for u in self._rot[v] if u in ks)
-                adj[v] = frozenset(rot[v])
-        darts = ([], [(u, v) for v, ns in rot.items() for u in ns])
-        return self._derive(rot, adj, rot.keys(), None, darts, None, self._next_id)
+            return self._without(self._rot.keys() - ks)
+        # A small part: an edit of the empty graph, in O(|keep|).
+        new = {v: tuple(u for u in self._rot[v] if u in ks) for v in sorted(ks)}
+        return self._edit(new, None, ([], [(u, v) for v, ns in new.items() for u in ns]))
 
     def delete_set(self, drop: Iterable[int]) -> "EmbeddedGraph":
-        ds = set(drop)
-        bad = ds.difference(self._rot)
+        return self.subgraph(self._rot.keys() - self._known(drop))
+
+    def _known(self, vs: Iterable[int]) -> set[int]:
+        """``vs`` as a set, all of them vertices of this graph."""
+        out = set(vs)
+        bad = out.difference(self._rot)  # probes the dict: O(|vs|)
         if bad:
             raise GraphError(f"unknown vertices {sorted(bad)}")
-        return self.subgraph(self._rot.keys() - ds)
+        return out
 
     def induces_connected(self, vs: Iterable[int]) -> bool:
         """Whether ``vs`` is non-empty and induces a connected subgraph: one
@@ -287,20 +269,15 @@ class EmbeddedGraph:
         ``drop`` and their neighbors are read or rewritten.  The result is
         ``contract_set(part)`` followed by ``delete_set(drop)``.
         """
-        ps = sorted(set(part))
-        ds = set(drop)
+        ps, ds = sorted(self._known(part)), self._known(drop)
         if not ps:
             raise GraphError("cannot contract an empty set")
-        for v in itertools.chain(ps, ds):
-            if v not in self._rot:
-                raise GraphError(f"unknown vertex {v}")
         if ds.intersection(ps):
             raise GraphError("cannot contract and delete the same vertex")
         if not self.induces_connected(ps):
             raise GraphError(f"contraction set {ps} does not induce a connected subgraph")
 
         rot = self._rot
-        new_id = self._next_id
         # The merged rotation as (owner, target) darts, owner in the part.
         root = ps[0]
         ring = [(root, w) for w in rot[root]]
@@ -321,131 +298,128 @@ class EmbeddedGraph:
             # Parallel edges between the merged vertices became loops.
             ring = [d for d in ring if d[1] not in merged]
 
-        # Collapse parallel edges at the merged vertex, keeping first slots;
-        # a neighbor renames the first and drops the twins of the rest, and
-        # every survivor drops its neighbors in ``drop``.
+        # Collapse parallel edges at the merged vertex, keeping first slots.
         at: dict[int, int] = {}  # neighbor -> its first merged neighbor
         for p, w in ring:
             at.setdefault(w, p)
-        gone = merged | ds
-        new = {new_id: tuple(w for w in at if w not in ds)}
-        darts: Darts = (
-            [(x, p) for p in gone for x in rot[p]],
-            [(w, new_id) for w in new[new_id]],
-        )
-        for w in dict.fromkeys(w for p in gone for w in rot[p] if w not in gone):
-            ns, first = rot[w], at.get(w)
-            new[w] = tuple(
-                new_id if u == first else u for u in ns if u == first or u not in gone
-            )
-            inserted = () if first is None else (new_id,)
-            _changed_darts(w, ns, new[w], gone.intersection(ns), inserted, darts)
         # A component of this graph inside ``drop`` vanishes.
         adj, ncomp = self._adj, self._ncomp
         left = ds - _reach(adj, [d for d in ds if not adj[d] <= ds], ds)
         while left:
             ncomp -= 1
             left -= _reach(adj, [min(left)], left)
-        g = self._edit(new, gone, darts, ncomp=ncomp, next_id=new_id + 1)
-        return g, new_id
+        return self._without(merged | ds, at, ncomp), self._next_id
 
-    def _edit(
-        self,
-        new: dict[int, tuple[int, ...]],
-        gone: Collection[int],
-        darts: Darts,
-        *,
+    def _without(
+        self, gone: Collection[int], at: Mapping[int, int] | None = None,
         ncomp: int | None = None,
-        next_id: int | None = None,
     ) -> "EmbeddedGraph":
-        """This graph without ``gone`` and with the rotations in ``new``
-        (of touched or fresh vertices); the maps are copied, not rebuilt.
-        ``darts`` names every dart whose successor the edit changed, on
-        either side; a dart whose face did not change may be named only if
-        it is named on both sides (see ``_derive``)."""
-        rot, adj = dict(self._rot), dict(self._adj)
+        """This graph without ``gone``, as one edit: every survivor drops
+        its gone neighbors from its rotation.  With ``at`` (a neighbor of
+        the contracted vertices -> its first contracted neighbor, in the
+        merged rotation's order) the edit is a contraction, even if ``at``
+        is empty: the fresh vertex ``next_id`` has the surviving keys of
+        ``at`` as its rotation and takes the slot of each neighbor's first
+        contracted neighbor, and ``ncomp`` is the component count."""
+        rot = self._rot
+        new: dict[int, tuple[int, ...]] = {}
+        darts: Darts = ([], [])
+        lost: dict[int, set[int]] = {}  # a survivor's gone neighbors
         for v in gone:
-            del rot[v], adj[v]
-        rot.update(new)
-        adj.update((v, frozenset(ns)) for v, ns in new.items())
-        return self._derive(
-            rot, adj, new.keys(), gone, darts, ncomp,
-            self._next_id if next_id is None else next_id,
+            for u in rot[v]:
+                darts[0].append((u, v))
+                if u not in gone:
+                    lost.setdefault(u, set()).add(v)
+        fresh = self._next_id
+        if at is not None:
+            new[fresh] = tuple(w for w in at if w not in gone)
+            darts[1].extend((w, fresh) for w in new[fresh])
+        for v, ls in lost.items():
+            ns, first = list(rot[v]), at.get(v) if at else None
+            for u in ls:
+                if u == first:
+                    ns[ns.index(u)] = fresh
+                else:
+                    ns.remove(u)
+            new[v] = tuple(ns)
+            inserted = () if first is None else (fresh,)
+            _changed_darts(v, rot[v], new[v], ls, inserted, darts)
+        return self._edit(
+            new, gone, darts, ncomp=ncomp,
+            next_id=None if at is None else fresh + 1,
         )
 
-    def _derive(
-        self,
-        rot: dict[int, tuple[int, ...]],
-        adj: dict[int, frozenset[int]],
-        touched: Collection[int],
-        gone: Collection[int] | None,
-        darts: Darts,
-        ncomp: int | None,
-        next_id: int,
+    def _edit(
+        self, new: dict[int, tuple[int, ...]], gone: Collection[int] | None,
+        darts: Darts, *, ncomp: int | None = None, next_id: int | None = None,
     ) -> "EmbeddedGraph":
-        """The child graph with maps ``rot``/``adj``, checked where it differs.
+        """The child graph: this graph without ``gone`` and with the
+        rotations in ``new`` (of touched or fresh vertices), checked where
+        it differs.  The maps are copied, not rebuilt.  With ``gone`` None
+        the edit starts from the empty graph instead: every vertex of
+        ``new`` is fresh, and the parent's m, faces and holes count 0.
 
-        ``touched`` are the child's vertices with new rotations and ``gone``
-        the vertices it lost, or ``gone`` is None when the child was built
-        from its own vertices alone (then every vertex counts as touched).
         ``darts`` = (old, new) are the darts (x, v) of this graph and of
         the child whose successor at v the edit changed: every such dart
         must be named on its side (a dart that exists on one side only is
         changed), and a dart whose face did not change may be named only
         if it is named on both.  Faces are re-traced from these darts
-        alone; with ``gone`` None, new names every dart of the child.
-        ``ncomp`` is the component count the edit keeps, or None for a
-        deletion; Euler's formula is checked by ``_euler``.  An edit that
-        removes vertices and still gives a count (a contraction) keeps
+        alone.  ``ncomp`` is the component count the edit keeps, or None
+        for a deletion; Euler's formula is checked by ``_euler``.  An edit
+        that removes vertices and still gives a count (a contraction) keeps
         every edge between survivors and ties its fresh vertex to one
         component, so the count holds if one search from the fresh vertex,
         limited to the touched vertices, reaches them all; otherwise the
         components are counted afresh.
         """
-        g = EmbeddedGraph.__new__(EmbeddedGraph)
-        g._rot, g._adj, g._next_id, g._faces = rot, adj, next_id, None
-        g._buckets = g._septris = None
-        g._check_rotations(touched)
         if gone is None:
-            g._m = sum(len(rot[v]) for v in touched) // 2
-            nf, holes = _local_faces(rot, touched, darts[1])
+            was, adj, m, nf, holes, gone = {}, {}, 0, 0, (), ()
         else:
-            # an untouched survivor kept its rotation: what it lists must
-            # still exist and list it back
-            edited = [v for v in touched if v in self._rot]
-            for v in itertools.chain(edited, gone):
-                for u in self._rot[v]:
-                    if u in rot and u not in touched and u not in adj.get(v, ()):
-                        raise EmbeddingError(
-                            f"asymmetric adjacency: {u} lists {v} but not vice versa"
-                        )
-            degrees = sum(len(rot[v]) for v in touched) - sum(
-                len(self._rot[v]) for v in itertools.chain(edited, gone)
-            )
-            g._m = self._m + degrees // 2
-            # A face changed iff one of its darts got a new successor.
-            nf, holes = self._face_stats()
-            old, old_holes = _local_faces(self._rot, [*edited, *gone], darts[0])
-            new, new_holes = _local_faces(rot, touched, darts[1])
-            nf += new - old
-            dropped = {_canonical(self._rot, h) for h in old_holes}
-            holes = [h for h in holes if h not in dropped] + new_holes
-            if ncomp is not None and gone:  # a contraction
-                fresh = [v for v in touched if v not in self._rot]
-                if len(_reach(adj, fresh[:1], set(touched))) != len(touched):
-                    g._ncomp = None
-                    ncomp = len(g.components())
+            was, adj, m, (nf, holes) = self._rot, self._adj, self._m, self._face_stats()
+        rot, adj = dict(was), dict(adj)
+        for v in gone:
+            del rot[v], adj[v]
+        rot.update(new)
+        adj.update((v, frozenset(ns)) for v, ns in new.items())
+        g = EmbeddedGraph.__new__(EmbeddedGraph)
+        g._rot, g._adj, g._faces = rot, adj, None
+        g._next_id = self._next_id if next_id is None else next_id
+        g._buckets = g._septris = None
+        g._check_rotations(new)
+        edited = [v for v in new if v in was]
+        degrees = sum(len(rot[v]) for v in new)
+        # an untouched survivor kept its rotation: what it lists must still
+        # exist and list it back
+        for v in itertools.chain(edited, gone):
+            degrees -= len(was[v])
+            for u in was[v]:
+                if u in rot and u not in new and u not in adj.get(v, ()):
+                    raise EmbeddingError(
+                        f"asymmetric adjacency: {u} lists {v} but not vice versa"
+                    )
+        g._m = m + degrees // 2
+        # A face changed iff one of its darts got a new successor.
+        old, old_holes = _local_faces(was, [*edited, *gone], darts[0])
+        count, new_holes = _local_faces(rot, new, darts[1])
+        nf += count - old
+        dropped = {_canonical(was, h) for h in old_holes}
+        holes = [h for h in holes if h not in dropped] + new_holes
+        if ncomp is not None and gone:  # a contraction
+            fresh = [v for v in new if v not in was]
+            if len(_reach(adj, fresh[:1], set(new))) != len(new):
+                g._ncomp = None
+                ncomp = len(g.components())
         g._nf = nf
         g._holes = tuple(sorted(
             (_canonical(rot, h) for h in holes),
             key=lambda h: (h[0], rot[h[0]].index(h[1])),
         ))
         g._ncomp = _euler(len(rot), g._m, nf, ncomp)
-        if gone is not None and self._buckets is not None:
+        if was is self._rot and self._buckets is not None:
             g._buckets, self._buckets = self._buckets, None
             for v in itertools.chain(edited, gone):
-                g._buckets[len(self._rot[v])].discard(v)
-            for v in touched:
+                g._buckets[len(was[v])].discard(v)
+            for v in new:
                 g._buckets.setdefault(len(rot[v]), set()).add(v)
         return g
 

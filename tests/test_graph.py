@@ -420,6 +420,32 @@ class TestLocalEdits:
                     )
                 assert_same_as_fresh(h)
 
+    def test_every_derived_graph_is_one_edit(self, monkeypatch):
+        g = generate(GenSpec(seed=5, n=80))
+        v = g.vertices[0]
+        u = g.rotation(v)[0]
+        h = g.delete_set([v])
+        ops = {
+            "subgraph below half": lambda: g.subgraph(g.vertices[:30]),
+            "subgraph above half": lambda: g.subgraph(g.vertices[:60]),
+            "delete_set": lambda: g.delete_set([v]),
+            "contract_set": lambda: g.contract_set({v, u}),
+            "contract_set with drop": lambda: g.contract_set({v}, [u]),
+            "triangulate": lambda: triangulate(h),
+        }
+        edits = []
+        original = EmbeddedGraph._edit
+
+        def counting(self, *args, **kw):
+            edits.append(self)
+            return original(self, *args, **kw)
+
+        monkeypatch.setattr(EmbeddedGraph, "_edit", counting)
+        for name, op in ops.items():
+            edits.clear()
+            op()
+            assert edits == [h if name == "triangulate" else g], name
+
     def test_chained_edits(self):
         for h in chained_walk(generate(GenSpec(seed=2, n=200))):
             assert_same_as_fresh(h)
@@ -621,9 +647,11 @@ def checking_dart_reports(monkeypatch):
     Returns the list of the degrees of the vertices each edit touched,
     which grows as edits are made."""
     degrees = []
-    original = EmbeddedGraph._derive
+    original = EmbeddedGraph._edit
 
-    def checked(self, rot, adj, touched, gone, darts, ncomp, next_id):
+    def checked(self, new, gone, darts, **kw):
+        g = original(self, new, gone, darts, **kw)
+        rot, touched = g._rot, list(new)
         if gone is None:
             assert sorted(darts[1]) == sorted(_darts_into(rot, {}, touched))
         else:
@@ -636,9 +664,9 @@ def checking_dart_reports(monkeypatch):
             assert _traced(self._rot, was, darts[0]) == _traced(self._rot, was, ref[0])
             assert _traced(rot, touched, darts[1]) == _traced(rot, touched, ref[1])
             degrees.extend(len(self._rot[v]) for v in was)
-        return original(self, rot, adj, touched, gone, darts, ncomp, next_id)
+        return g
 
-    monkeypatch.setattr(EmbeddedGraph, "_derive", checked)
+    monkeypatch.setattr(EmbeddedGraph, "_edit", checked)
     return degrees
 
 
