@@ -244,7 +244,7 @@ class EmbeddedGraph:
         return self.subgraph(self._rot.keys() - self._known(drop))
 
     def _known(self, vs: Iterable[int]) -> set[int]:
-        """``vs`` as a set, all of them vertices of this graph."""
+        """``vs`` as a set; a GraphError unless all are vertices here."""
         out = set(vs)
         bad = out.difference(self._rot)  # probes the dict: O(|vs|)
         if bad:
@@ -372,11 +372,12 @@ class EmbeddedGraph:
         limited to the touched vertices, reaches them all; otherwise the
         components are counted afresh.
         """
-        if gone is None:
-            was, adj, m, nf, holes, gone = {}, {}, 0, 0, (), ()
+        if gone is None:  # an edit of the empty graph
+            was, m, nf, holes, gone = {}, 0, 0, (), ()
+            rot, adj = {}, {}
         else:
-            was, adj, m, (nf, holes) = self._rot, self._adj, self._m, self._face_stats()
-        rot, adj = dict(was), dict(adj)
+            was, m, (nf, holes) = self._rot, self._m, self._face_stats()
+            rot, adj = dict(was), dict(self._adj)
         for v in gone:
             del rot[v], adj[v]
         rot.update(new)
@@ -415,7 +416,7 @@ class EmbeddedGraph:
             key=lambda h: (h[0], rot[h[0]].index(h[1])),
         ))
         g._ncomp = _euler(len(rot), g._m, nf, ncomp)
-        if was is self._rot and self._buckets is not None:
+        if was is self._rot and self._buckets is not None:  # edited from self
             g._buckets, self._buckets = self._buckets, None
             for v in itertools.chain(edited, gone):
                 g._buckets[len(was[v])].discard(v)

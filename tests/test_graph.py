@@ -436,9 +436,9 @@ class TestLocalEdits:
         edits = []
         original = EmbeddedGraph._edit
 
-        def counting(self, *args, **kw):
-            edits.append(self)
-            return original(self, *args, **kw)
+        def counting(parent, *args, **kw):
+            edits.append(parent)
+            return original(parent, *args, **kw)
 
         monkeypatch.setattr(EmbeddedGraph, "_edit", counting)
         for name, op in ops.items():
