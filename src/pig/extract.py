@@ -171,7 +171,8 @@ def _dumps(value) -> str:
 @dataclass(frozen=True)
 class Step:
     """One step of the recursion on ``g``: the sub-instances it leaves and
-    how their solutions combine into a solution of ``g``.
+    how their solutions combine into a solution of ``g``.  A sub-instance
+    is a graph, or a step already taken on one (a fused triangulation).
 
     ``fields`` are the certificate fields the choice of step fixes.
     ``combine(sols, kids)`` maps the sub-solutions and the sub-instances'
@@ -182,7 +183,7 @@ class Step:
 
     op: str
     fields: dict
-    subs: tuple[EmbeddedGraph, ...]
+    subs: tuple["EmbeddedGraph | Step", ...]
     combine: Callable[[list[frozenset[int]], list], tuple[frozenset[int], dict]]
 
     def finish(self, sols: list, kids: list) -> tuple[frozenset[int], dict]:
@@ -212,19 +213,29 @@ def _components(g: EmbeddedGraph) -> Step:
     )
 
 
-def _triangulate(g: EmbeddedGraph) -> Step:
-    gt = triangulate(g)
+def _triangulated(m_before: int, gt: EmbeddedGraph) -> Step:
+    """The step that triangulated a graph of ``m_before`` edges into ``gt``."""
     return Step(
-        "triangulate", {"m_before": g.m, "m_after": gt.m}, (gt,),
+        "triangulate", {"m_before": m_before, "m_after": gt.m}, (gt,),
         lambda sols, kids: (sols[0], {"child": kids[0]}),
     )
 
 
-def _reduce(g: EmbeddedGraph, cert: CertifiedPlan, **label) -> Step:
-    reduced, ctx = apply_plan(g, cert)
+def _reduce(g: EmbeddedGraph, cert: CertifiedPlan, fill: bool, **label) -> Step:
+    """With ``fill``, a reduction that only deletes S, where the next step
+    would triangulate g - S, chords it in the same edit and leaves that
+    triangulate step, taken, as its sub-instance."""
+    s = cert.plan.s
+    fill = fill and not cert.plan.parts and g.n - len(s) > BASE_EXACT_N
+    reduced, ctx = apply_plan(g, cert, fill)
+    sub: EmbeddedGraph | Step = reduced
+    if fill:
+        m = g.m - sum(len(ns) + len(ns - s) for ns in ctx.adj.values()) // 2
+        if reduced.m > m:  # chords were added: g - S was not a triangulation
+            sub = _triangulated(m, reduced)
     fields = {"plan": cert.plan.summary() | {"w_ids": list(ctx.w_ids)}} | label
     return Step(
-        "reduce", fields, (reduced,),
+        "reduce", fields, (sub,),
         lambda sols, kids: (lift(sols[0], ctx), {"child": kids[0]}),
     )
 
@@ -291,15 +302,15 @@ def next_step(g: EmbeddedGraph, c: Ratio) -> Step:
     if g.n <= BASE_EXACT_N:
         return _exact(g)
     if not g.is_triangulation():
-        return _triangulate(g)
+        return _triangulated(g.m, triangulate(g))
     plan = find_low_degree_plan(g, c)
     if plan is not None:
-        return _reduce(g, certify_plan(g, plan))
+        return _reduce(g, certify_plan(g, plan), True)
     septris = separating_triangles(g)
     if septris:
         return _split(g, c, septris[0])
     cert, label = _certified_config_plan(g, c)
-    return _reduce(g, cert, match=label)
+    return _reduce(g, cert, True, match=label)
 
 
 def _get(record, key: str, ok: Callable[[object], bool]):
@@ -326,14 +337,16 @@ def _recorded_reduce(g: EmbeddedGraph, c: Ratio, node: dict) -> Step:
     label = {}
     if "match" in node:  # recorded for the catalog's steps, never interpreted
         label["match"] = _get(node, "match", lambda v: isinstance(v, str))
-    return _reduce(g, certify_plan(g, plan), **label)
+    kid = node.get("child")
+    fill = isinstance(kid, dict) and kid.get("op") == "triangulate"
+    return _reduce(g, certify_plan(g, plan), fill, **label)
 
 
 # Rebuild the step of a recorded node from its recorded choices alone.
 _REBUILD = {
     "exact": lambda g, c, node: _exact(g),
     "components": lambda g, c, node: _components(g),
-    "triangulate": lambda g, c, node: _triangulate(g),
+    "triangulate": lambda g, c, node: _triangulated(g.m, triangulate(g)),
     "reduce": _recorded_reduce,
     "split": lambda g, c, node: _split(g, c, _get(node, "triangle", _ids)),
 }
@@ -379,22 +392,24 @@ class _Level:
 def _walk(g: EmbeddedGraph, record, expand, close) -> tuple[frozenset[int], dict]:
     """Run the steps from ``g`` in post-order, on an explicit stack.
 
-    ``expand(g, record, where)`` returns the step taken on ``g`` and one
-    record per sub-instance.  ``close(level, out, node, where)`` checks a
-    finished level and returns the node its parent combines.  ``where()``
-    names the level at hand by its path of ops from the root.  Once a
-    level's sub-instances are on the stack it keeps only its combine data
-    and ``n``, so no level's graph outlives its step.
+    ``expand(g, record, where)`` returns the step taken on ``g`` (``g``
+    itself if it is a step taken already) and one record per sub-instance.
+    ``close(level, out, node, where)`` checks a finished level and returns
+    the node its parent combines.  ``where()`` names the level at hand by
+    its path of ops from the root.  Once a level's sub-instances are on the
+    stack it keeps only its combine data and ``n``, so no level's graph
+    outlives its step.
     """
     stack: list[_Level] = []
 
     def where() -> str:
         return "root" + "".join(f".{lv.step.op}[{len(lv.sols)}]" for lv in stack)
 
-    def push(sub: EmbeddedGraph, rec) -> None:
+    def push(sub: EmbeddedGraph | Step, rec) -> None:
         step, kids = expand(sub, rec, where)
         todo = list(zip(step.subs, kids))[::-1]
-        stack.append(_Level(replace(step, subs=()), sub.n, rec, todo))
+        n = sub.subs[0].n if isinstance(sub, Step) else sub.n  # a triangulation keeps n
+        stack.append(_Level(replace(step, subs=()), n, rec, todo))
 
     push(g, record)
     while True:
@@ -416,7 +431,7 @@ def extract(g: EmbeddedGraph, c: Ratio | str) -> Certificate:
     ratio = Ratio.parse(c) if isinstance(c, str) else c
 
     def expand(sub, rec, where):
-        step = next_step(sub, ratio)
+        step = sub if isinstance(sub, Step) else next_step(sub, ratio)
         return step, [None] * len(step.subs)
 
     def close(level, out, node, where):
@@ -445,7 +460,7 @@ def _replay(g: EmbeddedGraph, root, c: Ratio) -> frozenset[int]:
             op = node.get("op") if isinstance(node, dict) else None
             if not isinstance(op, str) or op not in _REBUILD:
                 raise CertificateError("not a node with a known op")
-            step = _REBUILD[op](sub, c, node)
+            step = sub if isinstance(sub, Step) else _REBUILD[op](sub, c, node)
             kids = _recorded_kids(node)
             if len(kids) != len(step.subs):
                 raise CertificateError(

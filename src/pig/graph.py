@@ -49,10 +49,10 @@ class EmbeddedGraph:
     touched, and re-traces only the faces through the darts the edit
     names as changed.  Deletion and contraction share one rewrite of the
     survivors' rotations, ``_without``; a small induced part is an edit
-    of the empty graph.  Every graph knows
-    its face count, counting an isolated vertex as one face, its
-    non-triangular faces and its number of components c, with
-    n - m + faces = 2c by Euler's formula.
+    of the empty graph; ``triangulate(g, drop)`` deletes and chords the
+    holes left in one edit.  Every graph knows its face count, counting
+    an isolated vertex as one face, its non-triangular faces and its
+    number of components c, with n - m + faces = 2c by Euler's formula.
     """
 
     __slots__ = (
@@ -116,13 +116,16 @@ class EmbeddedGraph:
 
         The degree buckets behind this are built on the first call; a graph
         derived by a local edit takes its parent's over and moves only the
-        vertices the edit touched."""
+        vertices the edit touched.  A bucket is sorted only if the caller
+        takes more than its smallest vertex."""
         if self._buckets is None:
             self._buckets = {}
             for v, ns in self._rot.items():
                 self._buckets.setdefault(len(ns), set()).add(v)
         for d in range(top + 1):
-            yield from sorted(self._buckets.get(d, ()))
+            if bucket := self._buckets.get(d):
+                yield min(bucket)
+                yield from sorted(bucket)[1:]
 
     def rotation(self, v: int) -> tuple[int, ...]:
         return self._rot[v]
@@ -235,7 +238,9 @@ class EmbeddedGraph:
         """Induced subgraph; keeps ids and the inherited embedding."""
         ks = self._known(keep)
         if 2 * len(ks) >= len(self._rot):
-            return self._without(self._rot.keys() - ks)
+            gone = self._rot.keys() - ks
+            new, darts = self._without(gone)
+            return self._edit(new, gone, darts)
         # A small part: an edit of the empty graph, in O(|keep|).
         new = {v: tuple(u for u in self._rot[v] if u in ks) for v in sorted(ks)}
         return self._edit(new, None, ([], [(u, v) for v, ns in new.items() for u in ns]))
@@ -308,19 +313,21 @@ class EmbeddedGraph:
         while left:
             ncomp -= 1
             left -= _reach(adj, [min(left)], left)
-        return self._without(merged | ds, at, ncomp), self._next_id
+        gone = merged | ds
+        new, darts = self._without(gone, at)
+        fresh = self._next_id
+        return self._edit(new, gone, darts, ncomp=ncomp, next_id=fresh + 1), fresh
 
     def _without(
         self, gone: Collection[int], at: Mapping[int, int] | None = None,
-        ncomp: int | None = None,
-    ) -> "EmbeddedGraph":
-        """This graph without ``gone``, as one edit: every survivor drops
-        its gone neighbors from its rotation.  With ``at`` (a neighbor of
-        the contracted vertices -> its first contracted neighbor, in the
-        merged rotation's order) the edit is a contraction, even if ``at``
-        is empty: the fresh vertex ``next_id`` has the surviving keys of
-        ``at`` as its rotation and takes the slot of each neighbor's first
-        contracted neighbor, and ``ncomp`` is the component count."""
+    ) -> tuple[dict[int, tuple[int, ...]], Darts]:
+        """The rotations and the dart report of an edit that removes
+        ``gone``: every survivor drops its gone neighbors from its
+        rotation.  With ``at`` (a neighbor of the contracted vertices -> its
+        first contracted neighbor, in the merged rotation's order) the edit
+        is a contraction, even if ``at`` is empty: the fresh vertex
+        ``next_id`` has the surviving keys of ``at`` as its rotation and
+        takes the slot of each neighbor's first contracted neighbor."""
         rot = self._rot
         new: dict[int, tuple[int, ...]] = {}
         darts: Darts = ([], [])
@@ -344,14 +351,12 @@ class EmbeddedGraph:
             new[v] = tuple(ns)
             inserted = () if first is None else (fresh,)
             _changed_darts(v, rot[v], new[v], ls, inserted, darts)
-        return self._edit(
-            new, gone, darts, ncomp=ncomp,
-            next_id=None if at is None else fresh + 1,
-        )
+        return new, darts
 
     def _edit(
         self, new: dict[int, tuple[int, ...]], gone: Collection[int] | None,
         darts: Darts, *, ncomp: int | None = None, next_id: int | None = None,
+        old: tuple[int, list[tuple[int, ...]]] | None = None,
     ) -> "EmbeddedGraph":
         """The child graph: this graph without ``gone`` and with the
         rotations in ``new`` (of touched or fresh vertices), checked where
@@ -365,12 +370,12 @@ class EmbeddedGraph:
         changed), and a dart whose face did not change may be named only
         if it is named on both.  Faces are re-traced from these darts
         alone.  ``ncomp`` is the component count the edit keeps, or None
-        for a deletion; Euler's formula is checked by ``_euler``.  An edit
-        that removes vertices and still gives a count (a contraction) keeps
-        every edge between survivors and ties its fresh vertex to one
-        component, so the count holds if one search from the fresh vertex,
-        limited to the touched vertices, reaches them all; otherwise the
-        components are counted afresh.
+        for a deletion; Euler's formula is checked by ``_euler``.  A
+        contraction (``next_id`` given) keeps every edge between survivors
+        and ties its fresh vertex to one component, so its count holds if
+        one search from the fresh vertex, limited to the touched vertices,
+        reaches them all; otherwise the components are counted afresh.
+        ``old`` is ``_local_faces`` of ``darts[0]`` here, if traced already.
         """
         if gone is None:  # an edit of the empty graph
             was, m, nf, holes, gone = {}, 0, 0, (), ()
@@ -400,21 +405,18 @@ class EmbeddedGraph:
                     )
         g._m = m + degrees // 2
         # A face changed iff one of its darts got a new successor.
-        old, old_holes = _local_faces(was, [*edited, *gone], darts[0])
+        before, old_holes = old or _local_faces(was, [*edited, *gone], darts[0])
         count, new_holes = _local_faces(rot, new, darts[1])
-        nf += count - old
+        nf += count - before
         dropped = {_canonical(was, h) for h in old_holes}
         holes = [h for h in holes if h not in dropped] + new_holes
-        if ncomp is not None and gone:  # a contraction
+        if next_id is not None:  # a contraction
             fresh = [v for v in new if v not in was]
             if len(_reach(adj, fresh[:1], set(new))) != len(new):
                 g._ncomp = None
                 ncomp = len(g.components())
         g._nf = nf
-        g._holes = tuple(sorted(
-            (_canonical(rot, h) for h in holes),
-            key=lambda h: (h[0], rot[h[0]].index(h[1])),
-        ))
+        g._holes = _sorted_holes(rot, holes)
         g._ncomp = _euler(len(rot), g._m, nf, ncomp)
         if was is self._rot and self._buckets is not None:  # edited from self
             g._buckets, self._buckets = self._buckets, None
@@ -555,6 +557,12 @@ def _canonical(rot: Mapping[int, Sequence[int]], walk: tuple[int, ...]) -> tuple
     return walk[i:] + walk[:i]
 
 
+def _sorted_holes(rot: Mapping[int, Sequence[int]], holes) -> tuple[tuple[int, ...], ...]:
+    """The walks canonical and in the fixed face order."""
+    keyed = (_canonical(rot, h) for h in holes)
+    return tuple(sorted(keyed, key=lambda h: (h[0], rot[h[0]].index(h[1]))))
+
+
 # -- parsing ----------------------------------------------------------------
 
 
@@ -635,7 +643,7 @@ def separating_triangles(g: EmbeddedGraph) -> list[tuple[int, int, int]]:
 # -- triangulation -------------------------------------------------------------
 
 
-def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
+def triangulate(g: EmbeddedGraph, drop: Iterable[int] = ()) -> EmbeddedGraph:
     """Add chords until every face is a triangle.
 
     The result is a supergraph on the same vertex set, so any independent
@@ -643,25 +651,46 @@ def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
     vertex available on each face; ears are cut when a fan chord would be
     parallel to an existing edge.  Only the non-triangular faces are
     chorded, and only the rotations of chord ends are rewritten.
+
+    With ``drop``, the graph chorded is ``g.delete_set(drop)``; if that is
+    disconnected or has fewer than 3 vertices it is returned as it is.  If
+    ``g`` is a triangulation, the deletion and the chords are one edit: its
+    holes are traced once, on the survivors' rotations (every vertex of one
+    lost a neighbor), and give the deleted graph's Euler check.
     """
-    if g.n < 3:
+    gone = g._known(drop)
+    if gone and g._face_stats()[1]:  # a parent with holes: two edits
+        h = g.delete_set(gone)
+        return triangulate(h) if h.n >= 3 and h.is_connected() else h
+    new, darts = g._without(gone)
+    old, holes = None, g._face_stats()[1]
+    if gone:
+        was, n = g._rot, g.n - len(gone)
+        old = _local_faces(was, [*new, *gone], darts[0])
+        count, holes = _local_faces(new, new, darts[1])
+        m = g.m - (sum(len(was[v]) - len(ns) for v, ns in new.items())
+                   + sum(len(was[v]) for v in gone)) // 2
+        if _euler(n, m, g._face_stats()[0] - old[0] + count, None) != 1 or n < 3:
+            return g._edit(new, gone, darts, old=old)
+        holes = _sorted_holes(new, holes)
+    elif g.n < 3:
         raise GraphError("triangulate needs at least 3 vertices")
-    if not g.is_connected():
+    elif not g.is_connected():
         raise GraphError("triangulate needs a connected graph")
     rot: dict[int, list[int]] = {}  # rotations of the chord ends so far
     chords: dict[int, set[int]] = {}
 
     def add_chord(walk: list[int], p: int, q: int) -> None:
         a, b = walk[p], walk[q]
-        ra = rot.setdefault(a, list(g.rotation(a)))
-        rb = rot.setdefault(b, list(g.rotation(b)))
+        ra = rot.setdefault(a, list(new[a] if a in new else g.rotation(a)))
+        rb = rot.setdefault(b, list(new[b] if b in new else g.rotation(b)))
         ra.insert(ra.index(walk[p - 1]) + 1, b)
         rb.insert(rb.index(walk[q - 1]) + 1, a)
         chords.setdefault(a, set()).add(b)
         chords.setdefault(b, set()).add(a)
 
-    adj = g._adj
-    stack = [list(f) for f in g._face_stats()[1] if len(f) > 3]
+    adj = g._adj  # the same between survivors after a deletion
+    stack = [list(f) for f in holes if len(f) > 3]
     fast = False  # the walk on top of the stack passed the test below
     while stack:
         walk = stack.pop()
@@ -691,10 +720,10 @@ def triangulate(g: EmbeddedGraph) -> EmbeddedGraph:
         if len(rest) > 3:
             stack.append(rest)
 
-    darts: Darts = ([], [])
     for v, ns in rot.items():
-        _changed_darts(v, g.rotation(v), ns, (), chords[v], darts)
-    out = g._edit({v: tuple(ns) for v, ns in rot.items()}, (), darts, ncomp=1)
+        _changed_darts(v, new[v] if v in new else g.rotation(v), ns, (), chords[v], darts)
+    new.update((v, tuple(ns)) for v, ns in rot.items())
+    out = g._edit(new, gone, darts, ncomp=1, old=old)
     if not out.is_triangulation() or out.m != 3 * out.n - 6:
         raise EmbeddingError("triangulation postcondition failed")
     return out

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import mis
 from .configs import ConfigurationMatch, joint_neighborhood
-from .graph import EmbeddedGraph
+from .graph import EmbeddedGraph, triangulate
 
 
 class PlanRejected(Exception):
@@ -200,8 +200,11 @@ def certify_plan(g: EmbeddedGraph, plan: ReductionPlan) -> CertifiedPlan:
 
 
 def apply_plan(
-    g: EmbeddedGraph, cert: CertifiedPlan
+    g: EmbeddedGraph, cert: CertifiedPlan, fill: bool = False
 ) -> tuple[EmbeddedGraph, LiftContext]:
+    """The reduced graph and what lifting back from it needs.  With
+    ``fill``, a plan that only deletes also chords the reduced graph to a
+    triangulation, in the same edit where it can (``triangulate(g, S)``)."""
     plan = cert.plan
     rest = plan.s - {v for p in plan.parts for v in p}
     cur = g
@@ -210,7 +213,7 @@ def apply_plan(
         cur, w = cur.contract_set(part, rest if i == len(plan.parts) else ())
         w_ids.append(w)
     if not plan.parts:
-        cur = cur.delete_set(rest)
+        cur = triangulate(g, rest) if fill else g.delete_set(rest)
     if cur.n != g.n - len(plan.s) + plan.t:
         raise LiftError("reduced size mismatch")
     adj = {v: g.neighbors(v) for v in plan.s}

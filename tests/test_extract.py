@@ -320,6 +320,33 @@ class TestCheckCertificate:
         assert not ok and reason == "window optimum below certified size"
 
 
+def _fused_pair(payload):
+    """A reduce node whose child is a triangulate node: the two steps one
+    edit makes when a reduction only deletes."""
+    return next(node for node in _nodes(payload["root"])
+                if node["op"] == "reduce" and node["child"]["op"] == "triangulate")
+
+
+class TestFusedReplay:
+    """Replay fuses a reduction with the triangulation after it only where
+    the certificate records that pair, and checks both nodes as before."""
+
+    def _replayed(self, tamper):
+        g = generate(GenSpec(seed=9, n=40))
+        payload = json.loads(extract(g, C13).to_json())
+        tamper(_fused_pair(payload)["child"])
+        return check_certificate(g, _direct(payload))
+
+    def test_changed_m_before_diverges(self):
+        ok, reason = self._replayed(lambda kid: kid.update(m_before=kid["m_before"] - 1))
+        assert not ok and reason.endswith("replay diverges in m_before")
+
+    @pytest.mark.parametrize("op", ["exact", "components", "reduce", "split", "fill"])
+    def test_changed_child_op_fails(self, op):
+        ok, reason = self._replayed(lambda kid: kid.update(op=op))
+        assert not ok and reason
+
+
 class TestEngine:
     """The explicit-stack walk: no recursion in depth, no level's graph kept
     past its step, and the reduce level's window-only independence check."""

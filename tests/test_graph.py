@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 
 import pytest
@@ -329,7 +330,8 @@ def assert_same_as_fresh(h):
 
 
 def derived_graphs(monkeypatch, g, ratio):
-    """Every sub-instance graph the step engine derives while extracting."""
+    """Every sub-instance graph the step engine derives while extracting,
+    the graph of a triangulate step a reduction took already included."""
     ex = importlib.import_module("pig.extract")  # the package exports a function of that name
 
     seen = []
@@ -337,7 +339,8 @@ def derived_graphs(monkeypatch, g, ratio):
 
     def recording(h, c):
         step = original(h, c)
-        seen.extend(step.subs)
+        for sub in step.subs:
+            seen.extend(sub.subs if isinstance(sub, ex.Step) else [sub])
         return step
 
     monkeypatch.setattr(ex, "next_step", recording)
@@ -432,6 +435,7 @@ class TestLocalEdits:
             "contract_set": lambda: g.contract_set({v, u}),
             "contract_set with drop": lambda: g.contract_set({v}, [u]),
             "triangulate": lambda: triangulate(h),
+            "triangulate with drop": lambda: triangulate(g, [v]),
         }
         edits = []
         original = EmbeddedGraph._edit
@@ -458,7 +462,11 @@ class TestLocalEdits:
         g = generate(GenSpec(seed=2, n=200))
         assert list(g.by_degree(6)) == scan(g)
         for h in chained_walk(g):
-            assert list(h.by_degree(6)) == scan(h)
+            ref = scan(h)
+            first = h.by_degree(6)  # taken in part, as the planner does
+            assert list(itertools.islice(first, 2)) == ref[:2]
+            assert list(h.by_degree(6)) == ref
+            assert list(first) == ref[2:]
         assert list(g.by_degree(6)) == scan(g)  # the root's, rebuilt
 
     def test_disconnecting_deletions(self, graph_stacked):
@@ -580,9 +588,9 @@ def applied_plans(monkeypatch, g, ratio):
     seen = []
     original = ex.apply_plan
 
-    def recording(h, cert):
+    def recording(h, cert, *fill):
         seen.append((h, cert.plan))
-        return original(h, cert)
+        return original(h, cert, *fill)
 
     monkeypatch.setattr(ex, "apply_plan", recording)
     ex.extract(g, ratio)
@@ -613,6 +621,86 @@ def test_one_edit_equals_contract_then_delete(monkeypatch):
             assert w1 == w2
             assert_same_edit(one, two)
     assert dropped > 50
+
+
+# -- one edit per plain reduction: delete S and triangulate the rest ---------
+
+
+def assert_fused_as_two_edits(g, drop):
+    """``triangulate(g, drop)`` against ``delete_set`` then ``triangulate``,
+    its degree buckets carried from ``g`` against fresh ones."""
+    next(g.by_degree(0), None)  # build g's buckets for the edit to carry
+    one = triangulate(g, drop)
+    two = g.delete_set(drop)
+    if two.n >= 3 and two.is_connected():
+        two = triangulate(two)
+    assert_same_edit(one, two)
+    assert one.components() == two.components()
+    top = max(map(one.degree, one.vertices), default=0)
+    assert list(one.by_degree(top)) == list(two.by_degree(top))
+    assert_same_as_fresh(one)
+    return one.m > g.delete_set(drop).m
+
+
+def test_fused_edit_equals_delete_then_triangulate(monkeypatch):
+    chorded = kept = 0
+    for _, build, ratio in KERNEL_CASES:
+        for g, plan in applied_plans(monkeypatch, build(), ratio):
+            if not plan.parts:
+                if assert_fused_as_two_edits(g, plan.s):
+                    chorded += 1
+                else:
+                    kept += 1
+    assert chorded > 300 and kept  # kept: g - S was a triangulation already
+
+
+def test_fused_edit_on_other_parents(graph_cube, graph_stacked, ico):
+    # parents with holes; deletions that disconnect, that leave K4, a
+    # triangle or one edge, and one that leaves a pentagon to chord
+    for g, drop in ((graph_cube, {1}), (graph_cube, {1, 7}), (graph_stacked, {1, 2, 3}),
+                    (graph_stacked, {4}), (ico, set(range(1, 10))),
+                    (ico, set(range(1, 11))), (ico, {1})):
+        assert_fused_as_two_edits(g, drop)
+    g = generate(GenSpec(seed=2, n=200))
+    for h in chained_walk(g):
+        assert_fused_as_two_edits(h, h.vertices[:3])
+    # random sets, which leave several holes, some passing a vertex twice
+    rng = random.Random(5)
+    for seed in range(4):
+        g = generate(GenSpec(seed=seed, n=30))
+        for _ in range(60):
+            assert_fused_as_two_edits(g, rng.sample(g.vertices, rng.randint(1, 8)))
+
+
+def test_fused_edit_checks_the_deleted_graph():
+    from pig.graph import EmbeddingError
+
+    g = generate(GenSpec(seed=1, n=30))
+    v = g.vertices[-1]
+    drop = {next(u for u in g.rotation(1) if u != v and not g.adjacent(u, v))}
+    with pytest.raises(EmbeddingError, match="Euler"):
+        triangulate(_corrupted(g, v), drop)
+    # a stale face count: the deleted graph's own Euler check refuses it
+    g = generate(GenSpec(seed=1, n=30))
+    g._face_stats()
+    g._nf += 1
+    with pytest.raises(EmbeddingError, match="Euler"):
+        triangulate(g, drop)
+
+
+def test_plain_extraction_makes_one_edit_per_reduction(monkeypatch):
+    ex = importlib.import_module("pig.extract")
+    g = generate(GenSpec(seed=0, n=1000))
+    edits = []
+    original = EmbeddedGraph._edit
+
+    def counting(parent, *args, **kw):
+        edits.append(parent)
+        return original(parent, *args, **kw)
+
+    monkeypatch.setattr(EmbeddedGraph, "_edit", counting)
+    ex.extract(g, "3/13")
+    assert len(edits) <= 250
 
 
 # -- dart reports: each edit's named darts against a whole-rotation diff ------
@@ -731,20 +819,26 @@ def triangulate_in_order(monkeypatch, g):
 
 
 def test_triangulate_matches_the_ear_scan_on_kernel_cases(monkeypatch):
+    """Every graph the engine triangulates, on its own or fused with a
+    reduction's deletion, is chorded as the ear scan says."""
     ex = importlib.import_module("pig.extract")
-    inputs = []
+    rd = importlib.import_module("pig.reduce")
+    made = []
 
-    def recording(g):
-        inputs.append(g)
-        return triangulate(g)
+    def recording(g, drop=()):
+        t = triangulate(g, drop)
+        made.append((g.delete_set(drop) if drop else g, t))
+        return t
 
     monkeypatch.setattr(ex, "triangulate", recording)
+    monkeypatch.setattr(rd, "triangulate", recording)
     for _, build, ratio in KERNEL_CASES:
         ex.extract(build(), ratio)
-    assert len(inputs) > 100
-    for g in inputs:
-        t = triangulate(g)
-        assert {v: t.rotation(v) for v in t.vertices} == reference_triangulate(g)[0]
+    assert sum(1 for g, t in made if t.m > g.m) > 100
+    for g, t in made:
+        ref = reference_triangulate(g)[0] if g.is_connected() else {
+            v: g.rotation(v) for v in g.vertices}
+        assert {v: t.rotation(v) for v in t.vertices} == ref
 
 
 # Two wheels glued at rim vertex 1: the one hole, 1 9 8 7 6 1 5 4 3 2, passes
