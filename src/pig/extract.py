@@ -229,7 +229,7 @@ def _reduce(g: EmbeddedGraph, cert: CertifiedPlan, fill: bool, **label) -> Step:
     fill = fill and not cert.plan.parts and g.n - len(s) > BASE_EXACT_N
     reduced, ctx = apply_plan(g, cert, fill)
     sub: EmbeddedGraph | Step = reduced
-    if fill:
+    if fill:  # g - S lost the edges at S; the sum counts each of them twice
         m = g.m - sum(len(ns) + len(ns - s) for ns in ctx.adj.values()) // 2
         if reduced.m > m:  # chords were added: g - S was not a triangulation
             sub = _triangulated(m, reduced)
