@@ -678,9 +678,12 @@ def test_fused_edit_checks_the_deleted_graph():
     g = generate(GenSpec(seed=1, n=30))
     v = g.vertices[-1]
     drop = {next(u for u in g.rotation(1) if u != v and not g.adjacent(u, v))}
+    # re-traced, the corrupted rotation leaves a hole, so the parent takes
+    # the two-edit path, and the deletion's local check refuses it
     with pytest.raises(EmbeddingError, match="Euler"):
         triangulate(_corrupted(g, v), drop)
-    # a stale face count: the deleted graph's own Euler check refuses it
+    # a stale face count on the fused path: the deleted graph's own Euler
+    # check refuses it
     g = generate(GenSpec(seed=1, n=30))
     g._face_stats()
     g._nf += 1
