@@ -4,12 +4,13 @@ The extractor peels a planar graph down with the cheapest sound move at
 every level: per-component handling, an exact base case, triangulation,
 low-degree reductions, separating-triangle splits, then oracle-certified
 configuration reductions.  ``next_step`` is the one place that order is
-written; extraction, certificate replay and ``pig reduce`` all go through
-it, and ``_walk`` runs the levels for extraction and replay alike, on an
-explicit stack.  Solutions are lifted bottom-up; every level checks its
-own size contract and independence where its step could break it, and
-the whole set is checked once at the root, so the final certificate
-either meets ceil(c*n) or the run raises a typed error.
+written, for extraction, certificate replay and ``pig reduce``; replay
+reads only a reduction's plan and a split's triangle from the record, and
+never runs the planner.  ``_walk`` runs the levels of both on an explicit
+stack.  Solutions are lifted bottom-up; every level checks its own size
+contract and independence where its step could break it, and the whole
+set is checked once at the root, so the final certificate either meets
+ceil(c*n) or the run raises a typed error.
 """
 
 from __future__ import annotations
@@ -221,12 +222,12 @@ def _triangulated(m_before: int, gt: EmbeddedGraph) -> Step:
     )
 
 
-def _reduce(g: EmbeddedGraph, cert: CertifiedPlan, fill: bool, **label) -> Step:
-    """With ``fill``, a reduction that only deletes S, where the next step
-    would triangulate g - S, chords it in the same edit and leaves that
+def _reduce(g: EmbeddedGraph, cert: CertifiedPlan, **label) -> Step:
+    """A reduction that only deletes S, where the next step would
+    triangulate g - S, chords it in the same edit and leaves that
     triangulate step, taken, as its sub-instance."""
     s = cert.plan.s
-    fill = fill and not cert.plan.parts and g.n - len(s) > BASE_EXACT_N
+    fill = not cert.plan.parts and g.n - len(s) > BASE_EXACT_N
     reduced, ctx = apply_plan(g, cert, fill)
     sub: EmbeddedGraph | Step = reduced
     if fill:  # g - S lost the edges at S; the sum counts each of them twice
@@ -295,22 +296,26 @@ def _certified_config_plan(g: EmbeddedGraph, c: Ratio) -> tuple[CertifiedPlan, s
     raise IncompletenessDiagnostic(g, c)
 
 
-def next_step(g: EmbeddedGraph, c: Ratio) -> Step:
-    """The step the extractor takes on ``g``: the one copy of the order."""
+def next_step(g: EmbeddedGraph, c: Ratio, node: dict | None = None) -> Step:
+    """The step taken on ``g``: the one copy of the order.  The graph forces
+    components, the exact base case and triangulation; a reduction's plan
+    and a split's triangle are the planner's, or the recorded ``node``'s."""
     if not g.is_connected():
         return _components(g)
     if g.n <= BASE_EXACT_N:
         return _exact(g)
     if not g.is_triangulation():
         return _triangulated(g.m, triangulate(g))
+    if node is not None:
+        return _recorded(g, c, node)
     plan = find_low_degree_plan(g, c)
     if plan is not None:
-        return _reduce(g, certify_plan(g, plan), True)
+        return _reduce(g, certify_plan(g, plan))
     septris = separating_triangles(g)
     if septris:
         return _split(g, c, septris[0])
     cert, label = _certified_config_plan(g, c)
-    return _reduce(g, cert, True, match=label)
+    return _reduce(g, cert, match=label)
 
 
 def _get(record, key: str, ok: Callable[[object], bool]):
@@ -325,31 +330,21 @@ def _ids(value) -> bool:
     return isinstance(value, list) and all(type(v) is int for v in value)
 
 
-def _recorded_reduce(g: EmbeddedGraph, c: Ratio, node: dict) -> Step:
+def _recorded(g: EmbeddedGraph, c: Ratio, node: dict) -> Step:
+    """The step a recorded ``reduce`` or ``split`` node chooses."""
+    op = node.get("op")
+    if op == "split":
+        return _split(g, c, _get(node, "triangle", _ids))
+    if op != "reduce":
+        raise CertificateError(f"op {op!r} where a reduce or split is due")
     rec = _get(node, "plan", lambda v: isinstance(v, dict))
-    plan = ReductionPlan(
-        s=frozenset(_get(rec, "S", _ids)),
-        parts=tuple(map(frozenset, _get(
-            rec, "parts", lambda v: isinstance(v, list) and all(map(_ids, v))
-        ))),
-        ratio=c,
-    )
+    s = frozenset(_get(rec, "S", _ids))
+    parts = _get(rec, "parts", lambda v: isinstance(v, list) and all(map(_ids, v)))
+    plan = ReductionPlan(s, tuple(map(frozenset, parts)), c)
     label = {}
     if "match" in node:  # recorded for the catalog's steps, never interpreted
         label["match"] = _get(node, "match", lambda v: isinstance(v, str))
-    kid = node.get("child")
-    fill = isinstance(kid, dict) and kid.get("op") == "triangulate"
-    return _reduce(g, certify_plan(g, plan), fill, **label)
-
-
-# Rebuild the step of a recorded node from its recorded choices alone.
-_REBUILD = {
-    "exact": lambda g, c, node: _exact(g),
-    "components": lambda g, c, node: _components(g),
-    "triangulate": lambda g, c, node: _triangulated(g.m, triangulate(g)),
-    "reduce": _recorded_reduce,
-    "split": lambda g, c, node: _split(g, c, _get(node, "triangle", _ids)),
-}
+    return _reduce(g, certify_plan(g, plan), **label)
 
 
 def _recorded_kids(node: dict) -> list:
@@ -457,10 +452,11 @@ def _replay(g: EmbeddedGraph, root, c: Ratio) -> frozenset[int]:
 
     def expand(sub, node, where):
         try:
-            op = node.get("op") if isinstance(node, dict) else None
-            if not isinstance(op, str) or op not in _REBUILD:
-                raise CertificateError("not a node with a known op")
-            step = sub if isinstance(sub, Step) else _REBUILD[op](sub, c, node)
+            if not isinstance(node, dict):
+                raise CertificateError("not a node")
+            step = sub if isinstance(sub, Step) else next_step(sub, c, node)
+            if node.get("op") != step.op:
+                raise CertificateError(f"op {node.get('op')!r} where {step.op!r} is due")
             kids = _recorded_kids(node)
             if len(kids) != len(step.subs):
                 raise CertificateError(
@@ -484,7 +480,7 @@ def _replay(g: EmbeddedGraph, root, c: Ratio) -> frozenset[int]:
 
 def check_certificate(g: EmbeddedGraph, cert: Certificate) -> tuple[bool, str]:
     """Replay every step and size-ledger entry; (ok, reason).  Never raises
-    on a malformed certificate."""
+    on a malformed certificate, one that exhausts the oracle's budget too."""
     if cert.graph_hash != g.graph_hash():
         return False, "graph hash mismatch"
     try:
@@ -497,6 +493,8 @@ def check_certificate(g: EmbeddedGraph, cert: Certificate) -> tuple[bool, str]:
         got = _replay(g, cert.root, ratio)
     except (CertificateError, GraphError, LiftError, PlanRejected) as exc:
         return False, str(exc)
+    except mis.OracleBudgetExceeded as exc:
+        return False, f"oracle budget exceeded: {exc}"
     if tuple(sorted(got)) != cert.independent_set:
         return False, "final set differs from trace"
     if not mis.verify_independent(g, got):

@@ -5,6 +5,7 @@ exact (rational arithmetic or integer comparisons); runtime budgets are
 asserted for the timed criteria.
 """
 
+import importlib
 import itertools
 import random
 import time
@@ -353,6 +354,29 @@ def test_criterion_8_certification_exhaustiveness(main_corpus_certificates):
         t0,
         extra=f"{checked_plans} plans, {checked_windows} windows",
     )
+
+
+PLANNER = ("find_low_degree_plan", "separating_triangles", "run_main", "iter_configs",
+           "tight_sets", "candidate_plans", "plans_for_independent_set")
+
+
+def test_replay_runs_no_planner(main_corpus_certificates, monkeypatch):
+    """Replay reads a reduction's plan and a split's triangle from the
+    certificate, so it calls no planner function on the criterion-4
+    flagged graphs, nor on a glued pair, which needs a split."""
+    from conftest import glued_pair
+
+    engine = importlib.import_module("pig.extract")
+    glued = glued_pair(16, 14)
+    cases = [(g, cert) for tag, g, cert in main_corpus_certificates
+             if tag.startswith("flag-")] + [(glued, extract(glued, C13))]
+    assert len(cases) == 41 and cases[-1][1].root["op"] == "split"
+    calls = []
+    for name in PLANNER:
+        monkeypatch.setattr(engine, name, lambda *a, name=name, **k: calls.append(name))
+    for g, cert in cases:
+        assert check_certificate(g, cert) == (True, "ok")
+    assert calls == []
 
 
 def test_criterion_9_one_fifth_totality():

@@ -184,6 +184,24 @@ def test_check_cert_malformed_exits_1(rot_file, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("FAIL: ")
 
 
+def test_check_cert_oracle_budget_exits_1(flagged_file, tmp_path, capsys, monkeypatch):
+    # a reduction deleting every vertex makes the whole graph the window
+    # that replay must certify, which the tight budget cannot afford
+    cert = tmp_path / "out.cert"
+    main(["extract", str(flagged_file), "--json", str(cert)])
+    payload = json.loads(cert.read_text())
+    everything = sorted(parse_rotation_graph(flagged_file.read_text()).vertices)
+    payload["root"] = {"op": "reduce", "plan": {"S": everything, "parts": []},
+                       "child": {"op": "exact"}}
+    cert.write_text(json.dumps(payload))
+    monkeypatch.setenv("PIG_ORACLE_BUDGET", "50")
+    capsys.readouterr()
+    assert main(["check-cert", str(flagged_file), str(cert)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["FAIL: oracle budget exceeded: exceeded 50 nodes"]
+    assert err == ""
+
+
 def test_check_cert_format_1_exits_2(rot_file, tmp_path, capsys):
     g = parse_rotation_graph(rot_file.read_text())
     cert = tmp_path / "v1.cert"

@@ -10,6 +10,7 @@ import pytest
 from conftest import v1_document
 from pig import mis
 from pig.extract import (
+    BASE_EXACT_N,
     Certificate,
     CertificateError,
     check_certificate,
@@ -328,8 +329,35 @@ def _fused_pair(payload):
 
 
 class TestFusedReplay:
-    """Replay fuses a reduction with the triangulation after it only where
-    the certificate records that pair, and checks both nodes as before."""
+    """Replay fuses a deletion with the triangulation after it wherever
+    extraction does, and checks both nodes as before."""
+
+    def test_replay_takes_extractions_kernel_path(self, monkeypatch):
+        # a deletion whose remainder needs no chords must take the same
+        # edit on both paths; a replay that goes through ``subgraph`` for
+        # it makes 4 calls on this graph where extraction makes 1
+        ex = importlib.import_module("pig.extract")
+        rd = importlib.import_module("pig.reduce")
+        calls = {"subgraph": 0, "triangulate": 0}
+        subgraph, triangulate = EmbeddedGraph.subgraph, ex.triangulate
+
+        def counting_subgraph(g, keep):
+            calls["subgraph"] += 1
+            return subgraph(g, keep)
+
+        def counting_triangulate(g, drop=()):
+            calls["triangulate"] += 1
+            return triangulate(g, drop)
+
+        monkeypatch.setattr(EmbeddedGraph, "subgraph", counting_subgraph)
+        monkeypatch.setattr(ex, "triangulate", counting_triangulate)
+        monkeypatch.setattr(rd, "triangulate", counting_triangulate)
+        g = generate(GenSpec(seed=0, n=1000))
+        cert = extract(g, C13)
+        made = dict(calls)
+        calls.update(subgraph=0, triangulate=0)
+        assert check_certificate(g, cert) == (True, "ok")
+        assert calls == made and made["subgraph"] == 1
 
     def _replayed(self, tamper):
         g = generate(GenSpec(seed=9, n=40))
@@ -345,6 +373,60 @@ class TestFusedReplay:
     def test_changed_child_op_fails(self, op):
         ok, reason = self._replayed(lambda kid: kid.update(op=op))
         assert not ok and reason
+
+
+def _forged(root, sparse=False):
+    """A flagged n=120 graph, with three edges gone if ``sparse``, and its
+    certificate with ``root`` put in."""
+    g = generate(GenSpec(seed=7, n=120, min_degree5=True, no_separating_triangle=True))
+    if sparse:
+        g = sparsify(g, 0, 0.01)
+        assert g.is_connected() and not g.is_triangulation()
+    payload = json.loads(extract(g, C13).to_json())
+    return g, _direct(payload | {"root": root(g)})
+
+
+FORGED = {  # (sparse, root): a reduce is due on the flagged graph
+    "exact-root": (False, lambda g: {"op": "exact"}),
+    "components-on-connected": (False, lambda g: {
+        "op": "components", "children": [{"op": "exact"}]}),
+    "triangulate-for-reduce": (False, lambda g: {
+        "op": "triangulate", "m_before": g.m, "m_after": g.m,
+        "child": {"op": "exact"}}),
+    "exact-for-triangulate": (True, lambda g: {
+        "op": "exact", "child": {"op": "exact"}}),
+}
+
+
+class TestForcedSteps:
+    """Replay derives the steps the graph forces, so a node recording
+    another op is refused before its work runs; and an oracle budget
+    spent on a recorded choice fails the check instead of raising."""
+
+    @pytest.mark.parametrize("forge", sorted(FORGED))
+    def test_forged_forced_step_refused_before_its_work(self, forge, monkeypatch):
+        monkeypatch.setenv("PIG_ORACLE_BUDGET", "2000")
+        g, cert = _forged(FORGED[forge][1], FORGED[forge][0])
+        sizes = []
+        exact = mis.mis_exact
+
+        def recording(h, vertices=None, budget=None):
+            sizes.append(h.n if vertices is None else len(vertices))
+            return exact(h, vertices, budget)
+
+        monkeypatch.setattr(mis, "mis_exact", recording)
+        ok, reason = check_certificate(g, cert)
+        assert not ok and reason.startswith("root: op ")
+        assert max(sizes, default=0) <= BASE_EXACT_N
+
+    def test_oracle_budget_exceeded_fails_the_check(self, monkeypatch):
+        # S is every vertex, so the one window to certify is the whole graph
+        monkeypatch.setenv("PIG_ORACLE_BUDGET", "2000")
+        g, cert = _forged(lambda g: {
+            "op": "reduce", "plan": {"S": sorted(g.vertices), "parts": []},
+            "child": {"op": "exact"}})
+        ok, reason = check_certificate(g, cert)
+        assert not ok and reason.startswith("oracle budget exceeded: ")
 
 
 class TestEngine:
