@@ -48,7 +48,7 @@ from .reduce import (
 )
 
 BASE_EXACT_N = 20
-CERT_FORMAT = "pig-certificate/3"
+CERT_FORMAT = "pig-certificate/4"
 _HEADER = {"format", "ratio", "graph_hash", "n", "bound", "size",
            "independent_set", "root"}
 
@@ -171,9 +171,8 @@ def _dumps(value) -> str:
 
 @dataclass(frozen=True)
 class Step:
-    """One step of the recursion on ``g``: the sub-instances it leaves and
-    how their solutions combine into a solution of ``g``.  A sub-instance
-    is a graph, or a step already taken on one (a fused triangulation).
+    """One step of the recursion on ``g``: the sub-instances (graphs) it
+    leaves and how their solutions combine into a solution of ``g``.
 
     ``fields`` are the certificate fields the choice of step fixes.
     ``combine(sols, kids)`` maps the sub-solutions and the sub-instances'
@@ -184,7 +183,7 @@ class Step:
 
     op: str
     fields: dict
-    subs: tuple["EmbeddedGraph | Step", ...]
+    subs: tuple[EmbeddedGraph, ...]
     combine: Callable[[list[frozenset[int]], list], tuple[frozenset[int], dict]]
 
     def finish(self, sols: list, kids: list) -> tuple[frozenset[int], dict]:
@@ -214,29 +213,15 @@ def _components(g: EmbeddedGraph) -> Step:
     )
 
 
-def _triangulated(m_before: int, gt: EmbeddedGraph) -> Step:
-    """The step that triangulated a graph of ``m_before`` edges into ``gt``."""
-    return Step(
-        "triangulate", {"m_before": m_before, "m_after": gt.m}, (gt,),
-        lambda sols, kids: (sols[0], {"child": kids[0]}),
-    )
-
-
 def _reduce(g: EmbeddedGraph, cert: CertifiedPlan, **label) -> Step:
     """A reduction that only deletes S, where the next step would
-    triangulate g - S, chords it in the same edit and leaves that
-    triangulate step, taken, as its sub-instance."""
-    s = cert.plan.s
-    fill = not cert.plan.parts and g.n - len(s) > BASE_EXACT_N
+    triangulate g - S, chords it in the same edit: its one node stands for
+    the fan-chord triangulation too."""
+    fill = not cert.plan.parts and g.n - len(cert.plan.s) > BASE_EXACT_N
     reduced, ctx = apply_plan(g, cert, fill)
-    sub: EmbeddedGraph | Step = reduced
-    if fill:  # g - S lost the edges at S; the sum counts each of them twice
-        m = g.m - sum(len(ns) + len(ns - s) for ns in ctx.adj.values()) // 2
-        if reduced.m > m:  # chords were added: g - S was not a triangulation
-            sub = _triangulated(m, reduced)
     fields = {"plan": cert.plan.summary() | {"w_ids": list(ctx.w_ids)}} | label
     return Step(
-        "reduce", fields, (sub,),
+        "reduce", fields, (reduced,),
         lambda sols, kids: (lift(sols[0], ctx), {"child": kids[0]}),
     )
 
@@ -305,7 +290,11 @@ def next_step(g: EmbeddedGraph, c: Ratio, node: dict | None = None) -> Step:
     if g.n <= BASE_EXACT_N:
         return _exact(g)
     if not g.is_triangulation():
-        return _triangulated(g.m, triangulate(g))
+        gt = triangulate(g)
+        return Step(
+            "triangulate", {"m_before": g.m, "m_after": gt.m}, (gt,),
+            lambda sols, kids: (sols[0], {"child": kids[0]}),
+        )
     if node is not None:
         return _recorded(g, c, node)
     plan = find_low_degree_plan(g, c)
@@ -387,8 +376,8 @@ class _Level:
 def _walk(g: EmbeddedGraph, record, expand, close) -> tuple[frozenset[int], dict]:
     """Run the steps from ``g`` in post-order, on an explicit stack.
 
-    ``expand(g, record, where)`` returns the step taken on ``g`` (``g``
-    itself if it is a step taken already) and one record per sub-instance.
+    ``expand(g, record, where)`` returns the step taken on ``g`` and one
+    record per sub-instance.
     ``close(level, out, node, where)`` checks a finished level and returns
     the node its parent combines.  ``where()`` names the level at hand by
     its path of ops from the root.  Once a level's sub-instances are on the
@@ -400,11 +389,10 @@ def _walk(g: EmbeddedGraph, record, expand, close) -> tuple[frozenset[int], dict
     def where() -> str:
         return "root" + "".join(f".{lv.step.op}[{len(lv.sols)}]" for lv in stack)
 
-    def push(sub: EmbeddedGraph | Step, rec) -> None:
+    def push(sub: EmbeddedGraph, rec) -> None:
         step, kids = expand(sub, rec, where)
         todo = list(zip(step.subs, kids))[::-1]
-        n = sub.subs[0].n if isinstance(sub, Step) else sub.n  # a triangulation keeps n
-        stack.append(_Level(replace(step, subs=()), n, rec, todo))
+        stack.append(_Level(replace(step, subs=()), sub.n, rec, todo))
 
     push(g, record)
     while True:
@@ -426,7 +414,7 @@ def extract(g: EmbeddedGraph, c: Ratio | str) -> Certificate:
     ratio = Ratio.parse(c) if isinstance(c, str) else c
 
     def expand(sub, rec, where):
-        step = sub if isinstance(sub, Step) else next_step(sub, ratio)
+        step = next_step(sub, ratio)
         return step, [None] * len(step.subs)
 
     def close(level, out, node, where):
@@ -454,7 +442,7 @@ def _replay(g: EmbeddedGraph, root, c: Ratio) -> frozenset[int]:
         try:
             if not isinstance(node, dict):
                 raise CertificateError("not a node")
-            step = sub if isinstance(sub, Step) else next_step(sub, c, node)
+            step = next_step(sub, c, node)
             if node.get("op") != step.op:
                 raise CertificateError(f"op {node.get('op')!r} where {step.op!r} is due")
             kids = _recorded_kids(node)

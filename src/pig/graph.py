@@ -652,16 +652,15 @@ def triangulate(g: EmbeddedGraph, drop: Iterable[int] = ()) -> EmbeddedGraph:
     parallel to an existing edge.  Only the non-triangular faces are
     chorded, and only the rotations of chord ends are rewritten.
 
-    With ``drop``, the graph chorded is ``g.delete_set(drop)``; if that is
-    disconnected or has fewer than 3 vertices it is returned as it is.  If
-    ``g`` is a triangulation, the deletion and the chords are one edit: its
-    holes are traced once, on the survivors' rotations (every vertex of one
-    lost a neighbor), and give the deleted graph's Euler check.
+    With ``drop``, ``g`` must be a triangulation and the graph chorded is
+    ``g.delete_set(drop)``; if that is disconnected or has fewer than 3
+    vertices it is returned as it is.  The deletion and the chords are one
+    edit: the holes are traced once, on the survivors' rotations (every
+    vertex of one lost a neighbor), and give the deleted graph's Euler check.
     """
     gone = g._known(drop)
-    if gone and g._face_stats()[1]:  # a parent with holes: two edits
-        h = g.delete_set(gone)
-        return triangulate(h) if h.n >= 3 and h.is_connected() else h
+    if gone and not g.is_triangulation():
+        raise GraphError("triangulate drops vertices only from a triangulation")
     new, darts = g._without(gone)
     old, holes = None, g._face_stats()[1]
     if gone:

@@ -37,7 +37,7 @@ import sys
 from typing import Iterable, Sequence
 
 # Deep enough for the solver's branching and for ``json.loads`` on a plain
-# n=10^4 certificate (its step tree nests about 4,975 deep).  Much higher,
+# n=10^4 certificate (its step tree nests about 2,496 deep).  Much higher,
 # and the C JSON scanner overflows an 8 MiB C stack on a hostile document
 # before Python can raise RecursionError.
 RECURSION_LIMIT = 20_000

@@ -126,19 +126,65 @@ def _nodes(node):
         yield from _nodes(kid)
 
 
+def _fused(node, n):
+    """The reduce nodes that only delete and leave more than
+    ``BASE_EXACT_N`` of the ``n`` vertices, down the root's chain of
+    single-child steps: each stands for the triangulation after it too."""
+    while "child" in node:
+        if node["op"] == "reduce":
+            plan = node["plan"]
+            n -= len(plan["S"]) - len(plan["parts"])
+            if not plan["parts"] and n > BASE_EXACT_N:
+                yield node
+        node = node["child"]
+
+
 class TestCertificateFormat:
     def test_nodes_record_each_step_once(self):
         g = generate(GenSpec(seed=0, n=300))
         cert = extract(g, C13)
         nodes = list(_nodes(cert.root))
-        assert len(nodes) > 100
+        # one node per step: a reduce per 4 vertices or so, down to the
+        # exact base case (71 nodes)
+        assert len(nodes) > 60
         for node in nodes:
             assert not {"n", "bound", "size", "set"} & node.keys(), node["op"]
+        fused = list(_fused(cert.root, g.n))
+        assert len(fused) > 60
+        assert all(node["child"]["op"] != "triangulate" for node in fused)
         assert len(cert.to_json()) <= 100 * g.n
 
     def test_format_1_is_rejected(self, ico):
         with pytest.raises(CertificateError, match="unknown certificate format"):
             Certificate.from_json(v1_document(extract(ico, C13)))
+
+    def test_format_3_is_rejected(self, ico):
+        payload = json.loads(extract(ico, C13).to_json())
+        payload["format"] = "pig-certificate/3"
+        with pytest.raises(CertificateError, match="unknown certificate format"):
+            Certificate.from_json(json.dumps(payload))
+
+    def test_old_two_node_shape_is_refused(self, monkeypatch):
+        # format 3's triangulate node after a fused reduction, under a
+        # format 4 header: refused where the reduction's child is due,
+        # after the one oracle call that certifies the root's plan
+        g = generate(GenSpec(seed=9, n=40))
+        payload = json.loads(extract(g, C13).to_json())
+        root = payload["root"]
+        assert next(_fused(root, g.n)) is root
+        h = g.delete_set(root["plan"]["S"])
+        root["child"] = {"op": "triangulate", "m_before": h.m, "m_after": 3 * h.n - 6,
+                         "child": root["child"]}
+        cert = Certificate.from_json(json.dumps(payload))
+        calls = []
+        for name in ("mis_exact", "alpha_at_least"):
+            def recording(*args, name=name, real=getattr(mis, name), **kw):
+                calls.append(name)
+                return real(*args, **kw)
+            monkeypatch.setattr(mis, name, recording)
+        ok, reason = check_certificate(g, cert)
+        assert not ok and reason.startswith("root.reduce[0]: op 'triangulate' where ")
+        assert calls == ["alpha_at_least"]
 
 
 CERT_FIELDS = ("ratio", "graph_hash", "n", "bound", "independent_set", "root")
@@ -321,16 +367,9 @@ class TestCheckCertificate:
         assert not ok and reason == "window optimum below certified size"
 
 
-def _fused_pair(payload):
-    """A reduce node whose child is a triangulate node: the two steps one
-    edit makes when a reduction only deletes."""
-    return next(node for node in _nodes(payload["root"])
-                if node["op"] == "reduce" and node["child"]["op"] == "triangulate")
-
-
 class TestFusedReplay:
     """Replay fuses a deletion with the triangulation after it wherever
-    extraction does, and checks both nodes as before."""
+    extraction does, and checks the one node that records both."""
 
     def test_replay_takes_extractions_kernel_path(self, monkeypatch):
         # a deletion whose remainder needs no chords must take the same
@@ -359,19 +398,16 @@ class TestFusedReplay:
         assert check_certificate(g, cert) == (True, "ok")
         assert calls == made and made["subgraph"] == 1
 
-    def _replayed(self, tamper):
+    @pytest.mark.parametrize("op", ["exact", "components", "triangulate", "split", "fill"])
+    def test_changed_child_op_fails(self, op):
+        # the fused reduction's child is a reduce: the graph it leaves is
+        # triangulated already
         g = generate(GenSpec(seed=9, n=40))
         payload = json.loads(extract(g, C13).to_json())
-        tamper(_fused_pair(payload)["child"])
-        return check_certificate(g, _direct(payload))
-
-    def test_changed_m_before_diverges(self):
-        ok, reason = self._replayed(lambda kid: kid.update(m_before=kid["m_before"] - 1))
-        assert not ok and reason.endswith("replay diverges in m_before")
-
-    @pytest.mark.parametrize("op", ["exact", "components", "reduce", "split", "fill"])
-    def test_changed_child_op_fails(self, op):
-        ok, reason = self._replayed(lambda kid: kid.update(op=op))
+        kid = next(_fused(payload["root"], g.n))["child"]
+        assert kid["op"] == "reduce"
+        kid["op"] = op
+        ok, reason = check_certificate(g, _direct(payload))
         assert not ok and reason
 
 
@@ -434,16 +470,18 @@ class TestEngine:
     past its step, and the reduce level's window-only independence check."""
 
     def test_deep_plain_graph_at_default_recursion_limit(self):
-        g = generate(GenSpec(seed=7, n=2000))
+        # one node per reduction: the step tree nests about 621 deep here,
+        # so even the JSON parser stays under the default limit
+        g = generate(GenSpec(seed=7, n=2500))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
             cert = extract(g, C13)
-            assert check_certificate(g, cert) == (True, "ok")
-            text = cert.to_json()
+            again = Certificate.from_json(cert.to_json())
+            assert check_certificate(g, again) == (True, "ok")
         finally:
             sys.setrecursionlimit(limit)
-        assert Certificate.from_json(text) == cert
+        assert again == cert
 
     def test_peak_memory_is_local(self):
         g = generate(GenSpec(seed=0, n=600))

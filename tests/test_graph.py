@@ -330,8 +330,7 @@ def assert_same_as_fresh(h):
 
 
 def derived_graphs(monkeypatch, g, ratio):
-    """Every sub-instance graph the step engine derives while extracting,
-    the graph of a triangulate step a reduction took already included."""
+    """Every sub-instance graph the step engine derives while extracting."""
     ex = importlib.import_module("pig.extract")  # the package exports a function of that name
 
     seen = []
@@ -339,8 +338,7 @@ def derived_graphs(monkeypatch, g, ratio):
 
     def recording(h, c):
         step = original(h, c)
-        for sub in step.subs:
-            seen.extend(sub.subs if isinstance(sub, ex.Step) else [sub])
+        seen.extend(step.subs)
         return step
 
     monkeypatch.setattr(ex, "next_step", recording)
@@ -655,15 +653,20 @@ def test_fused_edit_equals_delete_then_triangulate(monkeypatch):
 
 
 def test_fused_edit_on_other_parents(graph_cube, graph_stacked, ico):
-    # parents with holes; deletions that disconnect, that leave K4, a
-    # triangle or one edge, and one that leaves a pentagon to chord
-    for g, drop in ((graph_cube, {1}), (graph_cube, {1, 7}), (graph_stacked, {1, 2, 3}),
-                    (graph_stacked, {4}), (ico, set(range(1, 10))),
-                    (ico, set(range(1, 11))), (ico, {1})):
+    # deletions that disconnect, that leave K4, a triangle or one edge,
+    # and one that leaves a pentagon to chord
+    for g, drop in ((graph_stacked, {1, 2, 3}), (graph_stacked, {4}),
+                    (ico, set(range(1, 10))), (ico, set(range(1, 11))), (ico, {1})):
         assert_fused_as_two_edits(g, drop)
-    g = generate(GenSpec(seed=2, n=200))
-    for h in chained_walk(g):
-        assert_fused_as_two_edits(h, h.vertices[:3])
+    walk = list(chained_walk(generate(GenSpec(seed=2, n=200))))
+    for h in walk:
+        if h.is_triangulation():
+            assert_fused_as_two_edits(h, h.vertices[:3])
+    # a parent with holes is refused: a reduction runs on a triangulation
+    holed = [(h, h.vertices[:3]) for h in walk if not h.is_triangulation()]
+    for g, drop in [(graph_cube, {1}), (graph_cube, {1, 7}), *holed]:
+        with pytest.raises(GraphError, match="only from a triangulation"):
+            triangulate(g, drop)
     # random sets, which leave several holes, some passing a vertex twice
     rng = random.Random(5)
     for seed in range(4):
@@ -678,9 +681,9 @@ def test_fused_edit_checks_the_deleted_graph():
     g = generate(GenSpec(seed=1, n=30))
     v = g.vertices[-1]
     drop = {next(u for u in g.rotation(1) if u != v and not g.adjacent(u, v))}
-    # re-traced, the corrupted rotation leaves a hole, so the parent takes
-    # the two-edit path, and the deletion's local check refuses it
-    with pytest.raises(EmbeddingError, match="Euler"):
+    # re-traced, the corrupted rotation leaves a hole, so the parent is
+    # refused as no triangulation
+    with pytest.raises(GraphError, match="only from a triangulation"):
         triangulate(_corrupted(g, v), drop)
     # a stale face count on the fused path: the deleted graph's own Euler
     # check refuses it
