@@ -81,15 +81,6 @@ _BAD_LINK = ("neighborhood of {} is not an induced cycle "
              "(separating triangle or degree < 3 nearby)")
 
 
-def classify(g: EmbeddedGraph, v: int) -> NeighborProfile:
-    # the link of v is an induced cycle; in a triangulation that holds iff
-    # every edge at v has exactly two common neighbors
-    nv = g.neighbors(v)
-    if any(len(nv & g.neighbors(u)) != 2 for u in nv):
-        raise DischargeError(_BAD_LINK.format(v))
-    return _profile(g, v)
-
-
 def _profile(g: EmbeddedGraph, v: int) -> NeighborProfile:
     ring = g.rotation(v)
     deg = [g.degree(u) for u in ring]

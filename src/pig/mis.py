@@ -1,13 +1,13 @@
 """Exact maximum-independent-set oracle.
 
 Bitmask branch and reduce: peel degree-0/1 vertices and dominated vertices
-(u, v adjacent with N[u] ⊆ N[v]: drop v), split off components, close
-cycles in closed form, else branch on a vertex of maximum degree.  Each
-public call builds one solver whose memo maps every pool it has solved to
-its α and a witness, one maximum independent set of the pool as a bitmask;
-nothing outlives the call.  Deterministic: ties in the optimum are broken
-toward the lexicographically smallest vertex set.  The budget counts nodes,
-one per uncached ``solve`` call on a non-empty pool; it bounds worst-case
+(u, v adjacent with N[u] ⊆ N[v]: drop v), fold degree-2 vertices, split off
+components, else branch on a vertex of maximum degree.  Each public call
+builds one solver whose memo maps every pool it has solved to its α and a
+witness, one maximum independent set of the pool as a bitmask; nothing
+outlives the call.  Deterministic: ties in the optimum are broken toward
+the lexicographically smallest vertex set.  The budget counts nodes, one
+per uncached ``solve`` call on a non-empty pool; it bounds worst-case
 latency and is far from reachable on the small windows reductions use.
 
 The peel finds all dominated neighbours of i in one AND over N(i), which
@@ -19,14 +19,27 @@ optimum of the rest; it asks the solver only about the other vertices, and
 a branch tie keeps the witness holding the lowest vertex the two differ in,
 so the witness tends to agree with the answer.
 
+The fold (Fomin, Grandoni & Kratsch 2009): in a peeled pool a vertex v of
+degree 2 has nonadjacent neighbours u and w (a triangle is dominated), and
+α = 1 + α(pool − {v, u, w} + x) for a new vertex x adjacent to N(u) ∪ N(w)
+− {v}; a witness holding x unfolds to one holding u and w instead, one
+without x gains v.  Fold vertices are indexed after the original ones, one
+per (v, u, w), and each joins its neighbours' masks, so every pool is an
+induced subgraph of one growing graph, a memo key names one subgraph, and
+the same fold on two branches shares its index.  Peel and fold together
+leave no vertex of degree 2 or less, so no cycle is left to solve in
+closed form.  Results name original vertices only.
+
 A node pays for what its branch changed, not for its whole pool.  The peel
-starts from ``dirty`` and re-queues only the neighbours of what it removes,
-then one pass over the lowest vertex's component both splits it off and
-picks the branch vertex.  The invariant is that no vertex of the pool
-outside ``dirty`` is peelable: a vertex's peel status (pool degree ≤ 1, or
-N[x] ⊆ N[j] for a pool neighbour j) changes only when it loses a pool
-neighbour.  A peeled pool has no peelable vertex, so a component split
-passes nothing, the skip branch passes N(v) and the take branch passes the
+starts from ``dirty`` and re-queues only what an edit may have made
+peelable: the neighbours of what it removes, and x with N(x) after a fold
+(a vertex outside N[x] keeps its neighbours and their adjacency).  Then one
+pass over the lowest vertex's component both splits it off and picks the
+branch vertex.  The invariant is that no vertex of the pool outside
+``dirty`` is peelable or of degree 2: a vertex's status (pool degree ≤ 2,
+or N[y] ⊆ N[j] for a pool neighbour j) changes only when it loses a pool
+neighbour.  A peeled pool has no such vertex, so a component split passes
+nothing, the skip branch passes N(v) and the take branch passes the
 neighbours of N(v).
 """
 
@@ -77,6 +90,7 @@ class _Solver:
         self.budget = budget
         self.nodes = 0
         self.memo: dict[int, tuple[int, int]] = {}
+        self.folds: dict[tuple[int, int, int], int] = {}
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -94,52 +108,93 @@ class _Solver:
             known = self.memo[pool] = self._solve(pool, dirty)
         return known
 
-    def _peel(self, pool: int, dirty: int) -> tuple[int, int]:
-        """Peel degree-0/1 and dominated vertices; returns the rest of the
-        pool and the peeled vertices some optimum takes.  A removal re-queues
-        the neighbours it may have made peelable."""
+    def _peel(self, pool: int, dirty: int) -> tuple[int, int, list]:
+        """Peel degree-0/1 and dominated vertices and, once none is left,
+        fold the lowest vertex of degree 2; returns the rest of the pool,
+        the peeled vertices some optimum takes and the folds, in order.  An
+        edit re-queues the vertices it may have made peelable."""
         masks = self.masks
-        taken = 0
+        taken = twos = 0
+        folds = []
         p = pool & dirty
-        while p:
-            low = p & -p
-            p ^= low
-            if not pool & low:
-                continue
-            i = low.bit_length() - 1
-            nb = masks[i] & pool
-            if nb == 0:
-                pool ^= low
-                taken |= low
-            elif nb & (nb - 1) == 0:
-                pool &= ~(low | nb)
-                taken |= low
-                p |= masks[nb.bit_length() - 1] & pool
-            else:
-                # the neighbours j with N[i] ⊆ N[j]: some optimum avoids them
-                dom = nb
-                q = nb
-                while q:
-                    b = q & -q
-                    q ^= b
-                    dom &= masks[b.bit_length() - 1] | b
-                    if not dom:
-                        break
+        while True:
+            while p:
+                low = p & -p
+                p ^= low
+                if not pool & low:
+                    continue
+                i = low.bit_length() - 1
+                nb = masks[i] & pool
+                if nb == 0:
+                    pool ^= low
+                    taken |= low
+                elif nb & (nb - 1) == 0:
+                    pool &= ~(low | nb)
+                    taken |= low
+                    p |= masks[nb.bit_length() - 1] & pool
                 else:
-                    pool ^= dom
-                    while dom:
-                        b = dom & -dom
-                        dom ^= b
-                        p |= masks[b.bit_length() - 1]
-                    p &= pool
-        return pool, taken
+                    # the neighbours j with N[i] ⊆ N[j]: some optimum avoids them
+                    dom = q = nb
+                    while q and dom:
+                        b = q & -q
+                        q ^= b
+                        dom &= masks[b.bit_length() - 1] | b
+                    if dom:
+                        pool ^= dom
+                        while dom:
+                            b = dom & -dom
+                            dom ^= b
+                            p |= masks[b.bit_length() - 1]
+                        p &= pool
+                    elif nb.bit_count() == 2:
+                        twos |= low
+            # peeled: a vertex of degree 2 has nonadjacent neighbours u, w
+            twos &= pool
+            while twos:
+                low = twos & -twos
+                twos ^= low
+                nb = masks[low.bit_length() - 1] & pool
+                if nb.bit_count() == 2:
+                    break
+            else:
+                return pool, taken, folds
+            x = 1 << self._fold_vertex(low.bit_length() - 1, nb)
+            folds.append((low, nb, x))
+            pool = pool & ~(low | nb) | x
+            p = x | masks[x.bit_length() - 1] & pool
+
+    def _fold_vertex(self, i: int, nb: int) -> int:
+        """The vertex that folds i with its neighbours u < w, adjacent to
+        N(u) ∪ N(w) − {i}.  Each (i, u, w) gets one index, after the
+        original vertices, and its bit joins its neighbours' masks, so a
+        pool still names one induced subgraph."""
+        masks = self.masks
+        u = nb & -nb
+        key = (i, u.bit_length() - 1, (nb ^ u).bit_length() - 1)
+        k = self.folds.get(key)
+        if k is None:
+            k = self.folds[key] = len(masks)
+            x = 1 << k
+            nx = (masks[key[1]] | masks[key[2]]) & ~(1 << i)
+            masks.append(nx)
+            while nx:
+                b = nx & -nx
+                nx ^= b
+                masks[b.bit_length() - 1] |= x
+        return k
 
     def _solve(self, pool: int, dirty: int) -> tuple[int, int]:
+        pool, taken, folds = self._peel(pool, dirty)
+        total, w = self._split_or_branch(pool) if pool else (0, 0)
+        total += taken.bit_count() + len(folds)
+        w |= taken
+        # unfold, last fold first: x in the witness stands for u and w
+        for v, nb, x in reversed(folds):
+            w = w ^ x | nb if w & x else w | v
+        return total, w
+
+    def _split_or_branch(self, pool: int) -> tuple[int, int]:
         masks = self.masks
-        pool, taken = self._peel(pool, dirty)
-        total = taken.bit_count()
-        if pool == 0:
-            return total, taken
         # one pass over the lowest vertex's component: its vertex set and its
         # vertex of maximum degree, ties toward the lowest index
         comp = todo = pool & -pool
@@ -158,18 +213,7 @@ class _Solver:
         if comp != pool:
             a, w = self.solve(comp, 0)
             c, x = self.solve(pool ^ comp, 0)
-            return total + a + c, taken | w | x
-        # connected, min degree >= 2: a cycle if max degree <= 2; take every
-        # other vertex, walking from the lowest toward its lower neighbour
-        if best_d <= 2:
-            k = pool.bit_count()
-            prev, cur = 0, pool & -pool
-            for t in range(k - 1):
-                if not t & 1:
-                    taken |= cur
-                nxt = masks[cur.bit_length() - 1] & pool & ~prev
-                prev, cur = cur, nxt & -nxt
-            return total + k // 2, taken
+            return a + c, w | x
         v = 1 << best_i
         nv = masks[best_i] & pool
         # taking v removes N[v]: only the neighbours of N(v) lose a neighbour
@@ -186,8 +230,8 @@ class _Solver:
         # on a tie keep the witness holding the lowest vertex they differ in
         d = tw ^ sw
         if take > skip or (take == skip and d & -d & tw):
-            return total + take, taken | tw
-        return total + skip, taken | sw
+            return take, tw
+        return skip, sw
 
     def lex_smallest_optimum(self, pool: int) -> list[int]:
         """Accept each vertex, lowest first, iff it lies in some optimum of

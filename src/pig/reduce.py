@@ -68,14 +68,6 @@ class Ratio:
         return f"{self.a}/{self.b}"
 
 
-def neighborhood_floor(j: int, c: Ratio) -> int:
-    """Least joint-neighborhood size a non-maximal independent j-set can
-    have in a graph with no reduction at ratio c: floor((b-a)/a * j) + 2."""
-    if j < 1:
-        raise ValueError("set size must be >= 1")
-    return (c.b - c.a) * j // c.a + 2
-
-
 @dataclass(frozen=True)
 class ReductionPlan:
     """One constructive reduction: S and its parts, at a ratio."""

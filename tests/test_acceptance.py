@@ -30,7 +30,6 @@ from pig.reduce import (
     ReductionPlan,
     apply_plan,
     certify_plan,
-    neighborhood_floor,
     interior,
     split_guarantees,
     split_plan,
@@ -42,6 +41,14 @@ from conftest import k4, seven_ring_fixture
 C13 = Ratio(3, 13)
 C5 = Ratio(1, 5)
 ARTIFACTS = Path(__file__).parent / "_artifacts"
+
+
+def neighborhood_floor(j: int, c: Ratio) -> int:
+    """Least joint-neighborhood size a non-maximal independent j-set can
+    have in a graph with no reduction at ratio c: floor((b-a)/a * j) + 2."""
+    if j < 1:
+        raise ValueError("set size must be >= 1")
+    return (c.b - c.a) * j // c.a + 2
 
 
 def report(num, name, t0, extra=""):

@@ -194,11 +194,11 @@ def test_check_cert_oracle_budget_exits_1(flagged_file, tmp_path, capsys, monkey
     payload["root"] = {"op": "reduce", "plan": {"S": everything, "parts": []},
                        "child": {"op": "exact"}}
     cert.write_text(json.dumps(payload))
-    monkeypatch.setenv("PIG_ORACLE_BUDGET", "50")
+    monkeypatch.setenv("PIG_ORACLE_BUDGET", "10")
     capsys.readouterr()
     assert main(["check-cert", str(flagged_file), str(cert)]) == 1
     out, err = capsys.readouterr()
-    assert out.splitlines() == ["FAIL: oracle budget exceeded: exceeded 50 nodes"]
+    assert out.splitlines() == ["FAIL: oracle budget exceeded: exceeded 10 nodes"]
     assert err == ""
 
 

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from pig.discharge import (
+    _BAD_LINK,
     DischargeError,
-    classify,
+    NeighborProfile,
+    _profile,
     initial_charges,
     main_phases,
     negative_vertices,
@@ -21,6 +23,15 @@ from pig.graph import separating_triangles
 from conftest import neighbor_cycle, seven_ring_fixture
 
 F = Fraction
+
+
+def classify(g, v) -> NeighborProfile:
+    # the link of v is an induced cycle; in a triangulation that holds iff
+    # every edge at v has exactly two common neighbors
+    nv = g.neighbors(v)
+    if any(len(nv & g.neighbors(u)) != 2 for u in nv):
+        raise DischargeError(_BAD_LINK.format(v))
+    return _profile(g, v)
 
 
 def flagged(seed, n):

@@ -457,7 +457,7 @@ class TestForcedSteps:
 
     def test_oracle_budget_exceeded_fails_the_check(self, monkeypatch):
         # S is every vertex, so the one window to certify is the whole graph
-        monkeypatch.setenv("PIG_ORACLE_BUDGET", "2000")
+        monkeypatch.setenv("PIG_ORACLE_BUDGET", "400")
         g, cert = _forged(lambda g: {
             "op": "reduce", "plan": {"S": sorted(g.vertices), "parts": []},
             "child": {"op": "exact"}})

@@ -13,7 +13,6 @@ from pig.reduce import (
     apply_plan,
     candidate_plans,
     certify_plan,
-    neighborhood_floor,
     find_low_degree_plan,
     interior,
     lift,
@@ -23,6 +22,8 @@ from pig.reduce import (
     split_plan,
     split_subproblems,
 )
+
+from test_acceptance import neighborhood_floor
 
 C13 = Ratio(3, 13)
 C5 = Ratio(1, 5)
