@@ -99,7 +99,8 @@ class _Solver:
 
     def solve(self, pool: int, dirty: int) -> tuple[int, int]:
         """(α, witness) of ``pool``; no vertex of ``pool`` outside ``dirty``
-        may be peelable (pass ``pool`` itself when nothing is known)."""
+        may be peelable or of degree 2 (pass ``pool`` itself when nothing is
+        known)."""
         if pool == 0:
             return 0, 0
         known = self.memo.get(pool)
@@ -164,8 +165,8 @@ class _Solver:
             p = x | masks[x.bit_length() - 1] & pool
 
     def _fold_vertex(self, i: int, nb: int) -> int:
-        """The vertex that folds i with its neighbours u < w, adjacent to
-        N(u) ∪ N(w) − {i}.  Each (i, u, w) gets one index, after the
+        """The index of the vertex that folds i with its neighbours u < w,
+        adjacent to N(u) ∪ N(w) − {i}.  Each (i, u, w) gets one index, after the
         original vertices, and its bit joins its neighbours' masks, so a
         pool still names one induced subgraph."""
         masks = self.masks
@@ -188,9 +189,10 @@ class _Solver:
         total, w = self._split_or_branch(pool) if pool else (0, 0)
         total += taken.bit_count() + len(folds)
         w |= taken
-        # unfold, last fold first: x in the witness stands for u and w
-        for v, nb, x in reversed(folds):
-            w = w ^ x | nb if w & x else w | v
+        if folds:
+            # unfold, last fold first: x in the witness stands for u and w
+            for v, nb, x in reversed(folds):
+                w = w ^ x | nb if w & x else w | v
         return total, w
 
     def _split_or_branch(self, pool: int) -> tuple[int, int]:
