@@ -116,7 +116,7 @@ def _degree_two_graphs(draw, max_n=24):
     on at most max_n vertices, with their labels shuffled."""
     edges, n = [], 0
     for _ in range(draw(st.integers(1, 3))):
-        if n + 3 > max_n:
+        if n + 4 > max_n:  # the smallest theta graph has 4 vertices
             break
         room = max_n - n
         part = draw(st.one_of(
