@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
+from collections import defaultdict
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 
@@ -47,7 +49,9 @@ class EmbeddedGraph:
     one checked local edit, ``_edit``: it shares the parent's unchanged
     rotations and neighbor sets, checks only the rotations the edit
     touched, and re-traces only the faces through the darts the edit
-    names as changed.  Deletion and contraction share one rewrite of the
+    names as changed; the faces that an edit of a triangulation removes
+    are counted from degrees, ``_lost_faces``, since the parent is
+    checked already.  Deletion and contraction share one rewrite of the
     survivors' rotations, ``_without``; a small induced part is an edit
     of the empty graph; ``triangulate(g, drop)`` deletes and chords the
     holes left in one edit.  Every graph knows its face count, counting
@@ -353,6 +357,27 @@ class EmbeddedGraph:
             _changed_darts(v, rot[v], new[v], ls, inserted, darts)
         return new, darts
 
+    def _lost_faces(
+        self, gone: set[int], vs: Iterable[int], darts: Iterable[tuple[int, int]],
+    ) -> tuple[int, list[tuple[int, ...]]]:
+        """``_local_faces`` here of the parent-side darts that ``_without``
+        reports for removing ``gone``, ``vs`` being the touched and gone
+        vertices.  Those darts lie on exactly the faces that touch
+        ``gone``.  In a connected triangulation with n >= 4 the faces are
+        distinct triangles and v lies on deg(v) of them, so they number
+        sum deg(v) - sum_f (|f & gone| - 1), over v in ``gone`` and the
+        faces f on the edges inside it; nothing is traced.  Any other
+        parent traces them."""
+        rot, adj = self._rot, self._adj
+        if self._ncomp != 1 or len(rot) < 4 or self._face_stats()[1]:
+            return _local_faces(rot, vs, darts)
+        shared = {
+            frozenset((u, v, x)) for u in gone for v in adj[u] & gone if u < v
+            for x in self.apexes(u, v)
+        }
+        count = sum(len(rot[v]) for v in gone)
+        return count - sum(len(f & gone) - 1 for f in shared), []
+
     def _edit(
         self, new: dict[int, tuple[int, ...]], gone: Collection[int] | None,
         darts: Darts, *, ncomp: int | None = None, next_id: int | None = None,
@@ -375,10 +400,12 @@ class EmbeddedGraph:
         and ties its fresh vertex to one component, so its count holds if
         one search from the fresh vertex, limited to the touched vertices,
         reaches them all; otherwise the components are counted afresh.
-        ``old`` is ``_local_faces`` of ``darts[0]`` here, if traced already.
+        The faces ``darts[0]`` passes here are counted by ``_lost_faces``,
+        from degrees alone when this graph is a triangulation; ``old`` is
+        that count and the holes among them, if taken already.
         """
         if gone is None:  # an edit of the empty graph
-            was, m, nf, holes, gone = {}, 0, 0, (), ()
+            was, m, nf, holes, gone, old = {}, 0, 0, (), (), (0, [])
             rot, adj = {}, {}
         else:
             was, m, (nf, holes) = self._rot, self._m, self._face_stats()
@@ -405,7 +432,7 @@ class EmbeddedGraph:
                     )
         g._m = m + degrees // 2
         # A face changed iff one of its darts got a new successor.
-        before, old_holes = old or _local_faces(was, [*edited, *gone], darts[0])
+        before, old_holes = old or self._lost_faces(gone, [*edited, *gone], darts[0])
         count, new_holes = _local_faces(rot, new, darts[1])
         nf += count - before
         dropped = {_canonical(was, h) for h in old_holes}
@@ -566,11 +593,17 @@ def _sorted_holes(rot: Mapping[int, Sequence[int]], holes) -> tuple[tuple[int, .
 # -- parsing ----------------------------------------------------------------
 
 
+# A header ``n m`` and a vertex line ``id: u1 u2 ... ud``, in ASCII digits.
+_HEADER = re.compile(r"([0-9]+)\s+([0-9]+)")
+_VERTEX_LINE = re.compile(r"([0-9]+)\s*:([\s0-9]*)")
+
+
 def parse_rotation_graph(text: str) -> EmbeddedGraph:
     """Parse a rotation-format document.
 
     Line 1 is ``n m``; then one line per vertex ``id: u1 u2 ... ud`` giving
-    the clockwise rotation.  ``#`` starts a comment.  Ids are 1..n.
+    the clockwise rotation.  ``#`` starts a comment.  Ids are 1..n, and
+    every number is plain ASCII digits.
     """
     rows = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -579,29 +612,26 @@ def parse_rotation_graph(text: str) -> EmbeddedGraph:
             rows.append((ln, line))
     if not rows:
         raise ParseError("empty document")
-    head = rows[0][1].split()
-    if len(head) != 2:
-        raise ParseError(f"line {rows[0][0]}: expected 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError(f"line {rows[0][0]}: expected integers 'n m'") from None
-    if n < 0 or m < 0:
-        raise ParseError("negative n or m")
+    ln, first = rows[0]
+    head = _HEADER.fullmatch(first)
+    if head is None:
+        raise ParseError(f"line {ln}: expected 'n m' in digits")
     rot: dict[int, tuple[int, ...]] = {}
-    for ln, line in rows[1:]:
-        if ":" not in line:
-            raise ParseError(f"line {ln}: missing ':'")
-        head_s, _, tail = line.partition(":")
-        try:
-            v = int(head_s.strip())
-            ns = tuple(int(t) for t in tail.split())
-        except ValueError:
-            raise ParseError(f"line {ln}: malformed vertex line") from None
-        if v in rot:
-            raise ParseError(f"line {ln}: duplicate vertex {v}")
-        rot[v] = ns
-    if sorted(rot) != list(range(1, n + 1)):
+    try:
+        n, m = int(head[1]), int(head[2])
+        for ln, line in rows[1:]:
+            row = _VERTEX_LINE.fullmatch(line)
+            if row is None:
+                raise ParseError(f"line {ln}: malformed vertex line")
+            v = int(row[1])
+            if v in rot:
+                raise ParseError(f"line {ln}: duplicate vertex {v}")
+            rot[v] = tuple(map(int, row[2].split()))
+    except ParseError:
+        raise
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"line {ln}: number too long") from None
+    if len(rot) != n or sorted(rot) != list(range(1, n + 1)):
         raise ParseError(f"vertex ids must be exactly 1..{n}")
     try:
         g = EmbeddedGraph(rot)
@@ -655,8 +685,11 @@ def triangulate(g: EmbeddedGraph, drop: Iterable[int] = ()) -> EmbeddedGraph:
     With ``drop``, ``g`` must be a triangulation and the graph chorded is
     ``g.delete_set(drop)``; if that is disconnected or has fewer than 3
     vertices it is returned as it is.  The deletion and the chords are one
-    edit: the holes are traced once, on the survivors' rotations (every
-    vertex of one lost a neighbor), and give the deleted graph's Euler check.
+    edit: the faces the deletion removes are counted from degrees
+    (``_lost_faces``), the holes it leaves are traced once, on the
+    survivors' rotations (every vertex of one lost a neighbor), and both
+    give the deleted graph's Euler check.  A vertex that fans out takes
+    its chords in one splice of its rotation.
     """
     gone = g._known(drop)
     if gone and not g.is_triangulation():
@@ -665,7 +698,7 @@ def triangulate(g: EmbeddedGraph, drop: Iterable[int] = ()) -> EmbeddedGraph:
     old, holes = None, g._face_stats()[1]
     if gone:
         was, n = g._rot, g.n - len(gone)
-        old = _local_faces(was, [*new, *gone], darts[0])
+        old = g._lost_faces(gone, [*new, *gone], darts[0])
         count, holes = _local_faces(new, new, darts[1])
         m = g.m - (sum(len(was[v]) - len(ns) for v, ns in new.items())
                    + sum(len(was[v]) for v in gone)) // 2
@@ -677,55 +710,63 @@ def triangulate(g: EmbeddedGraph, drop: Iterable[int] = ()) -> EmbeddedGraph:
     elif not g.is_connected():
         raise GraphError("triangulate needs a connected graph")
     rot: dict[int, list[int]] = {}  # rotations of the chord ends so far
-    chords: dict[int, set[int]] = {}
+    chords: defaultdict[int, set[int]] = defaultdict(set)
 
-    def add_chord(walk: list[int], p: int, q: int) -> None:
-        a, b = walk[p], walk[q]
-        ra = rot.setdefault(a, list(new[a] if a in new else g.rotation(a)))
-        rb = rot.setdefault(b, list(new[b] if b in new else g.rotation(b)))
-        ra.insert(ra.index(walk[p - 1]) + 1, b)
-        rb.insert(rb.index(walk[q - 1]) + 1, a)
-        chords.setdefault(a, set()).add(b)
-        chords.setdefault(b, set()).add(a)
+    def ring(v: int) -> list[int]:
+        ns = rot.get(v)
+        if ns is None:
+            ns = rot[v] = list(new[v] if v in new else g._rot[v])
+        return ns
 
     adj = g._adj  # the same between survivors after a deletion
     stack = [list(f) for f in holes if len(f) > 3]
-    fast = False  # the walk on top of the stack passed the test below
     while stack:
         walk = stack.pop()
         k = len(walk)
-        a, b = walk[-1], walk[1]
-        if fast and b not in adj[a] and b not in chords.get(a, ()):
-            best = k - 1
-        else:
-            # ear positions p where chord walk[p]..walk[p+2] is addable
-            best = None
-            for p in range(k):
-                a, b = walk[p], walk[(p + 2) % k]
-                if (best is None or a < walk[best]) and a != b and (
-                    b not in adj[a] and b not in chords.get(a, ())
-                ):
-                    best = p
-            if best is None:
-                raise EmbeddingError("face admits no chord; cannot triangulate")
-        q = (best + 2) % k
-        add_chord(walk, best, q)
-        rest = walk[q:] + walk[:best + 1] if q > best else walk[q:best + 1]
-        # Cutting walk[best + 1] changed only the ears of the two vertices
-        # before it, and a chord only takes candidates away.  So if
-        # walk[best], now last on the rest, is on it once and the vertex
-        # before it is larger, its own ear is the next best if addable.
-        fast = len(rest) > 3 and rest[-2] > rest[-1] and rest.count(rest[-1]) == 1
-        if len(rest) > 3:
-            stack.append(rest)
+        # ear positions p where chord walk[p]..walk[p+2] is addable
+        best = None
+        for p in range(k):
+            a, b = walk[p], walk[(p + 2) % k]
+            if (best is None or a < walk[best]) and a != b and (
+                b not in adj[a] and b not in chords.get(a, ())
+            ):
+                best = p
+        if best is None:
+            raise EmbeddingError("face admits no chord; cannot triangulate")
+        walk = walk[best + 1:] + walk[:best + 1]  # the ear's vertex a last
+        a, j = walk[-1], 1
+        _add_chord(chords, a, walk[1])
+        # Cutting walk[j] changes only the ears of the two vertices before
+        # it, and a chord only takes candidates away.  So if a is on the
+        # walk once and the vertex before it is larger, a's next ear is the
+        # next best if addable: a fans out to walk[1..j].
+        if walk[-2] > a and walk.count(a) == 1:
+            fan = chords[a]
+            while j < k - 3 and walk[j + 1] not in adj[a] and walk[j + 1] not in fan:
+                j += 1
+                _add_chord(chords, a, walk[j])
+        ra = ring(a)
+        i = ra.index(walk[-2]) + 1
+        ra[i:i] = walk[j:0:-1]
+        for i in range(1, j + 1):
+            rb = ring(walk[i])
+            rb.insert(rb.index(walk[i - 1]) + 1, a)
+        if k - j > 3:
+            stack.append(walk[j:])
 
     for v, ns in rot.items():
-        _changed_darts(v, new[v] if v in new else g.rotation(v), ns, (), chords[v], darts)
+        _changed_darts(v, new[v] if v in new else g._rot[v], ns, (), chords[v], darts)
     new.update((v, tuple(ns)) for v, ns in rot.items())
     out = g._edit(new, gone, darts, ncomp=1, old=old)
     if not out.is_triangulation() or out.m != 3 * out.n - 6:
         raise EmbeddingError("triangulation postcondition failed")
     return out
+
+
+def _add_chord(chords: defaultdict[int, set[int]], a: int, b: int) -> None:
+    """Note the chord ab in ``chords``, each vertex's added neighbors."""
+    chords[a].add(b)
+    chords[b].add(a)
 
 
 # -- fixture constructions ------------------------------------------------------

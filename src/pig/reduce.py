@@ -35,6 +35,13 @@ class LiftError(RuntimeError):
     """A certified lift failed its guarantee: indicates an engine bug."""
 
 
+# The largest S of a catalog plan, S = J | N(J): 11 for apex_pair (J is the
+# two apexes of an edge uv, of degrees 5 and <= 6, both adjacent to u and v),
+# 16 for low_trio_star6 (three vertices of degree <= 6 alternating on the
+# ring of a 6-vertex) and 16 for the sweep (|J| <= 3, |N(J)| <= TRIO_CAP).
+CATALOG_MAX_S = 16
+
+
 @dataclass(frozen=True, order=True)
 class Ratio:
     """Target independence ratio a/b in lowest terms, 0 < a/b < 1."""
@@ -63,6 +70,11 @@ class Ratio:
     def holds(self, j: int, x: int) -> bool:
         """j >= (a/b) * x, exactly."""
         return self.b * j >= self.a * x
+
+    def max_plan_size(self) -> int:
+        """The largest |S| of a plan at this ratio: a low-degree plan's
+        N[v], with deg(v) <= b//a, or a catalog plan's."""
+        return max(CATALOG_MAX_S, self.b // self.a + 1)
 
     def __str__(self) -> str:
         return f"{self.a}/{self.b}"
@@ -152,7 +164,9 @@ def certify_plan(g: EmbeddedGraph, plan: ReductionPlan) -> CertifiedPlan:
     certified plan's lift is guaranteed for every possible recursion
     outcome.
     """
-    s = plan.s
+    s, cap = plan.s, plan.ratio.max_plan_size()
+    if len(s) > cap:  # so a forged plan costs bounded oracle work
+        raise PlanRejected(f"|S| = {len(s)} above {cap}, the largest plan at {plan.ratio}")
     if not s or not all(g.has_vertex(v) for v in s):
         raise PlanRejected("S empty or referencing dead vertices")
     if plan.t >= len(s):

@@ -187,8 +187,9 @@ def test_check_cert_malformed_exits_1(rot_file, tmp_path, capsys):
 def test_check_cert_oracle_budget_exits_1(flagged_file, tmp_path, capsys, monkeypatch):
     # a reduction deleting every vertex makes the whole graph the window
     # that replay must certify, which the tight budget cannot afford
+    # (at 1/40 a plan may have 41 vertices, so its 36 pass the size bound)
     cert = tmp_path / "out.cert"
-    main(["extract", str(flagged_file), "--json", str(cert)])
+    main(["extract", str(flagged_file), "--ratio", "1/40", "--json", str(cert)])
     payload = json.loads(cert.read_text())
     everything = sorted(parse_rotation_graph(flagged_file.read_text()).vertices)
     payload["root"] = {"op": "reduce", "plan": {"S": everything, "parts": []},
@@ -256,6 +257,21 @@ def test_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.rot"
     bad.write_text("3 3\n1: 2 3\n2: 3\n3: 1 2\n")
     assert main(["extract", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "99999999999999999999 0\n",  # an n past a C ssize_t
+    "2 1\n+1: 2\n2: 1\n",  # ids in ASCII digits only
+    "2 1\n1: 2\n1_0: 1\n",
+])
+@pytest.mark.parametrize("command", ["extract", "alpha", "config", "reduce"])
+def test_bad_numbers_exit_2(command, text, tmp_path, capsys):
+    bad = tmp_path / "bad.rot"
+    bad.write_text(text)
+    assert main([command, str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert out == ""
 
 
 def test_non_utf8_input_exits_2(rot_file, tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 import random
 import string
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -411,14 +412,14 @@ class TestFusedReplay:
         assert not ok and reason
 
 
-def _forged(root, sparse=False):
+def _forged(root, sparse=False, ratio=C13):
     """A flagged n=120 graph, with three edges gone if ``sparse``, and its
-    certificate with ``root`` put in."""
+    certificate at ``ratio`` with ``root`` put in."""
     g = generate(GenSpec(seed=7, n=120, min_degree5=True, no_separating_triangle=True))
     if sparse:
         g = sparsify(g, 0, 0.01)
         assert g.is_connected() and not g.is_triangulation()
-    payload = json.loads(extract(g, C13).to_json())
+    payload = json.loads(extract(g, ratio).to_json())
     return g, _direct(payload | {"root": root(g)})
 
 
@@ -456,13 +457,28 @@ class TestForcedSteps:
         assert max(sizes, default=0) <= BASE_EXACT_N
 
     def test_oracle_budget_exceeded_fails_the_check(self, monkeypatch):
-        # S is every vertex, so the one window to certify is the whole graph
+        # S is every vertex, so the one window to certify is the whole
+        # graph; at 1/120 a plan may have 121 vertices
         monkeypatch.setenv("PIG_ORACLE_BUDGET", "400")
         g, cert = _forged(lambda g: {
             "op": "reduce", "plan": {"S": sorted(g.vertices), "parts": []},
-            "child": {"op": "exact"}})
+            "child": {"op": "exact"}}, ratio=Ratio(1, 120))
         ok, reason = check_certificate(g, cert)
         assert not ok and reason.startswith("oracle budget exceeded: ")
+
+    def test_plan_above_the_largest_is_refused_at_once(self, monkeypatch):
+        # the whole-graph window above, at the default budget and 3/13,
+        # would keep the checker searching for minutes
+        monkeypatch.delenv("PIG_ORACLE_BUDGET", raising=False)
+        g = generate(GenSpec(seed=1, n=400, min_degree5=True, no_separating_triangle=True))
+        payload = json.loads(extract(g, C13).to_json())
+        payload["root"] = {"op": "reduce", "plan": {"S": sorted(g.vertices), "parts": []},
+                           "child": {"op": "exact"}}
+        cert = _direct(payload)
+        start = time.perf_counter()
+        ok, reason = check_certificate(g, cert)
+        assert time.perf_counter() - start < 0.1
+        assert not ok and reason == "|S| = 400 above 16, the largest plan at 3/13"
 
 
 class TestEngine:

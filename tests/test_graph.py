@@ -84,6 +84,27 @@ class TestParse:
         g = parse_rotation_graph("2 0\n1:\n2:\n")
         assert g.n == 2 and g.m == 0
 
+    def test_vertex_count_checked_before_range(self):
+        # a header n past a C ssize_t, or one that would need a huge list
+        for head in ("99999999999999999999 0", "1000000000 3"):
+            with pytest.raises(ParseError, match="exactly 1"):
+                parse_rotation_graph(head + "\n1: 2 3\n2: 3 1\n3: 1 2\n")
+        with pytest.raises(ParseError, match="number too long"):
+            parse_rotation_graph("3 3\n1: 2 3\n2: 3 1\n3: 1 " + "2" * 5000 + "\n")
+
+    @pytest.mark.parametrize("text", [
+        "2 1\n+1: 2\n2: 1\n", "2 1\n1: +2\n2: 1\n", "2 1\n1: 2\n1_0: 1\n",
+        "2 1\n1: 2\n2: 0x1\n", "+2 1\n1: 2\n2: 1\n", "2 1_0\n1: 2\n2: 1\n",
+        "2 1\n\u0661: 2\n2: 1\n", "2 -1\n1: 2\n2: 1\n", "2 1\n1: 2 -\n2: 1\n",
+    ])
+    def test_numbers_in_ascii_digits_only(self, text):
+        with pytest.raises(ParseError):
+            parse_rotation_graph(text)
+
+    def test_spacing_stays_free(self):
+        g = parse_rotation_graph("3\t3\n1 :2\t3\n2:3 1\n  3:  1   2  \n")
+        assert (g.n, g.m, g.rotation(1)) == (3, 3, (2, 3))
+
 
 class TestFaces:
     def test_k4(self, graph_k4):
@@ -709,6 +730,112 @@ def test_plain_extraction_makes_one_edit_per_reduction(monkeypatch):
     assert len(edits) <= 250
 
 
+# -- removed faces: counted from degrees against the trace -----------------------
+
+
+def assert_counted_as_traced(g, gone):
+    """The faces a deletion of ``gone`` removes from ``g``, counted by
+    ``_lost_faces``, against a trace of the parent-side darts.  Returns
+    whether ``gone`` holds an edge."""
+    gone = set(gone)
+    new, darts = g._without(gone)
+    vs = [*new, *gone]
+    assert g._lost_faces(gone, vs, darts[0]) == _local_faces(g._rot, vs, darts[0])
+    return any(g.neighbors(v) & gone for v in gone)
+
+
+def test_removed_faces_counted_from_degrees():
+    rng = random.Random(11)
+    graphs = [generate(GenSpec(seed=s, n=80)) for s in range(3)]
+    graphs += [generate(GenSpec(seed=s, n=80, min_degree5=True,
+                                no_separating_triangle=True)) for s in range(2)]
+    inner = sides = 0
+    for g in graphs:
+        assert g.is_triangulation() and g.is_connected()
+        sets = [rng.sample(g.vertices, rng.randint(1, 16)) for _ in range(40)]
+        for _ in range(40):  # grown breadth-first, so full of inner edges
+            near, size = [rng.choice(g.vertices)], rng.randint(1, 16)
+            for x in near:
+                near += [y for y in g.rotation(x) if y not in near]
+            sets.append(near[:size])
+        hub = max(g.vertices, key=g.degree)
+        sets.append([hub, *g.rotation(hub)])
+        for tri in separating_triangles(g):
+            for side in g.delete_set(tri).components():
+                sets += [side, [*side, *tri]]
+                sides += 1
+        for gone in sets:
+            inner += assert_counted_as_traced(g, gone)
+    assert inner > 150 and sides > 10
+    # parents the count leaves to the trace: holes, two components (one
+    # without faces, one whose two faces are the same triangle), and K3
+    k3, dot = embedded_cycle(3), EmbeddedGraph({1: ()})
+    h = graphs[0].delete_set(graphs[0].vertices[:5])
+    for g in (h, disjoint_union(graphs[3], dot), disjoint_union(graphs[4], k3), k3):
+        assert not g.is_triangulation() or not g.is_connected() or g.n == 3
+        for gone in [g.vertices[-2:], *(rng.sample(g.vertices, rng.randint(1, 3))
+                                        for _ in range(10))]:
+            assert_counted_as_traced(g, gone)
+
+
+def test_removed_faces_counted_on_kernel_cases(monkeypatch):
+    """On every parent of a contraction, a fused deletion or a subgraph in
+    the kernel cases, the count equals the trace."""
+    ex = importlib.import_module("pig.extract")
+    rd = importlib.import_module("pig.reduce")
+    counted = {"contract_set": 0, "triangulate": 0}
+    ops = []
+    lost, contract = EmbeddedGraph._lost_faces, EmbeddedGraph.contract_set
+
+    def checked(self, gone, vs, darts):
+        vs, darts = list(vs), list(darts)
+        got = lost(self, gone, vs, darts)
+        assert got == _local_faces(self._rot, vs, darts)
+        if ops and self.n >= 4 and self.is_connected() and self.is_triangulation():
+            counted[ops[-1]] += 1
+        return got
+
+    def during(name, fn):
+        def wrapped(*args, **kw):
+            ops.append(name)
+            try:
+                return fn(*args, **kw)
+            finally:
+                ops.pop()
+        return wrapped
+
+    monkeypatch.setattr(EmbeddedGraph, "_lost_faces", checked)
+    monkeypatch.setattr(EmbeddedGraph, "contract_set", during("contract_set", contract))
+    for module in (ex, rd):
+        monkeypatch.setattr(module, "triangulate", during("triangulate", triangulate))
+    for _, build, ratio in KERNEL_CASES:
+        ex.extract(build(), ratio)
+    assert counted["contract_set"] > 50 and counted["triangulate"] > 300
+
+
+def test_plain_extraction_traces_no_parent_faces(monkeypatch):
+    gr = importlib.import_module("pig.graph")
+    ex = importlib.import_module("pig.extract")
+    parents, traced = [], []  # the lists keep every rotation map alive
+    seen: set[int] = set()
+    without, local = EmbeddedGraph._without, gr._local_faces
+
+    def noting(self, *args):
+        parents.append(self._rot)
+        seen.add(id(self._rot))
+        return without(self, *args)
+
+    def tracing(rot, vs, darts):
+        traced.append((rot, id(rot) in seen))
+        return local(rot, vs, darts)
+
+    monkeypatch.setattr(EmbeddedGraph, "_without", noting)
+    monkeypatch.setattr(gr, "_local_faces", tracing)
+    ex.extract(generate(GenSpec(seed=0, n=1000)), "3/13")
+    assert len(parents) > 200 and len(traced) > 200
+    assert not [rot for rot, parent in traced if parent]
+
+
 # -- dart reports: each edit's named darts against a whole-rotation diff ------
 
 
@@ -806,22 +933,21 @@ def reference_triangulate(g):
 
 
 def triangulate_in_order(monkeypatch, g):
-    """``triangulate(g)`` and the chords it added, in order.  Each chord
-    reads the rotations of its two ends from ``g`` as it is added, before
-    any other read, so the first two reads per chord spell the order."""
-    reads = []
-    original = EmbeddedGraph.rotation
+    """``triangulate(g)`` and the chords it added, in order: each chord
+    (a, b), a the vertex whose ear it cuts, is noted once as it is added."""
+    gr = importlib.import_module("pig.graph")
+    order = []
+    original = gr._add_chord
 
-    def reading(self, v):
-        if self is g:
-            reads.append(v)
-        return original(self, v)
+    def noting(chords, a, b):
+        order.append((a, b))
+        original(chords, a, b)
 
-    monkeypatch.setattr(EmbeddedGraph, "rotation", reading)
+    monkeypatch.setattr(gr, "_add_chord", noting)
     t = triangulate(g)
-    monkeypatch.setattr(EmbeddedGraph, "rotation", original)
-    k = t.m - g.m
-    return t, list(zip(reads[:2 * k:2], reads[1:2 * k:2]))
+    monkeypatch.setattr(gr, "_add_chord", original)
+    assert len(order) == t.m - g.m
+    return t, order
 
 
 def test_triangulate_matches_the_ear_scan_on_kernel_cases(monkeypatch):

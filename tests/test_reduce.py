@@ -144,6 +144,19 @@ class TestCertification:
         with pytest.raises(PlanRejected, match="connected"):
             certify_plan(ico, plan)
 
+    def test_rejects_plans_above_the_largest_size(self):
+        sizes = [Ratio(a, b).max_plan_size() for a, b in ((3, 13), (1, 5), (2, 9), (1, 20))]
+        assert sizes == [16, 16, 16, 21]
+        g = flagged(2, 70)
+        for c, size in ((C13, 17), (Ratio(1, 20), 22)):
+            plan = ReductionPlan(frozenset(g.vertices[:size]), (), c)
+            with pytest.raises(PlanRejected, match=f"{size} above {size - 1}, the largest"):
+                certify_plan(g, plan)
+        # at the bound the plan goes on to the other checks
+        plan = ReductionPlan(frozenset(g.vertices[:21]), (), Ratio(1, 20))
+        with pytest.raises(PlanRejected, match="too small"):
+            certify_plan(g, plan)
+
     def test_pair_plan_certifies_on_flagged_graph(self):
         g = flagged(2, 70)
         plan = tight_pair_plan(g)
