@@ -360,14 +360,13 @@ class EmbeddedGraph:
     def _lost_faces(
         self, gone: set[int], vs: Iterable[int], darts: Iterable[tuple[int, int]],
     ) -> tuple[int, list[tuple[int, ...]]]:
-        """``_local_faces`` here of the parent-side darts that ``_without``
-        reports for removing ``gone``, ``vs`` being the touched and gone
-        vertices.  Those darts lie on exactly the faces that touch
-        ``gone``.  In a connected triangulation with n >= 4 the faces are
-        distinct triangles and v lies on deg(v) of them, so they number
-        sum deg(v) - sum_f (|f & gone| - 1), over v in ``gone`` and the
-        faces f on the edges inside it; nothing is traced.  Any other
-        parent traces them."""
+        """``_local_faces`` here of ``darts``, the parent-side darts that
+        ``_without`` reports for removing ``gone`` (``vs`` the touched and
+        gone vertices): the faces that touch ``gone``.  In a connected
+        triangulation with n >= 4 the faces are distinct triangles and v
+        lies on deg(v) of them, so they number sum deg(v) - sum_f (|f &
+        gone| - 1), f over the faces on the edges inside ``gone``, and none
+        is traced."""
         rot, adj = self._rot, self._adj
         if self._ncomp != 1 or len(rot) < 4 or self._face_stats()[1]:
             return _local_faces(rot, vs, darts)

@@ -35,13 +35,6 @@ class LiftError(RuntimeError):
     """A certified lift failed its guarantee: indicates an engine bug."""
 
 
-# The largest S of a catalog plan, S = J | N(J): 11 for apex_pair (J is the
-# two apexes of an edge uv, of degrees 5 and <= 6, both adjacent to u and v),
-# 16 for low_trio_star6 (three vertices of degree <= 6 alternating on the
-# ring of a 6-vertex) and 16 for the sweep (|J| <= 3, |N(J)| <= TRIO_CAP).
-CATALOG_MAX_S = 16
-
-
 @dataclass(frozen=True, order=True)
 class Ratio:
     """Target independence ratio a/b in lowest terms, 0 < a/b < 1."""
@@ -72,9 +65,13 @@ class Ratio:
         return self.b * j >= self.a * x
 
     def max_plan_size(self) -> int:
-        """The largest |S| of a plan at this ratio: a low-degree plan's
-        N[v], with deg(v) <= b//a, or a catalog plan's."""
-        return max(CATALOG_MAX_S, self.b // self.a + 1)
+        """The largest |S| of a plan at this ratio.  A low-degree plan is
+        N[v] with deg(v) <= b//a.  A catalog plan is J | N(J): at most 11
+        vertices for apex_pair (J is the two apexes of an edge uv, of
+        degrees 5 and <= 6, both adjacent to u and v), and 16 for
+        low_trio_star6 (three vertices of degree <= 6 alternating on the
+        ring of a 6-vertex) and for the sweep (|J| <= 3, |N(J)| <= 13)."""
+        return max(16, self.b // self.a + 1)
 
     def __str__(self) -> str:
         return f"{self.a}/{self.b}"
