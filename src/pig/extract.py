@@ -48,7 +48,7 @@ from .reduce import (
 )
 
 BASE_EXACT_N = 20
-CERT_FORMAT = "pig-certificate/4"
+CERT_FORMAT = "pig-certificate/5"
 _HEADER = {"format", "ratio", "graph_hash", "n", "bound", "size",
            "independent_set", "root"}
 
@@ -110,8 +110,11 @@ class Certificate:
             raise CertificateError(f"bad JSON: {exc}") from None
         except RecursionError:
             raise CertificateError("bad JSON: nested too deep") from None
-        if not isinstance(payload, dict) or payload.get("format") != CERT_FORMAT:
-            raise CertificateError("unknown certificate format")
+        fmt = payload.get("format") if isinstance(payload, dict) else None
+        if fmt != CERT_FORMAT:
+            read = repr(fmt[:40]) if isinstance(fmt, str) else "none"
+            raise CertificateError(
+                f"unknown certificate format {read}, expected {CERT_FORMAT!r}")
         if payload.keys() != _HEADER:
             odd = ", ".join(sorted(payload.keys() ^ _HEADER))
             raise CertificateError(f"header fields missing or unknown: {odd}")
@@ -214,10 +217,10 @@ def _components(g: EmbeddedGraph) -> Step:
 
 
 def _reduce(g: EmbeddedGraph, cert: CertifiedPlan, **label) -> Step:
-    """A reduction that only deletes S, where the next step would
-    triangulate g - S, chords it in the same edit: its one node stands for
-    the fan-chord triangulation too."""
-    fill = not cert.plan.parts and g.n - len(cert.plan.s) > BASE_EXACT_N
+    """A reduction that leaves more than ``BASE_EXACT_N`` vertices, which
+    the next step would triangulate, chords what it leaves in the same
+    edit: its one node stands for the fan-chord triangulation too."""
+    fill = g.n - len(cert.plan.s) + cert.plan.t > BASE_EXACT_N
     reduced, ctx = apply_plan(g, cert, fill)
     fields = {"plan": cert.plan.summary() | {"w_ids": list(ctx.w_ids)}} | label
     return Step(

@@ -278,6 +278,15 @@ class EmbeddedGraph:
         ``drop`` and their neighbors are read or rewritten.  The result is
         ``contract_set(part)`` followed by ``delete_set(drop)``.
         """
+        gone, at, ncomp = self._contraction(part, drop)
+        new, darts = self._without(gone, at)
+        fresh = self._next_id
+        return self._edit(new, gone, darts, ncomp=ncomp, next_id=fresh + 1), fresh
+
+    def _contraction(
+        self, part: Iterable[int], drop: Iterable[int]
+    ) -> tuple[set[int], dict[int, int], int]:
+        """What ``contract_set`` removes, its ``at`` and its component count."""
         ps, ds = sorted(self._known(part)), self._known(drop)
         if not ps:
             raise GraphError("cannot contract an empty set")
@@ -317,10 +326,7 @@ class EmbeddedGraph:
         while left:
             ncomp -= 1
             left -= _reach(adj, [min(left)], left)
-        gone = merged | ds
-        new, darts = self._without(gone, at)
-        fresh = self._next_id
-        return self._edit(new, gone, darts, ncomp=ncomp, next_id=fresh + 1), fresh
+        return merged | ds, at, ncomp
 
     def _without(
         self, gone: Collection[int], at: Mapping[int, int] | None = None,
@@ -672,7 +678,9 @@ def separating_triangles(g: EmbeddedGraph) -> list[tuple[int, int, int]]:
 # -- triangulation -------------------------------------------------------------
 
 
-def triangulate(g: EmbeddedGraph, drop: Iterable[int] = ()) -> EmbeddedGraph:
+def triangulate(
+    g: EmbeddedGraph, drop: Iterable[int] = (), part: Iterable[int] = ()
+) -> EmbeddedGraph:
     """Add chords until every face is a triangle.
 
     The result is a supergraph on the same vertex set, so any independent
@@ -681,28 +689,34 @@ def triangulate(g: EmbeddedGraph, drop: Iterable[int] = ()) -> EmbeddedGraph:
     parallel to an existing edge.  Only the non-triangular faces are
     chorded, and only the rotations of chord ends are rewritten.
 
-    With ``drop``, ``g`` must be a triangulation and the graph chorded is
-    ``g.delete_set(drop)``; if that is disconnected or has fewer than 3
-    vertices it is returned as it is.  The deletion and the chords are one
-    edit: the faces the deletion removes are counted from degrees
-    (``_lost_faces``), the holes it leaves are traced once, on the
-    survivors' rotations (every vertex of one lost a neighbor), and both
-    give the deleted graph's Euler check.  A vertex that fans out takes
-    its chords in one splice of its rotation.
+    With ``drop`` or ``part``, ``g`` must be a triangulation and the graph
+    chorded is ``g.contract_set(part, drop)[0]`` (``g.delete_set(drop)``
+    without ``part``), returned as it is if disconnected or under 3
+    vertices.  The edit and the chords are one edit: the faces it removes
+    are counted from degrees (``_lost_faces``), the holes it leaves are
+    traced once, on the touched rotations, and both give its Euler check,
+    with a contraction's component count kept as in ``_edit``.  A vertex
+    that fans out takes its chords in one splice of its rotation.
     """
-    gone = g._known(drop)
+    gone, at, ncomp = g._contraction(part, drop) if part else (g._known(drop), None, None)
     if gone and not g.is_triangulation():
         raise GraphError("triangulate drops vertices only from a triangulation")
-    new, darts = g._without(gone)
-    old, holes = None, g._face_stats()[1]
+    next_id = None if at is None else g.next_id + 1
+    new, darts = g._without(gone, at)
+    old, holes, adj = None, g._face_stats()[1], g._adj
     if gone:
-        was, n = g._rot, g.n - len(gone)
-        old = g._lost_faces(gone, [*new, *gone], darts[0])
+        was = g._rot
+        old = g._lost_faces(gone, [*(v for v in new if v in was), *gone], darts[0])
         count, holes = _local_faces(new, new, darts[1])
-        m = g.m - (sum(len(was[v]) - len(ns) for v, ns in new.items())
-                   + sum(len(was[v]) for v in gone)) // 2
-        if _euler(n, m, g._face_stats()[0] - old[0] + count, None) != 1 or n < 3:
-            return g._edit(new, gone, darts, old=old)
+        n = len(was) - len(gone) + (at is not None)
+        m = g.m + (sum(len(ns) - len(was.get(v, ())) for v, ns in new.items())
+                   - sum(len(was[v]) for v in gone)) // 2
+        if at is not None:  # the survivors gained the fresh vertex
+            adj = {v: frozenset(ns) for v, ns in new.items()}
+        lost = at is not None and len(_reach(adj, [g.next_id], set(new))) != len(new)
+        if lost or _euler(n, m, g._face_stats()[0] - old[0] + count, ncomp) != 1 or n < 3:
+            h = g._edit(new, gone, darts, ncomp=ncomp, next_id=next_id, old=old)
+            return triangulate(h) if lost and h.n >= 3 and h.is_connected() else h
         holes = _sorted_holes(new, holes)
     elif g.n < 3:
         raise GraphError("triangulate needs at least 3 vertices")
@@ -717,7 +731,6 @@ def triangulate(g: EmbeddedGraph, drop: Iterable[int] = ()) -> EmbeddedGraph:
             ns = rot[v] = list(new[v] if v in new else g._rot[v])
         return ns
 
-    adj = g._adj  # the same between survivors after a deletion
     stack = [list(f) for f in holes if len(f) > 3]
     while stack:
         walk = stack.pop()
@@ -744,19 +757,25 @@ def triangulate(g: EmbeddedGraph, drop: Iterable[int] = ()) -> EmbeddedGraph:
             while j < k - 3 and walk[j + 1] not in adj[a] and walk[j + 1] not in fan:
                 j += 1
                 _add_chord(chords, a, walk[j])
-        ra = ring(a)
-        i = ra.index(walk[-2]) + 1
+        # Splice the chords in and note the darts whose successor changed:
+        # each chord's, and the one before it, on g's side too if g has it.
+        ra, p = ring(a), walk[-2]
+        i = ra.index(p) + 1
         ra[i:i] = walk[j:0:-1]
-        for i in range(1, j + 1):
-            rb = ring(walk[i])
-            rb.insert(rb.index(walk[i - 1]) + 1, a)
+        darts[1].extend([(p, a), *zip(walk[1:j + 1], itertools.repeat(a))])
+        if p in g._adj.get(a, ()):
+            darts[0].append((p, a))
+        for b, p in zip(walk[1:j + 1], walk):
+            rb = ring(b)
+            rb.insert(rb.index(p) + 1, a)
+            darts[1].extend(((a, b), (p, b)))
+            if p in g._adj.get(b, ()):
+                darts[0].append((p, b))
         if k - j > 3:
             stack.append(walk[j:])
 
-    for v, ns in rot.items():
-        _changed_darts(v, new[v] if v in new else g._rot[v], ns, (), chords[v], darts)
     new.update((v, tuple(ns)) for v, ns in rot.items())
-    out = g._edit(new, gone, darts, ncomp=1, old=old)
+    out = g._edit(new, gone, darts, ncomp=1, next_id=next_id, old=old)
     if not out.is_triangulation() or out.m != 3 * out.n - 6:
         raise EmbeddingError("triangulation postcondition failed")
     return out

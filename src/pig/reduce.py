@@ -205,22 +205,25 @@ def certify_plan(g: EmbeddedGraph, plan: ReductionPlan) -> CertifiedPlan:
 def apply_plan(
     g: EmbeddedGraph, cert: CertifiedPlan, fill: bool = False
 ) -> tuple[EmbeddedGraph, LiftContext]:
-    """The reduced graph and what lifting back from it needs.  With
-    ``fill``, a plan that only deletes also chords the reduced graph to a
-    triangulation, in the same edit where it can (``triangulate(g, S)``)."""
+    """The reduced graph and what lifting back from it needs.  The parts
+    are contracted in order, minting fresh ids, the last in one edit with
+    the deletion of the rest of S; with ``fill`` that edit also chords the
+    remainder (``triangulate``), unless an earlier part left a hole."""
     plan = cert.plan
     rest = plan.s - {v for p in plan.parts for v in p}
-    cur = g
-    w_ids = []
-    for i, part in enumerate(plan.parts, 1):  # the last one deletes the rest
-        cur, w = cur.contract_set(part, rest if i == len(plan.parts) else ())
-        w_ids.append(w)
-    if not plan.parts:
-        cur = triangulate(g, rest) if fill else g.delete_set(rest)
+    cur, last = g, plan.parts[-1:]
+    for part in plan.parts[:-1]:
+        cur = cur.contract_set(part)[0]
+    if fill and cur.is_triangulation():
+        cur = triangulate(cur, rest, *last)
+    else:  # an earlier part's contraction may leave a hole
+        cur = cur.contract_set(*last, rest)[0] if last else cur.delete_set(rest)
+        if fill and cur.is_connected():
+            cur = triangulate(cur)
     if cur.n != g.n - len(plan.s) + plan.t:
         raise LiftError("reduced size mismatch")
     adj = {v: g.neighbors(v) for v in plan.s}
-    return cur, LiftContext(g.n, adj, cert, tuple(w_ids))
+    return cur, LiftContext(g.n, adj, cert, tuple(range(g.next_id, cur.next_id)))
 
 
 def lift(reduced_set: Iterable[int], ctx: LiftContext) -> frozenset[int]:

@@ -18,22 +18,18 @@ from pig import mis
 from pig.configs import detect_apex_pair
 from pig.discharge import main_phases, run_warmup
 from pig.extract import (
-    BASE_EXACT_N,
     IncompletenessDiagnostic,
     check_certificate,
     extract,
+    next_step,
 )
 from pig.generate import GenSpec, generate
 from pig.graph import EmbeddedGraph
 from pig.reduce import (
     Ratio,
     ReductionPlan,
-    apply_plan,
-    certify_plan,
     interior,
     split_guarantees,
-    split_plan,
-    split_subproblems,
 )
 
 from conftest import k4, seven_ring_fixture
@@ -298,33 +294,22 @@ def test_criterion_7_split_guarantee_sweep():
 
 
 def _walk_reduce_steps(g, node, c, visit):
-    op = node["op"]
-    if op == "components":
-        for comp, child in zip(g.components(), node["children"]):
-            _walk_reduce_steps(g.subgraph(comp), child, c, visit)
-    elif op == "triangulate":
-        from pig.graph import triangulate
-
-        _walk_reduce_steps(triangulate(g), node["child"], c, visit)
-    elif op == "reduce":
+    """Replay ``node`` through the step engine, so every sub-instance is
+    the graph extraction built, and visit each reduction's graph and plan."""
+    step = next_step(g, c, node)
+    assert step.op == node["op"]
+    if step.op == "reduce":
         summary = node["plan"]
-        plan = ReductionPlan(
+        visit(g, ReductionPlan(
             s=frozenset(summary["S"]),
             parts=tuple(frozenset(p) for p in summary["parts"]),
             ratio=c,
-        )
-        visit(g, plan)
-        cert = certify_plan(g, plan)
-        # a deletion that leaves more than BASE_EXACT_N vertices also
-        # triangulates, as the step engine's reductions do
-        fill = not plan.parts and g.n - len(plan.s) > BASE_EXACT_N
-        reduced, _ = apply_plan(g, cert, fill)
-        _walk_reduce_steps(reduced, node["child"], c, visit)
-    elif op == "split":
-        sp = split_plan(g, tuple(node["triangle"]), c)
-        recorded = {s["tag"]: s for s in node["subs"]}
-        for sub in split_subproblems(g, sp):
-            _walk_reduce_steps(sub.graph, recorded[sub.tag]["child"], c, visit)
+        ))
+    kids = [node["child"]] if "child" in node else node.get("children", [])
+    kids += [sub["child"] for sub in node.get("subs", [])]
+    assert len(kids) == len(step.subs)
+    for sub, kid in zip(step.subs, kids):
+        _walk_reduce_steps(sub, kid, c, visit)
 
 
 def _count_reduce_nodes(root):

@@ -211,6 +211,22 @@ def test_check_cert_format_1_exits_2(rot_file, tmp_path, capsys):
     assert "unknown certificate format" in capsys.readouterr().err
 
 
+def test_check_cert_format_4_exits_2_naming_both_formats(rot_file, tmp_path, capsys):
+    g = parse_rotation_graph(rot_file.read_text())
+    payload = json.loads(extract(g, "3/13").to_json())
+    payload["format"] = "pig-certificate/4"
+    cert = tmp_path / "v4.cert"
+    cert.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["check-cert", str(rot_file), str(cert)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"input error: unknown certificate format 'pig-certificate/4', "
+        f"expected {CERT_FORMAT!r}"
+    ]
+
+
 def test_check_cert_deep_document_exits_2(rot_file, tmp_path):
     # 95,000 nested lists overflowed the C stack in the JSON scanner
     # (exit 139) while the recursion limit stood at 100,000

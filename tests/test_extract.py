@@ -128,14 +128,14 @@ def _nodes(node):
 
 
 def _fused(node, n):
-    """The reduce nodes that only delete and leave more than
-    ``BASE_EXACT_N`` of the ``n`` vertices, down the root's chain of
-    single-child steps: each stands for the triangulation after it too."""
+    """The reduce nodes that leave more than ``BASE_EXACT_N`` of the ``n``
+    vertices, down the root's chain of single-child steps: each stands for
+    the triangulation after it too."""
     while "child" in node:
         if node["op"] == "reduce":
             plan = node["plan"]
             n -= len(plan["S"]) - len(plan["parts"])
-            if not plan["parts"] and n > BASE_EXACT_N:
+            if n > BASE_EXACT_N:
                 yield node
         node = node["child"]
 
@@ -164,6 +164,16 @@ class TestCertificateFormat:
         payload["format"] = "pig-certificate/3"
         with pytest.raises(CertificateError, match="unknown certificate format"):
             Certificate.from_json(json.dumps(payload))
+
+    def test_format_4_is_refused_naming_both_formats(self, ico):
+        payload = json.loads(extract(ico, C13).to_json())
+        payload["format"] = "pig-certificate/4"
+        with pytest.raises(CertificateError) as info:
+            Certificate.from_json(json.dumps(payload))
+        assert str(info.value) == (
+            "unknown certificate format 'pig-certificate/4', "
+            "expected 'pig-certificate/5'"
+        )
 
     def test_old_two_node_shape_is_refused(self, monkeypatch):
         # format 3's triangulate node after a fused reduction, under a
@@ -366,6 +376,26 @@ class TestCheckCertificate:
         monkeypatch.setattr(engine, "lift", broken_lift)
         ok, reason = check_certificate(g, cert)
         assert not ok and reason == "window optimum below certified size"
+
+
+def test_flagged_mix_reductions_have_no_triangulate_child(monkeypatch):
+    """Every reduction chords its own remainder, contraction or not: on
+    the benchmark's flagged-mix inputs no reduce node has a triangulate
+    child, and the certificates replay."""
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    contracted = 0
+    for recipe in workloads.inputs("flagged-mix", 0) + workloads.inputs(
+            "flagged-mix", 0, tiny=True):
+        g = recipe.build()
+        cert = extract(g, C13)
+        reduces = [node for node in _nodes(cert.root) if node["op"] == "reduce"]
+        assert all(node["child"]["op"] != "triangulate" for node in reduces)
+        contracted += sum(1 for node in reduces if node["plan"]["parts"])
+        assert check_certificate(g, cert) == (True, "ok")
+    assert contracted > 100
 
 
 class TestFusedReplay:

@@ -5,8 +5,9 @@ for a fixed list of specs.
 spec's independent set, and the sha256 of its ``Certificate.to_json()``, so
 a change to the trace that leaves the final set alone still shows.  They
 change only on purpose; to re-record them after such a change, run
-``PYTHONPATH=src python tests/test_golden.py`` from the repo root and say
-in the change log why they moved.
+``PYTHONPATH=src python tests/test_golden.py`` from the repo root: it
+prints one line for each entry whose set or sha256 moved.  Say in the
+change log why they moved.
 """
 
 import hashlib
@@ -83,6 +84,16 @@ if __name__ == "__main__":
     import sys
 
     sys.path.insert(0, str(Path(__file__).parent))
-    lines = [json.dumps(golden_entry(s)) for s in SPECS]
+    recorded = {e["id"]: e for e in json.loads(GOLDEN.read_text())}
+    entries = [golden_entry(s) for s in SPECS]
+    moved = 0
+    for entry in entries:
+        was = recorded.get(entry["id"], {})
+        keys = [k for k in ("set", "sha256") if was.get(k) != entry[k]]
+        if keys:
+            moved += 1
+            print(f"{entry['id']}: {' and '.join(keys)} moved, sha256 "
+                  f"{was.get('sha256', 'none')[:12]} -> {entry['sha256'][:12]}")
+    lines = [json.dumps(entry) for entry in entries]
     GOLDEN.write_text("[\n" + ",\n".join(lines) + "\n]\n")
-    print(f"wrote {len(lines)} golden entries to {GOLDEN}")
+    print(f"wrote {len(lines)} golden entries to {GOLDEN}, {moved} moved")

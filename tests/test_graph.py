@@ -15,6 +15,7 @@ from pig.graph import (
     triangulate,
 )
 from pig.generate import GenSpec, generate
+from pig.reduce import CertifiedPlan, Ratio, ReductionPlan, apply_plan
 
 from conftest import brute_separating_triangles, embedded_cycle, neighbor_cycle
 
@@ -377,7 +378,7 @@ def disjoint_union(g1, g2):
 
 def _kernel_cases():
     """(id, graph builder, ratio): the golden specs, a glued pair, a drum,
-    three flagged graphs and a disconnected graph."""
+    three flagged graphs, a disconnected graph and one with holes."""
     from test_golden import SPECS, build, spec_id
 
     from conftest import drum, glued_pair
@@ -393,6 +394,10 @@ def _kernel_cases():
         cases.append((f"flagged-{n}-s{seed}", lambda n=n, seed=seed: flagged(n, seed), "3/13"))
     cases.append(("union-flagged-40-plain-30", lambda: disjoint_union(
         flagged(40, 2), generate(GenSpec(seed=9, n=30))), "3/13"))
+    # every reduction chords its own remainder, so only an input with holes
+    # reaches the triangulate step on a triangulation's subgraph
+    cases.append(("holed-flagged-60", lambda: flagged(60, 4).delete_set(range(1, 4)),
+                  "3/13"))
     return cases
 
 
@@ -645,12 +650,14 @@ def test_one_edit_equals_contract_then_delete(monkeypatch):
 # -- one edit per plain reduction: delete S and triangulate the rest ---------
 
 
-def assert_fused_as_two_edits(g, drop):
-    """``triangulate(g, drop)`` against ``delete_set`` then ``triangulate``,
-    its degree buckets carried from ``g`` against fresh ones."""
+def assert_fused_as_two_edits(g, drop, part=()):
+    """``triangulate(g, drop, part)`` against ``contract_set(part, drop)``,
+    or ``delete_set(drop)`` without ``part``, then ``triangulate``, its
+    degree buckets carried from ``g`` against fresh ones.  Returns whether
+    it added chords."""
     next(g.by_degree(0), None)  # build g's buckets for the edit to carry
-    one = triangulate(g, drop)
-    two = g.delete_set(drop)
+    one = triangulate(g, drop, part)
+    edited = two = g.contract_set(part, drop)[0] if part else g.delete_set(drop)
     if two.n >= 3 and two.is_connected():
         two = triangulate(two)
     assert_same_edit(one, two)
@@ -658,7 +665,7 @@ def assert_fused_as_two_edits(g, drop):
     top = max(map(one.degree, one.vertices), default=0)
     assert list(one.by_degree(top)) == list(two.by_degree(top))
     assert_same_as_fresh(one)
-    return one.m > g.delete_set(drop).m
+    return one.m > edited.m
 
 
 def test_fused_edit_equals_delete_then_triangulate(monkeypatch):
@@ -713,6 +720,119 @@ def test_fused_edit_checks_the_deleted_graph():
     g._nf += 1
     with pytest.raises(EmbeddingError, match="Euler"):
         triangulate(g, drop)
+
+
+def test_fused_contraction_equals_contract_then_triangulate(monkeypatch):
+    """The last edit of every reduction with parts in the kernel cases,
+    fused, against the contraction then the triangulation."""
+    chorded = kept = holed = 0
+    for _, build, ratio in KERNEL_CASES:
+        for g, plan in applied_plans(monkeypatch, build(), ratio):
+            if not plan.parts:
+                continue
+            for part in plan.parts[:-1]:
+                g, _ = g.contract_set(part)
+            if not g.is_triangulation():  # apply_plan takes two edits here
+                holed += 1
+                continue
+            rest = plan.s - {v for p in plan.parts for v in p}
+            if assert_fused_as_two_edits(g, rest, plan.parts[-1]):
+                chorded += 1
+            else:
+                kept += 1
+    assert chorded > 50 and kept > 10 and not holed
+
+
+def test_fused_contraction_on_other_parents(graph_stacked, ico):
+    # a contraction that leaves K4, a triangle or one vertex, one that
+    # disconnects and one with a drop far from the part: in these two the
+    # search from the fresh vertex does not reach the drop's hole, so the
+    # components are counted afresh
+    far = next(v for v in ico.vertices if not ico.neighbors(v) & {1, 2})
+    cases = [(graph_stacked, {1, 2}, {4}), (ico, set(), {1}), (ico, {far}, {1, 2}),
+             (ico, set(ico.rotation(1)), {1}), (ico, set(range(3, 13)), {1, 2}),
+             (ico, set(range(4, 12)), {1, 2, 3})]
+    for g, drop, part in cases:
+        assert_fused_as_two_edits(g, drop, part)
+    with pytest.raises(GraphError, match="not induce a connected"):
+        triangulate(ico, (), {1, far})
+    # connected parts grown breadth-first, each with a random set dropped
+    rng = random.Random(8)
+    chorded = 0
+    for seed in range(4):
+        g = generate(GenSpec(seed=seed, n=30))
+        for _ in range(60):
+            part = [rng.choice(g.vertices)]
+            for x in part:
+                part += [y for y in g.rotation(x) if y not in part]
+            part = part[:rng.randint(1, 4)]
+            others = [v for v in g.vertices if v not in part]
+            chorded += assert_fused_as_two_edits(
+                g, rng.sample(others, rng.randint(0, 6)), part)
+    assert chorded > 100
+
+
+def test_fused_contraction_checks_its_own_component_count():
+    """A parent whose second component is K7 on the torus, under caches
+    that claim two plane components: every face is a triangle, so only
+    the count can refuse it.  Read off Euler, it would come out as one
+    component, and the chorded graph would even have 3n - 6 edges."""
+    from pig.graph import EmbeddingError
+
+    g = generate(GenSpec(seed=1, n=30))
+    bad = disjoint_union(g, embedded_cycle(7))
+    k7 = [31 + i for i in range(7)]
+    bad._rot.update((v, tuple(k7[(i + d) % 7] for d in (1, 3, 2, 6, 4, 5)))
+                    for i, v in enumerate(k7))
+    bad._adj.update((v, frozenset(bad._rot[v])) for v in k7)
+    bad._m += 21 - 7
+    bad._faces = bad._nf = bad._holes = None
+    assert bad.is_triangulation() and bad._ncomp == 2
+    with pytest.raises(EmbeddingError, match="Euler"):
+        triangulate(bad, {g.rotation(1)[0]}, {1})
+
+
+def test_reduction_after_a_holed_contraction_takes_two_edits():
+    """A first part whose contraction leaves a hole: the last part is
+    contracted, the rest deleted, and the result chorded, as two edits."""
+    from conftest import glued_pair
+
+    g = glued_pair(16, 14)
+    u, v, x = separating_triangles(g)[0]
+    y = next(w for w in g.vertices if not g.neighbors(w) & {u, v, x})
+    z = next(w for w in g.vertices if w != y and not g.neighbors(w) & {u, v, x, y})
+    plan = ReductionPlan(frozenset({u, v, y, z}), (frozenset({u, v}), frozenset({y})),
+                         Ratio.parse("3/13"))
+    h = g.contract_set({u, v})[0]
+    assert not h.is_triangulation()
+    one, ctx = apply_plan(g, CertifiedPlan(plan, frozenset(), 0, ()), fill=True)
+    two = triangulate(h.contract_set({y}, {z})[0])
+    assert_same_edit(one, two)
+    assert ctx.w_ids == (g.next_id, g.next_id + 1)
+
+
+def test_flagged_extraction_makes_one_edit_per_part(monkeypatch):
+    ex = importlib.import_module("pig.extract")
+    edits, made = [], []
+    edit, apply = EmbeddedGraph._edit, ex.apply_plan
+
+    def counting(parent, *args, **kw):
+        edits.append(parent)
+        return edit(parent, *args, **kw)
+
+    def applying(g, cert, fill=False):
+        before = len(edits)
+        out = apply(g, cert, fill)
+        made.append((cert.plan.t, len(edits) - before))
+        return out
+
+    monkeypatch.setattr(EmbeddedGraph, "_edit", counting)
+    monkeypatch.setattr(ex, "apply_plan", applying)
+    for seed in range(3):
+        ex.extract(generate(GenSpec(seed=seed, n=150, min_degree5=True,
+                                    no_separating_triangle=True)), "3/13")
+    assert [edits for t, edits in made] == [max(t, 1) for t, _ in made]
+    assert sum(1 for t, _ in made if t) > 20 and any(t > 1 for t, _ in made)
 
 
 def test_plain_extraction_makes_one_edit_per_reduction(monkeypatch):
@@ -797,7 +917,8 @@ def test_removed_faces_counted_on_kernel_cases(monkeypatch):
 
     def during(name, fn):
         def wrapped(*args, **kw):
-            ops.append(name)
+            # a fused edit given a part is the parent of a contraction
+            ops.append("contract_set" if args[2:] else name)
             try:
                 return fn(*args, **kw)
             finally:
@@ -903,6 +1024,54 @@ def test_dart_reports_match_the_rotation_diff(monkeypatch):
     assert len(degrees) > edits
 
 
+def test_chord_darts_are_noted_at_the_splice(monkeypatch):
+    """The darts each chord changes, noted where the splice inserts it,
+    against ``_changed_darts`` on the edited and the final rotations, on
+    every triangulation of plain and flagged extractions: the same on the
+    child's side, and the same darts of the parent on its side."""
+    gr = importlib.import_module("pig.graph")
+    ex = importlib.import_module("pig.extract")
+    rd = importlib.import_module("pig.reduce")
+    calls = []
+
+    def recording(g, drop=(), *part):
+        calls.append((g, drop, part))
+        return triangulate(g, drop, *part)
+
+    for module in (ex, rd):
+        monkeypatch.setattr(module, "triangulate", recording)
+    ex.extract(generate(GenSpec(seed=0, n=300)), "3/13")
+    ex.extract(generate(GenSpec(seed=1, n=150, min_degree5=True,
+                                no_separating_triangle=True)), "3/13")
+    monkeypatch.undo()
+    reported = []
+    edit = EmbeddedGraph._edit
+
+    def noting(self, new, gone, darts, **kw):
+        reported.append(darts)
+        return edit(self, new, gone, darts, **kw)
+
+    monkeypatch.setattr(EmbeddedGraph, "_edit", noting)
+    chords = 0
+    for g, drop, part in calls:
+        gone, at = set(drop), None
+        if part:
+            gone, at, _ = g._contraction(*part, drop)
+        new, (old0, new0) = g._without(gone, at)
+        t = triangulate(g, drop, *part)
+        old, new_side = reported[-1]
+        ref = ([], [])
+        for v in t.vertices:
+            was = new.get(v, g._rot.get(v))
+            if t.rotation(v) != was:
+                added = set(t.rotation(v)) - set(was)
+                gr._changed_darts(v, was, t.rotation(v), (), added, ref)
+                chords += len(added)
+        assert set(new_side[len(new0):]) == set(ref[1])
+        assert set(old[len(old0):]) == {(x, v) for x, v in ref[0] if x in g._adj.get(v, ())}
+    assert chords > 1000
+
+
 # -- the ear order of triangulate against the quadratic scan ------------------
 
 
@@ -957,9 +1126,11 @@ def test_triangulate_matches_the_ear_scan_on_kernel_cases(monkeypatch):
     rd = importlib.import_module("pig.reduce")
     made = []
 
-    def recording(g, drop=()):
-        t = triangulate(g, drop)
-        made.append((g.delete_set(drop) if drop else g, t))
+    def recording(g, drop=(), *part):
+        t = triangulate(g, drop, *part)
+        if part:
+            g = g.contract_set(*part, drop)[0]
+        made.append((g.delete_set(drop) if drop and not part else g, t))
         return t
 
     monkeypatch.setattr(ex, "triangulate", recording)
