@@ -53,10 +53,10 @@ class EmbeddedGraph:
     are counted from degrees, ``_lost_faces``, since the parent is
     checked already.  Deletion and contraction share one rewrite of the
     survivors' rotations, ``_without``; a small induced part is an edit
-    of the empty graph; ``triangulate(g, drop)`` deletes and chords the
-    holes left in one edit.  Every graph knows its face count, counting
-    an isolated vertex as one face, its non-triangular faces and its
-    number of components c, with n - m + faces = 2c by Euler's formula.
+    of the empty graph; ``triangulate(g, drop, part)`` chords the holes a
+    contraction or deletion leaves in the same edit.  Every graph knows
+    its face count (an isolated vertex is one face), its non-triangular
+    faces and its number of components c, with n - m + faces = 2c.
     """
 
     __slots__ = (

@@ -165,16 +165,6 @@ class TestCertificateFormat:
         with pytest.raises(CertificateError, match="unknown certificate format"):
             Certificate.from_json(json.dumps(payload))
 
-    def test_format_4_is_refused_naming_both_formats(self, ico):
-        payload = json.loads(extract(ico, C13).to_json())
-        payload["format"] = "pig-certificate/4"
-        with pytest.raises(CertificateError) as info:
-            Certificate.from_json(json.dumps(payload))
-        assert str(info.value) == (
-            "unknown certificate format 'pig-certificate/4', "
-            "expected 'pig-certificate/5'"
-        )
-
     def test_old_two_node_shape_is_refused(self, monkeypatch):
         # format 3's triangulate node after a fused reduction, under a
         # format 4 header: refused where the reduction's child is due,
