@@ -36,6 +36,13 @@ SPECS = (
     # many hub vertices: plain-large's input, and a larger geodesic sphere
     {"family": "plain", "n": 1000, "seed": 0, "ratio": "3/13"},
     {"family": "geodesic", "levels": 2, "ratio": "3/13"},
+    # the flagged-mix inputs, and a plan whose first contraction leaves a hole
+    {"family": "flagged", "n": 200, "seed": 3, "ratio": "3/13"},
+    {"family": "geodesic", "levels": 3, "ratio": "3/13"},
+    {"family": "drum", "rings": 20, "ratio": "3/13"},
+    {"family": "drum", "rings": 60, "ratio": "3/13"},
+    {"family": "glued", "n1": 110, "n2": 90, "seed1": 11, "seed2": 2, "ratio": "3/13"},
+    {"family": "flagged", "n": 56, "seed": 2019, "ratio": "3/13"},
 )
 
 
@@ -54,7 +61,7 @@ def build(spec: dict):
                                 min_degree5=flagged,
                                 no_separating_triangle=flagged))
     if family == "glued":
-        return glued_pair(spec["n1"], spec["n2"])
+        return glued_pair(spec["n1"], spec["n2"], spec.get("seed1", 3), spec.get("seed2", 8))
     if family == "geodesic":
         g = icosahedron()
         for _ in range(spec["levels"]):
