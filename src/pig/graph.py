@@ -44,17 +44,17 @@ class EmbeddedGraph:
     neighbors.  The face tracing rule: the dart (u, v) is followed by
     (v, w) where w is the successor of u in the rotation at v.
 
-    A graph built here is validated whole.  Every graph derived from it
-    (``subgraph``, ``delete_set``, ``contract_set``, ``triangulate``) is
-    one checked local edit, ``_edit``: it shares the parent's unchanged
-    rotations and neighbor sets, checks only the rotations the edit
-    touched, and re-traces only the faces through the darts the edit
-    names as changed; the faces that an edit of a triangulation removes
-    are counted from degrees, ``_lost_faces``, since the parent is
-    checked already.  Deletion and contraction share one rewrite of the
-    survivors' rotations, ``_without``; a small induced part is an edit
-    of the empty graph; ``triangulate(g, drop, part)`` chords the holes a
-    contraction or deletion leaves in the same edit.  Every graph knows
+    A graph built here is validated whole, and so is a ``subgraph`` under
+    half the parent, in O(|keep|).  Every other derived graph (``subgraph``,
+    ``delete_set``, ``contract_set``, ``triangulate``) is one checked local
+    edit, ``_edit``: it shares the parent's unchanged rotations and neighbor
+    sets, checks only the rotations the edit touched, and re-traces only
+    the faces through the darts the edit names as changed; the faces that
+    an edit of a triangulation removes are counted from degrees,
+    ``_lost_faces``, since the parent is checked already.  Deletion and
+    contraction share one rewrite of the survivors' rotations,
+    ``_without``.  ``triangulate`` chords the holes of the fresh child in
+    place, ``_fill``, checking only what the chords add.  Every graph knows
     its face count (an isolated vertex is one face), its non-triangular
     faces and its number of components c, with n - m + faces = 2c.
     """
@@ -171,11 +171,10 @@ class EmbeddedGraph:
             if v in adj[v]:
                 raise EmbeddingError(f"loop at vertex {v}")
             for u in ns:
-                if u not in rot:
-                    raise EmbeddingError(f"vertex {v} lists unknown vertex {u}")
-                if v not in adj[u]:
+                if v not in adj.get(u, ()):
                     raise EmbeddingError(
                         f"asymmetric adjacency: {v} lists {u} but not vice versa"
+                        if u in rot else f"vertex {v} lists unknown vertex {u}"
                     )
 
     # -- faces -------------------------------------------------------------
@@ -242,12 +241,10 @@ class EmbeddedGraph:
         """Induced subgraph; keeps ids and the inherited embedding."""
         ks = self._known(keep)
         if 2 * len(ks) >= len(self._rot):
-            gone = self._rot.keys() - ks
-            new, darts = self._without(gone)
-            return self._edit(new, gone, darts)
-        # A small part: an edit of the empty graph, in O(|keep|).
+            return self._edit(self._rot.keys() - ks)
+        # A small part: built and checked whole, in O(|keep|).
         new = {v: tuple(u for u in self._rot[v] if u in ks) for v in sorted(ks)}
-        return self._edit(new, None, ([], [(u, v) for v, ns in new.items() for u in ns]))
+        return EmbeddedGraph(new, next_id=self._next_id)
 
     def delete_set(self, drop: Iterable[int]) -> "EmbeddedGraph":
         return self.subgraph(self._rot.keys() - self._known(drop))
@@ -278,10 +275,7 @@ class EmbeddedGraph:
         ``drop`` and their neighbors are read or rewritten.  The result is
         ``contract_set(part)`` followed by ``delete_set(drop)``.
         """
-        gone, at, ncomp = self._contraction(part, drop)
-        new, darts = self._without(gone, at)
-        fresh = self._next_id
-        return self._edit(new, gone, darts, ncomp=ncomp, next_id=fresh + 1), fresh
+        return self._edit(*self._contraction(part, drop)), self._next_id
 
     def _contraction(
         self, part: Iterable[int], drop: Iterable[int]
@@ -384,44 +378,35 @@ class EmbeddedGraph:
         return count - sum(len(f & gone) - 1 for f in shared), []
 
     def _edit(
-        self, new: dict[int, tuple[int, ...]], gone: Collection[int] | None,
-        darts: Darts, *, ncomp: int | None = None, next_id: int | None = None,
-        old: tuple[int, list[tuple[int, ...]]] | None = None,
+        self, gone: Collection[int], at: Mapping[int, int] | None = None,
+        ncomp: int | None = None,
     ) -> "EmbeddedGraph":
-        """The child graph: this graph without ``gone`` and with the
-        rotations in ``new`` (of touched or fresh vertices), checked where
-        it differs.  The maps are copied, not rebuilt.  With ``gone`` None
-        the edit starts from the empty graph instead: every vertex of
-        ``new`` is fresh, and the parent's m, faces and holes count 0.
+        """The child graph: this graph without ``gone``, and with the fresh
+        vertex ``next_id`` if ``at`` is given (a contraction, ``_without``),
+        checked where it differs.  The maps are copied, not rebuilt, and the
+        degree buckets are handed on.
 
-        ``darts`` = (old, new) are the darts (x, v) of this graph and of
-        the child whose successor at v the edit changed: every such dart
-        must be named on its side (a dart that exists on one side only is
-        changed), and a dart whose face did not change may be named only
-        if it is named on both.  Faces are re-traced from these darts
-        alone.  ``ncomp`` is the component count the edit keeps, or None
-        for a deletion; Euler's formula is checked by ``_euler``.  A
-        contraction (``next_id`` given) keeps every edge between survivors
-        and ties its fresh vertex to one component, so its count holds if
-        one search from the fresh vertex, limited to the touched vertices,
-        reaches them all; otherwise the components are counted afresh.
-        The faces ``darts[0]`` passes here are counted by ``_lost_faces``,
-        from degrees alone when this graph is a triangulation; ``old`` is
-        that count and the holes among them, if taken already.
+        ``_without`` names the darts (x, v) of this graph and of the child
+        whose successor at v the edit changed, and faces are re-traced from
+        these darts alone; the faces this graph loses are counted by
+        ``_lost_faces``, from degrees when it is a triangulation.  ``ncomp``
+        is the component count the edit keeps, or None for a deletion;
+        Euler's formula is checked by ``_euler``.  A contraction keeps every
+        edge between survivors and ties its fresh vertex to one component,
+        so its count holds if one search from the fresh vertex, limited to
+        the touched vertices, reaches them all; otherwise the components are
+        counted afresh.
         """
-        if gone is None:  # an edit of the empty graph
-            was, m, nf, holes, gone, old = {}, 0, 0, (), (), (0, [])
-            rot, adj = {}, {}
-        else:
-            was, m, (nf, holes) = self._rot, self._m, self._face_stats()
-            rot, adj = dict(was), dict(self._adj)
+        new, darts = self._without(gone, at)
+        was, m, (nf, holes) = self._rot, self._m, self._face_stats()
+        rot, adj = dict(was), dict(self._adj)
         for v in gone:
             del rot[v], adj[v]
         rot.update(new)
         adj.update((v, frozenset(ns)) for v, ns in new.items())
         g = EmbeddedGraph.__new__(EmbeddedGraph)
         g._rot, g._adj, g._faces = rot, adj, None
-        g._next_id = self._next_id if next_id is None else next_id
+        g._next_id = self._next_id + (at is not None)
         g._buckets = g._septris = None
         g._check_rotations(new)
         edited = [v for v in new if v in was]
@@ -437,26 +422,97 @@ class EmbeddedGraph:
                     )
         g._m = m + degrees // 2
         # A face changed iff one of its darts got a new successor.
-        before, old_holes = old or self._lost_faces(gone, [*edited, *gone], darts[0])
+        before, old_holes = self._lost_faces(gone, [*edited, *gone], darts[0])
         count, new_holes = _local_faces(rot, new, darts[1])
         nf += count - before
         dropped = {_canonical(was, h) for h in old_holes}
         holes = [h for h in holes if h not in dropped] + new_holes
-        if next_id is not None:  # a contraction
-            fresh = [v for v in new if v not in was]
-            if len(_reach(adj, fresh[:1], set(new))) != len(new):
-                g._ncomp = None
-                ncomp = len(g.components())
+        if at is not None and len(_reach(adj, [self._next_id], set(new))) != len(new):
+            g._ncomp = None
+            ncomp = len(g.components())
         g._nf = nf
         g._holes = _sorted_holes(rot, holes)
         g._ncomp = _euler(len(rot), g._m, nf, ncomp)
-        if was is self._rot and self._buckets is not None:  # edited from self
+        if self._buckets is not None:
             g._buckets, self._buckets = self._buckets, None
             for v in itertools.chain(edited, gone):
                 g._buckets[len(was[v])].discard(v)
             for v in new:
                 g._buckets.setdefault(len(rot[v]), set()).add(v)
         return g
+
+    def _fill(self) -> None:
+        """Chord every hole, in place: this graph is a connected child that
+        no one else holds yet.  Chords fan out of the smallest-id vertex
+        available on each face; ears are cut when a fan chord would be
+        parallel to an existing edge.  A vertex that fans out takes its
+        chords in one splice of its rotation.
+
+        Only what the chords add is checked: each chord end's rotation is
+        its checked rotation plus its chords, each once; the faces through
+        the chord darts are traced, and none may be a hole; Euler with one
+        component, and 3n - 6 edges.
+        """
+        rot, adj = self._rot, self._adj
+        spliced: dict[int, list[int]] = {}  # rotations of the chord ends so far
+        chords: defaultdict[int, set[int]] = defaultdict(set)
+
+        def ring(v: int) -> list[int]:
+            return spliced.get(v) or spliced.setdefault(v, list(rot[v]))
+
+        stack = [list(f) for f in self._holes]
+        while stack:
+            walk = stack.pop()
+            k = len(walk)
+            # ear positions p where chord walk[p]..walk[p+2] is addable
+            best = None
+            for p in range(k):
+                a, b = walk[p], walk[(p + 2) % k]
+                if (best is None or a < walk[best]) and a != b and (
+                    b not in adj[a] and b not in chords.get(a, ())
+                ):
+                    best = p
+            if best is None:
+                raise EmbeddingError("face admits no chord; cannot triangulate")
+            walk = walk[best + 1:] + walk[:best + 1]  # the ear's vertex a last
+            a, j = walk[-1], 1
+            _add_chord(chords, a, walk[1])
+            # Cutting walk[j] changes only the ears of the two vertices before
+            # it, and a chord only takes candidates away.  So if a is on the
+            # walk once and the vertex before it is larger, a's next ear is the
+            # next best if addable: a fans out to walk[1..j].
+            if walk[-2] > a and walk.count(a) == 1:
+                fan = chords[a]
+                while j < k - 3 and walk[j + 1] not in adj[a] and walk[j + 1] not in fan:
+                    j += 1
+                    _add_chord(chords, a, walk[j])
+            # Splice the chords in, each after the walk's vertex before it.
+            ra = ring(a)
+            i = ra.index(walk[-2]) + 1
+            ra[i:i] = walk[j:0:-1]
+            for b, p in zip(walk[1:j + 1], walk):
+                rb = ring(b)
+                rb.insert(rb.index(p) + 1, a)
+            if k - j > 3:
+                stack.append(walk[j:])
+        buckets = self._buckets
+        for v, cs in chords.items():
+            was, ns = rot[v], tuple(spliced.get(v, ()))
+            now = frozenset(ns)
+            if len(ns) != len(was) + len(cs) or now != adj[v] | cs:
+                raise EmbeddingError(f"rotation of {v} is not its own plus its chords")
+            rot[v], adj[v] = ns, now
+            if buckets is not None:
+                buckets[len(was)].discard(v)
+                buckets.setdefault(len(ns), set()).add(v)
+        self._check_rotations(chords)
+        self._m += sum(map(len, chords.values())) // 2
+        count, left = _local_faces(rot, (), ((a, b) for a, cs in chords.items() for b in cs))
+        self._nf += count - len(self._holes)
+        self._holes = ()
+        _euler(len(rot), self._m, self._nf, 1)
+        if left or self._m != 3 * len(rot) - 6:
+            raise EmbeddingError("triangulation postcondition failed")
 
     # -- serialization -------------------------------------------------------
 
@@ -684,100 +740,21 @@ def triangulate(
     """Add chords until every face is a triangle.
 
     The result is a supergraph on the same vertex set, so any independent
-    set of it is independent in ``g``.  Chords fan out of the smallest-id
-    vertex available on each face; ears are cut when a fan chord would be
-    parallel to an existing edge.  Only the non-triangular faces are
-    chorded, and only the rotations of chord ends are rewritten.
+    set of it is independent in ``g``.  Only the non-triangular faces are
+    chorded, by the fan rule of ``_fill``, and only the rotations of chord
+    ends are rewritten.
 
-    With ``drop`` or ``part``, ``g`` must be a triangulation and the graph
-    chorded is ``g.contract_set(part, drop)[0]`` (``g.delete_set(drop)``
-    without ``part``), returned as it is if disconnected or under 3
-    vertices.  The edit and the chords are one edit: the faces it removes
-    are counted from degrees (``_lost_faces``), the holes it leaves are
-    traced once, on the touched rotations, and both give its Euler check,
-    with a contraction's component count kept as in ``_edit``.  A vertex
-    that fans out takes its chords in one splice of its rotation.
+    With ``drop`` or ``part``, the graph chorded is ``g.contract_set(part,
+    drop)[0]`` (``g.delete_set(drop)`` without ``part``), returned as it is
+    if disconnected or under 3 vertices.  Either way it is one ``_edit`` of
+    ``g``, whose child ``_fill`` chords in place.
     """
     gone, at, ncomp = g._contraction(part, drop) if part else (g._known(drop), None, None)
-    if gone and not g.is_triangulation():
-        raise GraphError("triangulate drops vertices only from a triangulation")
-    next_id = None if at is None else g.next_id + 1
-    new, darts = g._without(gone, at)
-    old, holes, adj = None, g._face_stats()[1], g._adj
-    if gone:
-        was = g._rot
-        old = g._lost_faces(gone, [*(v for v in new if v in was), *gone], darts[0])
-        count, holes = _local_faces(new, new, darts[1])
-        n = len(was) - len(gone) + (at is not None)
-        m = g.m + (sum(len(ns) - len(was.get(v, ())) for v, ns in new.items())
-                   - sum(len(was[v]) for v in gone)) // 2
-        if at is not None:  # the survivors gained the fresh vertex
-            adj = {v: frozenset(ns) for v, ns in new.items()}
-        lost = at is not None and len(_reach(adj, [g.next_id], set(new))) != len(new)
-        if lost or _euler(n, m, g._face_stats()[0] - old[0] + count, ncomp) != 1 or n < 3:
-            h = g._edit(new, gone, darts, ncomp=ncomp, next_id=next_id, old=old)
-            return triangulate(h) if lost and h.n >= 3 and h.is_connected() else h
-        holes = _sorted_holes(new, holes)
-    elif g.n < 3:
-        raise GraphError("triangulate needs at least 3 vertices")
-    elif not g.is_connected():
-        raise GraphError("triangulate needs a connected graph")
-    rot: dict[int, list[int]] = {}  # rotations of the chord ends so far
-    chords: defaultdict[int, set[int]] = defaultdict(set)
-
-    def ring(v: int) -> list[int]:
-        ns = rot.get(v)
-        if ns is None:
-            ns = rot[v] = list(new[v] if v in new else g._rot[v])
-        return ns
-
-    stack = [list(f) for f in holes if len(f) > 3]
-    while stack:
-        walk = stack.pop()
-        k = len(walk)
-        # ear positions p where chord walk[p]..walk[p+2] is addable
-        best = None
-        for p in range(k):
-            a, b = walk[p], walk[(p + 2) % k]
-            if (best is None or a < walk[best]) and a != b and (
-                b not in adj[a] and b not in chords.get(a, ())
-            ):
-                best = p
-        if best is None:
-            raise EmbeddingError("face admits no chord; cannot triangulate")
-        walk = walk[best + 1:] + walk[:best + 1]  # the ear's vertex a last
-        a, j = walk[-1], 1
-        _add_chord(chords, a, walk[1])
-        # Cutting walk[j] changes only the ears of the two vertices before
-        # it, and a chord only takes candidates away.  So if a is on the
-        # walk once and the vertex before it is larger, a's next ear is the
-        # next best if addable: a fans out to walk[1..j].
-        if walk[-2] > a and walk.count(a) == 1:
-            fan = chords[a]
-            while j < k - 3 and walk[j + 1] not in adj[a] and walk[j + 1] not in fan:
-                j += 1
-                _add_chord(chords, a, walk[j])
-        # Splice the chords in and note the darts whose successor changed:
-        # each chord's, and the one before it, on g's side too if g has it.
-        ra, p = ring(a), walk[-2]
-        i = ra.index(p) + 1
-        ra[i:i] = walk[j:0:-1]
-        darts[1].extend([(p, a), *zip(walk[1:j + 1], itertools.repeat(a))])
-        if p in g._adj.get(a, ()):
-            darts[0].append((p, a))
-        for b, p in zip(walk[1:j + 1], walk):
-            rb = ring(b)
-            rb.insert(rb.index(p) + 1, a)
-            darts[1].extend(((a, b), (p, b)))
-            if p in g._adj.get(b, ()):
-                darts[0].append((p, b))
-        if k - j > 3:
-            stack.append(walk[j:])
-
-    new.update((v, tuple(ns)) for v, ns in rot.items())
-    out = g._edit(new, gone, darts, ncomp=1, next_id=next_id, old=old)
-    if not out.is_triangulation() or out.m != 3 * out.n - 6:
-        raise EmbeddingError("triangulation postcondition failed")
+    if not gone and (g.n < 3 or not g.is_connected()):
+        raise GraphError("triangulate needs a connected graph on at least 3 vertices")
+    out = g._edit(gone, at, ncomp)
+    if out._holes and out.n >= 3 and out.is_connected():
+        out._fill()
     return out
 
 

@@ -208,18 +208,16 @@ def apply_plan(
     """The reduced graph and what lifting back from it needs.  The parts
     are contracted in order, minting fresh ids, the last in one edit with
     the deletion of the rest of S; with ``fill`` that edit also chords the
-    remainder (``triangulate``), unless an earlier part left a hole."""
+    remainder (``triangulate``)."""
     plan = cert.plan
     rest = plan.s - {v for p in plan.parts for v in p}
     cur, last = g, plan.parts[-1:]
     for part in plan.parts[:-1]:
         cur = cur.contract_set(part)[0]
-    if fill and cur.is_triangulation():
+    if fill:
         cur = triangulate(cur, rest, *last)
-    else:  # an earlier part's contraction may leave a hole
+    else:
         cur = cur.contract_set(*last, rest)[0] if last else cur.delete_set(rest)
-        if fill and cur.is_connected():
-            cur = triangulate(cur)
     if cur.n != g.n - len(plan.s) + plan.t:
         raise LiftError("reduced size mismatch")
     adj = {v: g.neighbors(v) for v in plan.s}

@@ -452,14 +452,15 @@ class TestLocalEdits:
         v = g.vertices[0]
         u = g.rotation(v)[0]
         h = g.delete_set([v])
-        ops = {
-            "subgraph below half": lambda: g.subgraph(g.vertices[:30]),
-            "subgraph above half": lambda: g.subgraph(g.vertices[:60]),
-            "delete_set": lambda: g.delete_set([v]),
-            "contract_set": lambda: g.contract_set({v, u}),
-            "contract_set with drop": lambda: g.contract_set({v}, [u]),
-            "triangulate": lambda: triangulate(h),
-            "triangulate with drop": lambda: triangulate(g, [v]),
+        ops = {  # a part under half is no edit: it is built whole
+            "subgraph below half": (lambda: g.subgraph(g.vertices[:30]), []),
+            "subgraph above half": (lambda: g.subgraph(g.vertices[:60]), [g]),
+            "delete_set": (lambda: g.delete_set([v]), [g]),
+            "contract_set": (lambda: g.contract_set({v, u}), [g]),
+            "contract_set with drop": (lambda: g.contract_set({v}, [u]), [g]),
+            "triangulate": (lambda: triangulate(h), [h]),
+            "triangulate with drop": (lambda: triangulate(g, [v]), [g]),
+            "triangulate a holed parent with drop": (lambda: triangulate(h, [u]), [h]),
         }
         edits = []
         original = EmbeddedGraph._edit
@@ -469,10 +470,10 @@ class TestLocalEdits:
             return original(parent, *args, **kw)
 
         monkeypatch.setattr(EmbeddedGraph, "_edit", counting)
-        for name, op in ops.items():
+        for name, (op, parents) in ops.items():
             edits.clear()
             op()
-            assert edits == [h if name == "triangulate" else g], name
+            assert edits == parents, name
 
     def test_chained_edits(self):
         for h in chained_walk(generate(GenSpec(seed=2, n=200))):
@@ -690,11 +691,11 @@ def test_fused_edit_on_other_parents(graph_cube, graph_stacked, ico):
     for h in walk:
         if h.is_triangulation():
             assert_fused_as_two_edits(h, h.vertices[:3])
-    # a parent with holes is refused: a reduction runs on a triangulation
+    # parents with holes: the deletion's edit of them is chorded the same
     holed = [(h, h.vertices[:3]) for h in walk if not h.is_triangulation()]
+    assert len(holed) > 5
     for g, drop in [(graph_cube, {1}), (graph_cube, {1, 7}), *holed]:
-        with pytest.raises(GraphError, match="only from a triangulation"):
-            triangulate(g, drop)
+        assert_fused_as_two_edits(g, drop)
     # random sets, which leave several holes, some passing a vertex twice
     rng = random.Random(5)
     for seed in range(4):
@@ -709,9 +710,9 @@ def test_fused_edit_checks_the_deleted_graph():
     g = generate(GenSpec(seed=1, n=30))
     v = g.vertices[-1]
     drop = {next(u for u in g.rotation(1) if u != v and not g.adjacent(u, v))}
-    # re-traced, the corrupted rotation leaves a hole, so the parent is
-    # refused as no triangulation
-    with pytest.raises(GraphError, match="only from a triangulation"):
+    # re-traced, the corrupted rotation leaves a parent of genus one,
+    # which the deletion's own Euler check refuses
+    with pytest.raises(EmbeddingError, match="Euler"):
         triangulate(_corrupted(g, v), drop)
     # a stale face count on the fused path: the deleted graph's own Euler
     # check refuses it
@@ -724,7 +725,8 @@ def test_fused_edit_checks_the_deleted_graph():
 
 def test_fused_contraction_equals_contract_then_triangulate(monkeypatch):
     """The last edit of every reduction with parts in the kernel cases,
-    fused, against the contraction then the triangulation."""
+    fused, against the contraction then the triangulation, also where an
+    earlier part's contraction left a hole (flagged n=56 seed 2019)."""
     chorded = kept = holed = 0
     for _, build, ratio in KERNEL_CASES:
         for g, plan in applied_plans(monkeypatch, build(), ratio):
@@ -732,15 +734,13 @@ def test_fused_contraction_equals_contract_then_triangulate(monkeypatch):
                 continue
             for part in plan.parts[:-1]:
                 g, _ = g.contract_set(part)
-            if not g.is_triangulation():  # apply_plan takes two edits here
-                holed += 1
-                continue
+            holed += not g.is_triangulation()
             rest = plan.s - {v for p in plan.parts for v in p}
             if assert_fused_as_two_edits(g, rest, plan.parts[-1]):
                 chorded += 1
             else:
                 kept += 1
-    assert chorded > 50 and kept > 10 and not holed
+    assert chorded > 50 and kept > 10 and holed
 
 
 def test_fused_contraction_on_other_parents(graph_stacked, ico):
@@ -793,9 +793,10 @@ def test_fused_contraction_checks_its_own_component_count():
         triangulate(bad, {g.rotation(1)[0]}, {1})
 
 
-def test_reduction_after_a_holed_contraction_takes_two_edits():
+def test_reduction_after_a_holed_contraction_makes_one_edit_per_part(monkeypatch):
     """A first part whose contraction leaves a hole: the last part is
-    contracted, the rest deleted, and the result chorded, as two edits."""
+    contracted, the rest deleted and the result chorded in one more edit,
+    the same graph as the three done one at a time."""
     from conftest import glued_pair
 
     g = glued_pair(16, 14)
@@ -806,7 +807,17 @@ def test_reduction_after_a_holed_contraction_takes_two_edits():
                          Ratio.parse("3/13"))
     h = g.contract_set({u, v})[0]
     assert not h.is_triangulation()
+    edits = []
+    edit = EmbeddedGraph._edit
+
+    def counting(parent, *args):
+        edits.append(parent)
+        return edit(parent, *args)
+
+    monkeypatch.setattr(EmbeddedGraph, "_edit", counting)
     one, ctx = apply_plan(g, CertifiedPlan(plan, frozenset(), 0, ()), fill=True)
+    assert len(edits) == plan.t and edits[0] is g
+    monkeypatch.undo()
     two = triangulate(h.contract_set({y}, {z})[0])
     assert_same_edit(one, two)
     assert ctx.w_ids == (g.next_id, g.next_id + 1)
@@ -824,16 +835,36 @@ def test_flagged_extraction_makes_one_edit_per_part(monkeypatch):
     def applying(g, cert, fill=False):
         before = len(edits)
         out = apply(g, cert, fill)
-        made.append((cert.plan.t, len(edits) - before))
+        parents = edits[before:]
+        made.append((cert.plan.t, len(parents)))
+        holed.extend(p for p in parents[1:] if not p.is_triangulation())
         return out
 
+    holed = []
     monkeypatch.setattr(EmbeddedGraph, "_edit", counting)
     monkeypatch.setattr(ex, "apply_plan", applying)
-    for seed in range(3):
-        ex.extract(generate(GenSpec(seed=seed, n=150, min_degree5=True,
+    # the last has a plan whose first contraction leaves a hole
+    for n, seed in ((150, 0), (150, 1), (150, 2), (56, 2019)):
+        ex.extract(generate(GenSpec(seed=seed, n=n, min_degree5=True,
                                     no_separating_triangle=True)), "3/13")
     assert [edits for t, edits in made] == [max(t, 1) for t, _ in made]
     assert sum(1 for t, _ in made if t) > 20 and any(t > 1 for t, _ in made)
+    assert holed
+
+
+def test_disjoint_k4s_extract_without_an_edit(monkeypatch):
+    """Each component of 200 disjoint K4s (the extremal family) is built
+    whole in O(4), not cut out of the 800-vertex graph by an edit."""
+    from conftest import k4
+
+    one = k4()
+    g = EmbeddedGraph({4 * i + v: tuple(4 * i + u for u in one.rotation(v))
+                       for i in range(200) for v in one.vertices})
+    ex = importlib.import_module("pig.extract")
+    edits = []
+    monkeypatch.setattr(EmbeddedGraph, "_edit", lambda *args: edits.append(args))
+    cert = ex.extract(g, "3/13")
+    assert not edits and len(cert.independent_set) == 200
 
 
 def test_plain_extraction_makes_one_edit_per_reduction(monkeypatch):
@@ -849,6 +880,71 @@ def test_plain_extraction_makes_one_edit_per_reduction(monkeypatch):
     monkeypatch.setattr(EmbeddedGraph, "_edit", counting)
     ex.extract(g, "3/13")
     assert len(edits) <= 250
+
+
+# -- the fill: chords added in place, checked for what they add ----------------
+
+
+def _two_holes():
+    """A fresh child with two holes: plain n=80 seed 1 less two closed
+    neighborhoods far apart, still connected."""
+    g = generate(GenSpec(seed=1, n=80))
+    for v in g.vertices:
+        near = {v} | g.neighbors(v)
+        ball = near.union(*map(g.neighbors, near))
+        for far in g.vertices:
+            if not (g.neighbors(far) | {far}) & ball:
+                h = g.delete_set(near | {far} | g.neighbors(far))
+                if h.is_connected() and len(h._holes) == 2:
+                    return h
+
+
+def _reversed_holes(h):
+    h._holes = tuple(f[::-1] for f in h._holes)
+
+
+def test_fill_checks_what_the_chords_add():
+    """A child left inconsistent by a faulty edit is refused by the fill,
+    each fault by the check named: the chord end's rotation against its
+    neighbor set and chords, symmetry, Euler on the traced face count, the
+    edge count, and no hole among the faces through the chord darts."""
+    from pig.graph import EmbeddingError
+
+    h = _two_holes()
+    t = triangulate(h)
+    w = next(v for v in h.vertices if t.rotation(v) != h.rotation(v))  # a chord end
+    x = next(v for v in h.vertices if t.rotation(v) == h.rotation(v)
+             and not h.adjacent(v, w) and v != w)
+
+    def phantom(h):  # w's neighbor set names x, its rotation does not
+        h._adj[w] |= {x}
+
+    def one_way(h):  # w lists x, x does not list w
+        ns = list(h._rot[w])
+        ns.insert(1, x)
+        h._rot[w], h._adj[w] = tuple(ns), frozenset(ns)
+
+    def extra_faces(h):
+        h._nf += 2
+
+    def lost_hole(h):  # the second hole is not chorded
+        h._holes = h._holes[:1]
+
+    def hidden(h):  # chords on the wrong side, under a count Euler cannot tell
+        _reversed_holes(h)
+        h._nf += 5
+
+    faults = {phantom: "not its own plus its chords", one_way: "asymmetric adjacency",
+              extra_faces: "Euler", lost_hole: "postcondition",
+              _reversed_holes: "Euler", hidden: "postcondition"}
+    for fault, message in faults.items():
+        h = _two_holes()
+        fault(h)
+        with pytest.raises(EmbeddingError, match=message):
+            h._fill()
+    h = _two_holes()
+    h._fill()
+    assert_same_edit(h, t)
 
 
 # -- removed faces: counted from degrees against the trace -----------------------
@@ -992,21 +1088,19 @@ def checking_dart_reports(monkeypatch):
     degrees = []
     original = EmbeddedGraph._edit
 
-    def checked(self, new, gone, darts, **kw):
-        g = original(self, new, gone, darts, **kw)
+    def checked(self, gone, at=None, ncomp=None):
+        new, darts = self._without(gone, at)  # what the edit itself takes
+        g = original(self, gone, at, ncomp)
         rot, touched = g._rot, list(new)
-        if gone is None:
-            assert sorted(darts[1]) == sorted(_darts_into(rot, {}, touched))
-        else:
-            was = [v for v in touched if v in self._rot] + list(gone)
-            ref = (_darts_into(self._rot, rot, was),
-                   _darts_into(rot, self._rot, touched))
-            extra = [set(d) - set(r) for d, r in zip(darts, ref)]
-            assert extra[0] == extra[1]
-            assert all(set(r) <= set(d) for d, r in zip(darts, ref))
-            assert _traced(self._rot, was, darts[0]) == _traced(self._rot, was, ref[0])
-            assert _traced(rot, touched, darts[1]) == _traced(rot, touched, ref[1])
-            degrees.extend(len(self._rot[v]) for v in was)
+        was = [v for v in touched if v in self._rot] + list(gone)
+        ref = (_darts_into(self._rot, rot, was),
+               _darts_into(rot, self._rot, touched))
+        extra = [set(d) - set(r) for d, r in zip(darts, ref)]
+        assert extra[0] == extra[1]
+        assert all(set(r) <= set(d) for d, r in zip(darts, ref))
+        assert _traced(self._rot, was, darts[0]) == _traced(self._rot, was, ref[0])
+        assert _traced(rot, touched, darts[1]) == _traced(rot, touched, ref[1])
+        degrees.extend(len(self._rot[v]) for v in was)
         return g
 
     monkeypatch.setattr(EmbeddedGraph, "_edit", checked)
@@ -1023,54 +1117,6 @@ def test_dart_reports_match_the_rotation_diff(monkeypatch):
     for _ in chained_walk(generate(GenSpec(seed=2, n=200))):
         pass
     assert len(degrees) > edits
-
-
-def test_chord_darts_are_noted_at_the_splice(monkeypatch):
-    """The darts each chord changes, noted where the splice inserts it,
-    against ``_changed_darts`` on the edited and the final rotations, on
-    every triangulation of plain and flagged extractions: the same on the
-    child's side, and the same darts of the parent on its side."""
-    gr = importlib.import_module("pig.graph")
-    ex = importlib.import_module("pig.extract")
-    rd = importlib.import_module("pig.reduce")
-    calls = []
-
-    def recording(g, drop=(), *part):
-        calls.append((g, drop, part))
-        return triangulate(g, drop, *part)
-
-    for module in (ex, rd):
-        monkeypatch.setattr(module, "triangulate", recording)
-    ex.extract(generate(GenSpec(seed=0, n=300)), "3/13")
-    ex.extract(generate(GenSpec(seed=1, n=150, min_degree5=True,
-                                no_separating_triangle=True)), "3/13")
-    monkeypatch.undo()
-    reported = []
-    edit = EmbeddedGraph._edit
-
-    def noting(self, new, gone, darts, **kw):
-        reported.append(darts)
-        return edit(self, new, gone, darts, **kw)
-
-    monkeypatch.setattr(EmbeddedGraph, "_edit", noting)
-    chords = 0
-    for g, drop, part in calls:
-        gone, at = set(drop), None
-        if part:
-            gone, at, _ = g._contraction(*part, drop)
-        new, (old0, new0) = g._without(gone, at)
-        t = triangulate(g, drop, *part)
-        old, new_side = reported[-1]
-        ref = ([], [])
-        for v in t.vertices:
-            was = new.get(v, g._rot.get(v))
-            if t.rotation(v) != was:
-                added = set(t.rotation(v)) - set(was)
-                gr._changed_darts(v, was, t.rotation(v), (), added, ref)
-                chords += len(added)
-        assert set(new_side[len(new0):]) == set(ref[1])
-        assert set(old[len(old0):]) == {(x, v) for x, v in ref[0] if x in g._adj.get(v, ())}
-    assert chords > 1000
 
 
 # -- the ear order of triangulate against the quadratic scan ------------------
