@@ -65,13 +65,15 @@ class Ratio:
         return self.b * j >= self.a * x
 
     def max_plan_size(self) -> int:
-        """The largest |S| of a plan at this ratio.  A low-degree plan is
-        N[v] with deg(v) <= b//a.  A catalog plan is J | N(J): at most 11
-        vertices for apex_pair (J is the two apexes of an edge uv, of
-        degrees 5 and <= 6, both adjacent to u and v), and 16 for
+        """The largest |S| of a plan: 16 at every ratio.  A low-degree plan
+        is N[v] for a v of least degree, at most 5 in a plane graph, or,
+        where a clique neighborhood is passed over (ratio above 1/4), of
+        degree <= b//a <= 3; so |S| <= 6.  A catalog plan is J | N(J): at
+        most 11 vertices for apex_pair (J is the two apexes of an edge uv,
+        of degrees 5 and <= 6, both adjacent to u and v), and 16 for
         low_trio_star6 (three vertices of degree <= 6 alternating on the
         ring of a 6-vertex) and for the sweep (|J| <= 3, |N(J)| <= 13)."""
-        return max(16, self.b // self.a + 1)
+        return 16
 
     def __str__(self) -> str:
         return f"{self.a}/{self.b}"

@@ -185,21 +185,21 @@ def test_check_cert_malformed_exits_1(rot_file, tmp_path, capsys):
 
 
 def test_check_cert_oracle_budget_exits_1(flagged_file, tmp_path, capsys, monkeypatch):
-    # a reduction deleting every vertex makes the whole graph the window
-    # that replay must certify, which the tight budget cannot afford
-    # (at 1/40 a plan may have 41 vertices, so its 36 pass the size bound)
+    # a reduction of 16 vertices (the most a plan may have) in one part
+    # makes all of them a window that replay must certify; deciding
+    # alpha >= 5 there takes 7 oracle nodes, which the budget cannot afford
     cert = tmp_path / "out.cert"
-    main(["extract", str(flagged_file), "--ratio", "1/40", "--json", str(cert)])
+    main(["extract", str(flagged_file), "--json", str(cert)])
     payload = json.loads(cert.read_text())
-    everything = sorted(parse_rotation_graph(flagged_file.read_text()).vertices)
-    payload["root"] = {"op": "reduce", "plan": {"S": everything, "parts": []},
+    s = [7, 9, 13, 15, 17, 18, 19, 21, 24, 25, 27, 29, 30, 31, 34, 36]
+    payload["root"] = {"op": "reduce", "plan": {"S": s, "parts": [s]},
                        "child": {"op": "exact"}}
     cert.write_text(json.dumps(payload))
-    monkeypatch.setenv("PIG_ORACLE_BUDGET", "10")
+    monkeypatch.setenv("PIG_ORACLE_BUDGET", "3")
     capsys.readouterr()
     assert main(["check-cert", str(flagged_file), str(cert)]) == 1
     out, err = capsys.readouterr()
-    assert out.splitlines() == ["FAIL: oracle budget exceeded: exceeded 10 nodes"]
+    assert out.splitlines() == ["FAIL: oracle budget exceeded: exceeded 3 nodes"]
     assert err == ""
 
 

@@ -477,28 +477,30 @@ class TestForcedSteps:
         assert max(sizes, default=0) <= BASE_EXACT_N
 
     def test_oracle_budget_exceeded_fails_the_check(self, monkeypatch):
-        # S is every vertex, so the one window to certify is the whole
-        # graph; at 1/120 a plan may have 121 vertices
-        monkeypatch.setenv("PIG_ORACLE_BUDGET", "400")
+        # S has 16 vertices, the most a plan may have, all in one part, so
+        # one window to certify is all of S: deciding alpha >= 5 there
+        # takes 9 oracle nodes
+        monkeypatch.setenv("PIG_ORACLE_BUDGET", "4")
+        s = [10, 14, 22, 29, 42, 45, 47, 50, 51, 63, 69, 91, 101, 102, 111, 115]
         g, cert = _forged(lambda g: {
-            "op": "reduce", "plan": {"S": sorted(g.vertices), "parts": []},
-            "child": {"op": "exact"}}, ratio=Ratio(1, 120))
+            "op": "reduce", "plan": {"S": s, "parts": [s]}, "child": {"op": "exact"}})
         ok, reason = check_certificate(g, cert)
-        assert not ok and reason.startswith("oracle budget exceeded: ")
+        assert not ok and reason == "oracle budget exceeded: exceeded 4 nodes"
 
     def test_plan_above_the_largest_is_refused_at_once(self, monkeypatch):
-        # the whole-graph window above, at the default budget and 3/13,
-        # would keep the checker searching for minutes
+        # a whole-graph window at the default budget would keep the checker
+        # searching for minutes, at any ratio
         monkeypatch.delenv("PIG_ORACLE_BUDGET", raising=False)
         g = generate(GenSpec(seed=1, n=400, min_degree5=True, no_separating_triangle=True))
-        payload = json.loads(extract(g, C13).to_json())
-        payload["root"] = {"op": "reduce", "plan": {"S": sorted(g.vertices), "parts": []},
-                           "child": {"op": "exact"}}
-        cert = _direct(payload)
-        start = time.perf_counter()
-        ok, reason = check_certificate(g, cert)
-        assert time.perf_counter() - start < 0.1
-        assert not ok and reason == "|S| = 400 above 16, the largest plan at 3/13"
+        for ratio in (C13, Ratio(1, 400)):
+            payload = json.loads(extract(g, ratio).to_json())
+            payload["root"] = {"op": "reduce", "plan": {"S": sorted(g.vertices), "parts": []},
+                               "child": {"op": "exact"}}
+            cert = _direct(payload)
+            start = time.perf_counter()
+            ok, reason = check_certificate(g, cert)
+            assert time.perf_counter() - start < 0.1
+            assert not ok and reason == f"|S| = 400 above 16, the largest plan at {ratio}"
 
 
 class TestEngine:

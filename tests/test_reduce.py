@@ -119,6 +119,33 @@ class TestLowDegree:
             assert plan is not None
             certify_plan(g, plan)
 
+    def test_plans_have_at_most_six_vertices_at_any_ratio(self, monkeypatch, graph_k4):
+        """A low-degree plan is the closed neighborhood of a vertex of
+        degree at most 5, so the plan size bound of 16 holds at every
+        ratio: on every graph extraction reduces, from 1/400 to 2/7."""
+        import importlib
+
+        from pig.extract import IncompletenessDiagnostic
+
+        ex = importlib.import_module("pig.extract")
+        sizes = []
+
+        def recording(g, c):
+            plan = find_low_degree_plan(g, c)
+            sizes.append(len(plan.s) if plan else 0)
+            return plan
+
+        monkeypatch.setattr(ex, "find_low_degree_plan", recording)
+        graphs = [generate(GenSpec(seed=3, n=120)), flagged(1, 60), graph_k4]
+        for r in ("1/400", "1/40", "1/20", "1/5", "2/9", "3/13", "1/4", "5/19", "2/7"):
+            assert Ratio.parse(r).max_plan_size() == 16
+            for g in graphs:
+                try:
+                    ex.extract(g, r)
+                except IncompletenessDiagnostic:
+                    pass
+        assert len(sizes) > 200 and 4 <= max(sizes) <= 6
+
 
 class TestCertification:
     def test_rejects_t_not_less_than_s(self, ico):
@@ -145,15 +172,13 @@ class TestCertification:
             certify_plan(ico, plan)
 
     def test_rejects_plans_above_the_largest_size(self):
-        sizes = [Ratio(a, b).max_plan_size() for a, b in ((3, 13), (1, 5), (2, 9), (1, 20))]
-        assert sizes == [16, 16, 16, 21]
         g = flagged(2, 70)
-        for c, size in ((C13, 17), (Ratio(1, 20), 22)):
-            plan = ReductionPlan(frozenset(g.vertices[:size]), (), c)
-            with pytest.raises(PlanRejected, match=f"{size} above {size - 1}, the largest"):
+        for c in (C13, Ratio(1, 20), Ratio(1, 400)):
+            plan = ReductionPlan(frozenset(g.vertices[:17]), (), c)
+            with pytest.raises(PlanRejected, match=f"17 above 16, the largest plan at {c}$"):
                 certify_plan(g, plan)
         # at the bound the plan goes on to the other checks
-        plan = ReductionPlan(frozenset(g.vertices[:21]), (), Ratio(1, 20))
+        plan = ReductionPlan(frozenset(g.vertices[:16]), (), C13)
         with pytest.raises(PlanRejected, match="too small"):
             certify_plan(g, plan)
 
