@@ -171,10 +171,11 @@ class EmbeddedGraph:
             if v in adj[v]:
                 raise EmbeddingError(f"loop at vertex {v}")
             for u in ns:
-                if v not in adj.get(u, ()):
+                if u not in rot:
+                    raise EmbeddingError(f"vertex {v} lists unknown vertex {u}")
+                if v not in adj[u]:
                     raise EmbeddingError(
                         f"asymmetric adjacency: {v} lists {u} but not vice versa"
-                        if u in rot else f"vertex {v} lists unknown vertex {u}"
                     )
 
     # -- faces -------------------------------------------------------------
@@ -449,9 +450,9 @@ class EmbeddedGraph:
         chords in one splice of its rotation.
 
         Only what the chords add is checked: each chord end's rotation is
-        its checked rotation plus its chords, each once; the faces through
-        the chord darts are traced, and none may be a hole; Euler with one
-        component, and 3n - 6 edges.
+        its checked rotation plus its chords (noted at both ends), each
+        once; the faces through the chord darts, none a hole; Euler with
+        one component; and 3n - 6 edges.
         """
         rot, adj = self._rot, self._adj
         spliced: dict[int, list[int]] = {}  # rotations of the chord ends so far
@@ -499,15 +500,14 @@ class EmbeddedGraph:
         for v, cs in chords.items():
             was, ns = rot[v], tuple(spliced.get(v, ()))
             now = frozenset(ns)
-            if len(ns) != len(was) + len(cs) or now != adj[v] | cs:
+            if not len(now) == len(ns) == len(was) + len(cs) or now != adj[v] | cs:
                 raise EmbeddingError(f"rotation of {v} is not its own plus its chords")
             rot[v], adj[v] = ns, now
             if buckets is not None:
                 buckets[len(was)].discard(v)
                 buckets.setdefault(len(ns), set()).add(v)
-        self._check_rotations(chords)
         self._m += sum(map(len, chords.values())) // 2
-        count, left = _local_faces(rot, (), ((a, b) for a, cs in chords.items() for b in cs))
+        count, left = _local_faces(rot, (), [(a, b) for a, cs in chords.items() for b in cs])
         self._nf += count - len(self._holes)
         self._holes = ()
         _euler(len(rot), self._m, self._nf, 1)
