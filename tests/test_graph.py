@@ -854,7 +854,8 @@ def test_flagged_extraction_makes_one_edit_per_part(monkeypatch):
 
 def test_disjoint_k4s_extract_without_an_edit(monkeypatch):
     """Each component of 200 disjoint K4s (the extremal family) is built
-    whole in O(4), not cut out of the 800-vertex graph by an edit."""
+    whole from its own four rotations, not cut out of the 800-vertex graph
+    by an edit."""
     from conftest import k4
 
     one = k4()
@@ -933,8 +934,8 @@ def test_fill_checks_what_the_chords_add():
         h._nf += 5
 
     faults = {phantom: "not its own plus its chords", twice: "not its own plus its chords",
-              extra_faces: "Euler",
-              lost_hole: "postcondition", _reversed_holes: "Euler", hidden: "postcondition"}
+              extra_faces: "Euler", _reversed_holes: "Euler",
+              lost_hole: "postcondition", hidden: "postcondition"}
     for fault, message in faults.items():
         h = _two_holes()
         fault(h)
