@@ -16,6 +16,7 @@ ceil(c*n) or the run raises a typed error.
 from __future__ import annotations
 
 import json
+import reprlib
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -48,7 +49,7 @@ from .reduce import (
 )
 
 BASE_EXACT_N = 20
-CERT_FORMAT = "pig-certificate/5"
+CERT_FORMAT = "pig-certificate/6"
 _HEADER = {"format", "ratio", "graph_hash", "n", "bound", "size",
            "independent_set", "root"}
 
@@ -106,7 +107,7 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int over the digit limit
             raise CertificateError(f"bad JSON: {exc}") from None
         except RecursionError:
             raise CertificateError("bad JSON: nested too deep") from None
@@ -116,7 +117,7 @@ class Certificate:
             raise CertificateError(
                 f"unknown certificate format {read}, expected {CERT_FORMAT!r}")
         if payload.keys() != _HEADER:
-            odd = ", ".join(sorted(payload.keys() ^ _HEADER))
+            odd = _brief(", ".join(sorted(payload.keys() ^ _HEADER)))
             raise CertificateError(f"header fields missing or unknown: {odd}")
         if not isinstance(payload["independent_set"], list):
             raise CertificateError("independent_set is not a list")
@@ -178,21 +179,23 @@ class Step:
     leaves and how their solutions combine into a solution of ``g``.
 
     ``fields`` are the certificate fields the choice of step fixes.
-    ``combine(sols, kids)`` maps the sub-solutions and the sub-instances'
-    certificate nodes to the solution and the node fields they add; it
-    keeps no sub-instance alive.  A node records the step's choices only;
-    the set is recorded once, in the certificate header.
+    ``combine(sols)`` maps the sub-solutions to the solution; it keeps no
+    sub-instance alive.  A node records the step's op, its choices and its
+    sub-trees, ``child`` for one and ``children`` for several, and nothing
+    replay derives; the set is recorded once, in the certificate header.
     """
 
     op: str
     fields: dict
     subs: tuple[EmbeddedGraph, ...]
-    combine: Callable[[list[frozenset[int]], list], tuple[frozenset[int], dict]]
+    combine: Callable[[list[frozenset[int]]], frozenset[int]]
 
     def finish(self, sols: list, kids: list) -> tuple[frozenset[int], dict]:
         """Combine the sub-solutions; return the solution and its node."""
-        out, added = self.combine(sols, kids)
-        return out, {"op": self.op} | self.fields | added
+        node = {"op": self.op} | self.fields
+        if kids:
+            node |= {"child": kids[0]} if len(kids) == 1 else {"children": kids}
+        return self.combine(sols), node
 
     def summary(self) -> dict:
         """The step as ``pig reduce`` prints it."""
@@ -200,11 +203,11 @@ class Step:
 
 
 def _exact(g: EmbeddedGraph) -> Step:
-    def combine(sols, kids):
+    def combine(sols):
         out = frozenset(mis.mis_exact(g))
         if not mis.verify_independent(g, out):
             raise LiftError("exact solution not independent")  # unreachable
-        return out, {}
+        return out
 
     return Step("exact", {}, (), combine)
 
@@ -212,7 +215,7 @@ def _exact(g: EmbeddedGraph) -> Step:
 def _components(g: EmbeddedGraph) -> Step:
     return Step(
         "components", {}, tuple(g.subgraph(comp) for comp in g.components()),
-        lambda sols, kids: (frozenset().union(*sols), {"children": kids}),
+        lambda sols: frozenset().union(*sols),
     )
 
 
@@ -222,11 +225,8 @@ def _reduce(g: EmbeddedGraph, cert: CertifiedPlan, **label) -> Step:
     edit: its one node stands for the fan-chord triangulation too."""
     fill = g.n - len(cert.plan.s) + cert.plan.t > BASE_EXACT_N
     reduced, ctx = apply_plan(g, cert, fill)
-    fields = {"plan": cert.plan.summary() | {"w_ids": list(ctx.w_ids)}} | label
-    return Step(
-        "reduce", fields, (reduced,),
-        lambda sols, kids: (lift(sols[0], ctx), {"child": kids[0]}),
-    )
+    fields = {"plan": cert.plan.summary()} | label
+    return Step("reduce", fields, (reduced,), lambda sols: lift(sols[0], ctx))
 
 
 def _split(g: EmbeddedGraph, c: Ratio, triangle) -> Step:
@@ -234,24 +234,16 @@ def _split(g: EmbeddedGraph, c: Ratio, triangle) -> Step:
     subs = split_subproblems(g, sp)
     tags = [(sub.tag, sub.merged, sub.floor) for sub in subs]  # not the graphs
 
-    def combine(sols, kids):
+    def combine(sols):
         if any(len(sol) < floor for (_, _, floor), sol in zip(tags, sols)):
             raise LiftError("split sub-solution below its floor")  # unreachable
-        out, recipe = split_combine(
+        return split_combine(
             g, sp,
             {tag: sol for (tag, _, _), sol in zip(tags, sols)},
             {tag: merged for tag, merged, _ in tags},
         )
-        return out, {"recipe": recipe, "subs": [
-            {"tag": tag, "merged": merged, "child": kid}
-            for (tag, merged, _), kid in zip(tags, kids)
-        ]}
 
-    fields = {
-        "triangle": list(sp.triangle),
-        "strategy": sp.strategy,
-        "sides": [len(sp.side1), len(sp.side2)],
-    }
+    fields = {"triangle": list(sp.triangle)}
     return Step("split", fields, tuple(sub.graph for sub in subs), combine)
 
 
@@ -293,11 +285,7 @@ def next_step(g: EmbeddedGraph, c: Ratio, node: dict | None = None) -> Step:
     if g.n <= BASE_EXACT_N:
         return _exact(g)
     if not g.is_triangulation():
-        gt = triangulate(g)
-        return Step(
-            "triangulate", {"m_before": g.m, "m_after": gt.m}, (gt,),
-            lambda sols, kids: (sols[0], {"child": kids[0]}),
-        )
+        return Step("triangulate", {}, (triangulate(g),), lambda sols: sols[0])
     if node is not None:
         return _recorded(g, c, node)
     plan = find_low_degree_plan(g, c)
@@ -310,11 +298,17 @@ def next_step(g: EmbeddedGraph, c: Ratio, node: dict | None = None) -> Step:
     return _reduce(g, cert, match=label)
 
 
+def _brief(value) -> str:
+    """``value`` as an error message echoes it: a repr cut in depth and
+    to 40 characters, however deep or long the recorded value is."""
+    return reprlib.repr(value)[:40]
+
+
 def _get(record, key: str, ok: Callable[[object], bool]):
     """A recorded choice, type-checked before replay uses it."""
     value = record.get(key)
     if not ok(value):
-        raise CertificateError(f"malformed {key!r}: {value!r}")
+        raise CertificateError(f"malformed {key!r}: {_brief(value)}")
     return value
 
 
@@ -328,7 +322,7 @@ def _recorded(g: EmbeddedGraph, c: Ratio, node: dict) -> Step:
     if op == "split":
         return _split(g, c, _get(node, "triangle", _ids))
     if op != "reduce":
-        raise CertificateError(f"op {op!r} where a reduce or split is due")
+        raise CertificateError(f"op {_brief(op)} where a reduce or split is due")
     rec = _get(node, "plan", lambda v: isinstance(v, dict))
     s = frozenset(_get(rec, "S", _ids))
     parts = _get(rec, "parts", lambda v: isinstance(v, list) and all(map(_ids, v)))
@@ -343,9 +337,6 @@ def _recorded_kids(node: dict) -> list:
     """The recorded sub-trees; a malformed one fails where it is replayed."""
     if "child" in node:
         return [node["child"]]
-    if "subs" in node:
-        subs = node["subs"] if isinstance(node["subs"], list) else [None]
-        return [s.get("child") if isinstance(s, dict) else None for s in subs]
     kids = node.get("children", [])
     return kids if isinstance(kids, list) else [None]
 
@@ -353,11 +344,7 @@ def _recorded_kids(node: dict) -> list:
 def _own(node: dict) -> dict:
     """The node with its sub-trees blanked: the fields replay compares.
     Comparing whole sub-trees at every level would make replay quadratic."""
-    own = {k: None if k in ("child", "children") else v for k, v in node.items()}
-    subs = own.get("subs")
-    if isinstance(subs, list):
-        own["subs"] = [s | {"child": None} if isinstance(s, dict) else s for s in subs]
-    return own
+    return {k: None if k in ("child", "children") else v for k, v in node.items()}
 
 
 # -- extraction and replay -------------------------------------------------------
@@ -447,7 +434,7 @@ def _replay(g: EmbeddedGraph, root, c: Ratio) -> frozenset[int]:
                 raise CertificateError("not a node")
             step = next_step(sub, c, node)
             if node.get("op") != step.op:
-                raise CertificateError(f"op {node.get('op')!r} where {step.op!r} is due")
+                raise CertificateError(f"op {_brief(node.get('op'))} where {step.op!r} is due")
             kids = _recorded_kids(node)
             if len(kids) != len(step.subs):
                 raise CertificateError(
@@ -461,7 +448,7 @@ def _replay(g: EmbeddedGraph, root, c: Ratio) -> frozenset[int]:
         ours, theirs = _own(fresh), _own(level.record)
         if ours != theirs:
             keys = sorted(k for k in ours | theirs if ours.get(k) != theirs.get(k))
-            raise CertificateError(f"{where()}: replay diverges in {', '.join(keys)}")
+            raise CertificateError(f"{where()}: replay diverges in {_brief(', '.join(keys))}")
         if len(got) < c.ceil_mul(level.n):
             raise CertificateError(f"{where()}: recorded set breaks the size contract")
         return level.record  # the parent compares its own fields only

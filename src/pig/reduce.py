@@ -35,6 +35,17 @@ class LiftError(RuntimeError):
     """A certified lift failed its guarantee: indicates an engine bug."""
 
 
+# The largest |S| of a plan, at every ratio.  A low-degree plan is N[v]
+# for a v of least degree, at most 5 in a plane graph, or, where a clique
+# neighborhood is passed over (ratio above 1/4), of degree <= b//a <= 3;
+# so |S| <= 6.  A catalog plan is J | N(J): at most 11 vertices for
+# apex_pair (J is the two apexes of an edge uv, of degrees 5 and <= 6, both
+# adjacent to u and v), and 16 for low_trio_star6 (three vertices of degree
+# <= 6 alternating on the ring of a 6-vertex) and for the sweep (|J| <= 3,
+# |N(J)| <= 13).
+MAX_PLAN_SIZE = 16
+
+
 @dataclass(frozen=True, order=True)
 class Ratio:
     """Target independence ratio a/b in lowest terms, 0 < a/b < 1."""
@@ -54,7 +65,7 @@ class Ratio:
             a, b = text.split("/")
             return cls(int(a), int(b))
         except ValueError:
-            raise ValueError(f"cannot parse ratio {text!r}") from None
+            raise ValueError(f"cannot parse ratio {text[:40]!r}") from None
 
     def ceil_mul(self, n: int) -> int:
         """ceil(a*n/b)."""
@@ -63,17 +74,6 @@ class Ratio:
     def holds(self, j: int, x: int) -> bool:
         """j >= (a/b) * x, exactly."""
         return self.b * j >= self.a * x
-
-    def max_plan_size(self) -> int:
-        """The largest |S| of a plan: 16 at every ratio.  A low-degree plan
-        is N[v] for a v of least degree, at most 5 in a plane graph, or,
-        where a clique neighborhood is passed over (ratio above 1/4), of
-        degree <= b//a <= 3; so |S| <= 6.  A catalog plan is J | N(J): at
-        most 11 vertices for apex_pair (J is the two apexes of an edge uv,
-        of degrees 5 and <= 6, both adjacent to u and v), and 16 for
-        low_trio_star6 (three vertices of degree <= 6 alternating on the
-        ring of a 6-vertex) and for the sweep (|J| <= 3, |N(J)| <= 13)."""
-        return 16
 
     def __str__(self) -> str:
         return f"{self.a}/{self.b}"
@@ -95,11 +95,7 @@ class ReductionPlan:
         return self.ratio.ceil_mul(len(self.s) - self.t)
 
     def summary(self) -> dict:
-        return {
-            "S": sorted(self.s),
-            "parts": [sorted(p) for p in self.parts],
-            "need": self.need(),
-        }
+        return {"S": sorted(self.s), "parts": [sorted(p) for p in self.parts]}
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ class CertifiedPlan:
     plan: ReductionPlan
     interior: frozenset[int]
     need: int
-    checked: tuple[tuple[tuple[int, ...], int], ...]  # (X, alpha found)
+    checked: tuple[tuple[tuple[int, ...], int], ...]  # (X, want): alpha(window) >= want
 
 
 @dataclass(frozen=True)
@@ -163,9 +159,10 @@ def certify_plan(g: EmbeddedGraph, plan: ReductionPlan) -> CertifiedPlan:
     certified plan's lift is guaranteed for every possible recursion
     outcome.
     """
-    s, cap = plan.s, plan.ratio.max_plan_size()
-    if len(s) > cap:  # so a forged plan costs bounded oracle work
-        raise PlanRejected(f"|S| = {len(s)} above {cap}, the largest plan at {plan.ratio}")
+    s = plan.s
+    if len(s) > MAX_PLAN_SIZE:  # so a forged plan costs bounded oracle work
+        raise PlanRejected(
+            f"|S| = {len(s)} above {MAX_PLAN_SIZE}, the largest plan at {plan.ratio}")
     if not s or not all(g.has_vertex(v) for v in s):
         raise PlanRejected("S empty or referencing dead vertices")
     if plan.t >= len(s):
@@ -367,7 +364,7 @@ def split_plan(g: EmbeddedGraph, triangle: Sequence[int], c: Ratio) -> SplitPlan
     if len(tri) != 3 or not all(map(g.has_vertex, tri)) or not all(
         g.adjacent(a, b) for a, b in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2]))
     ):
-        raise PlanRejected(f"{tri} is not a triangle")
+        raise PlanRejected("not the three corners of a triangle")  # a forged one may be long
     rest = g.delete_set(tri)
     comps = rest.components()
     if len(comps) < 2:
@@ -436,25 +433,22 @@ def split_combine(
     sp: SplitPlan,
     solved: dict[str, frozenset[int]],
     merged: dict[str, int | None],
-) -> tuple[frozenset[int], str]:
+) -> frozenset[int]:
     """Best verified recombination of split sub-solutions.
 
     Every recipe candidate is checked for independence in the original
-    graph; the largest winner is returned and must reach the target size.
+    graph; the first largest one is returned and must reach the target size.
     """
     tri = set(sp.triangle)
     x1, x2, x3 = sp.triangle
-    cands: list[tuple[str, frozenset[int]]] = []
+    cands: list[frozenset[int]] = []
 
     if sp.strategy == "delete-both":
-        cands.append(("delete-both", solved["del1"] | solved["del2"]))
+        cands.append(solved["del1"] | solved["del2"])
     elif sp.strategy in ("hub1", "hub2"):
         ic, if_ = solved["ctr"], solved["full"]
         u = merged["ctr"]
-        if u in ic:
-            cands.append((sp.strategy + ":merged", (ic - {u}) | if_))
-        else:
-            cands.append((sp.strategy + ":plain", ic | (if_ - tri)))
+        cands.append((ic - {u}) | if_ if u in ic else ic | (if_ - tri))
     else:
         third = {2: x3, 3: x2}
         sols = {
@@ -471,15 +465,11 @@ def split_combine(
             p1 = "merged" if m1 in i1 else "third" if xt_third in i1 else "none"
             p2 = "merged" if m2 in i2 else "third" if xt_third in i2 else "none"
             if p1 == "none" or p2 == "none":
-                cands.append((f"edge:t{t}:drop", (i1 | i2) - drop))
+                cands.append((i1 | i2) - drop)
             elif p1 == "third" and p2 == "third":
-                cands.append(
-                    (f"edge:t{t}:third", (i1 | i2) - {m1, m2, x1, x2 if t == 2 else x3})
-                )
+                cands.append((i1 | i2) - {m1, m2, x1, x2 if t == 2 else x3})
             elif p1 == "merged" and p2 == "merged":
-                cands.append(
-                    (f"edge:t{t}:apex", ((i1 | i2) - drop) | {x1})
-                )
+                cands.append(((i1 | i2) - drop) | {x1})
         for side in (1, 2):
             for t in (2, 3):
                 # third retained on the other side at t, merged here at 5-t
@@ -488,27 +478,20 @@ def split_combine(
                 ib = sols[(side, ot)]
                 mb = ms[(side, ot)]
                 if third[t] in ia and mb in ib:
-                    cands.append(
-                        (f"edge:cross{side}t{t}", (ia | ib) - {mb, ms[(3 - side, t)]})
-                    )
+                    cands.append((ia | ib) - {mb, ms[(3 - side, t)]})
         for side in (1, 2):
             ia, ib = sols[(side, 2)], sols[(3 - side, 3)]
             ma, mb = ms[(side, 2)], ms[(3 - side, 3)]
             if ma in ia and mb in ib:
-                cands.append(
-                    (f"edge:bridge{side}", ((ia | ib) - {ma, mb}) | {x1})
-                )
+                cands.append(((ia | ib) - {ma, mb}) | {x1})
 
-    best: tuple[int, str, frozenset[int]] | None = None
-    for tag, cand in cands:
-        cand = frozenset(cand)
-        if not mis.verify_independent(g, cand):
-            continue
-        if best is None or len(cand) > best[0]:
-            best = (len(cand), tag, cand)
-    if best is None or best[0] < sp.target:
+    best = max(
+        (cand for cand in map(frozenset, cands) if mis.verify_independent(g, cand)),
+        key=len, default=None,
+    )
+    if best is None or len(best) < sp.target:
         raise LiftError(
             f"split recombination below target {sp.target} "
-            f"(best {best[0] if best else 'none'})"
+            f"(best {len(best) if best is not None else 'none'})"
         )
-    return best[2], best[1]
+    return best

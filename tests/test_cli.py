@@ -116,8 +116,7 @@ def test_reduce_step_triangulate(tmp_path, capsys):
     path.write_text(embedded_cycle(24).serialize())
     assert main(["reduce", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["step"] == "triangulate"
-    assert payload["m_after"] == 66  # 3n - 6
+    assert payload["step"] == "triangulate" and payload["count"] == 1
 
 
 def _flagged(seed, n):
@@ -161,8 +160,8 @@ def test_reduce_step_split(tmp_path, capsys):
     path.write_text(g.serialize())
     assert main(["reduce", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["step"] == "split"
-    assert payload["strategy"]
+    assert payload["step"] == "split" and payload["count"] == 2  # hub1: ctr, full
+    assert len(payload["triangle"]) == 3
 
 
 def test_reduce_step_components(tmp_path, capsys):
@@ -241,6 +240,17 @@ def test_check_cert_deep_document_exits_2(rot_file, tmp_path):
     assert run.returncode == 2
     assert run.stderr.startswith("input error: ")
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+
+def test_check_cert_oversized_int_exits_2(rot_file, tmp_path, capsys):
+    cert = tmp_path / "out.cert"
+    main(["extract", str(rot_file), "--json", str(cert)])
+    cert.write_text(cert.read_text().replace('"n":30', '"n":' + "9" * 5000))
+    capsys.readouterr()
+    assert main(["check-cert", str(rot_file), str(cert)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: bad JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_corpus_oracle_budget_exits_3(monkeypatch, capsys):

@@ -74,8 +74,7 @@ def _reduce_labels(node, acc):
     """The ``match`` label of every catalog step in a certificate tree."""
     if node.get("op") == "reduce" and "match" in node:
         acc.add(node["match"])
-    kids = [node["child"]] if "child" in node else node.get("children", [])
-    for kid in kids + [sub["child"] for sub in node.get("subs", [])]:
+    for kid in [node["child"]] if "child" in node else node.get("children", []):
         _reduce_labels(kid, acc)
     return acc
 

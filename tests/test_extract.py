@@ -5,6 +5,8 @@ import string
 import sys
 import time
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,7 @@ from pig.extract import (
 )
 from pig.generate import GenSpec, generate
 from pig.graph import EmbeddedGraph, parse_rotation_graph
-from pig.reduce import LiftContext, LiftError, Ratio
+from pig.reduce import LiftContext, LiftError, Ratio, split_plan
 
 C13 = Ratio(3, 13)
 C5 = Ratio(1, 5)
@@ -121,9 +123,7 @@ class TestDeterminism:
 def _nodes(node):
     """Every node of a certificate tree, parents first."""
     yield node
-    kids = [node["child"]] if "child" in node else node.get("children", [])
-    kids = kids + [sub["child"] for sub in node.get("subs", [])]
-    for kid in kids:
+    for kid in [node["child"]] if "child" in node else node.get("children", []):
         yield from _nodes(kid)
 
 
@@ -138,6 +138,15 @@ def _fused(node, n):
             if n > BASE_EXACT_N:
                 yield node
         node = node["child"]
+
+
+NODE_KEYS = {  # the keys a node of each op may hold
+    "exact": [{"op"}],
+    "components": [{"op", "children"}],
+    "triangulate": [{"op", "child"}],
+    "reduce": [{"op", "plan", "child"}, {"op", "plan", "match", "child"}],
+    "split": [{"op", "triangle", "children"}],
+}
 
 
 class TestCertificateFormat:
@@ -159,11 +168,37 @@ class TestCertificateFormat:
         with pytest.raises(CertificateError, match="unknown certificate format"):
             Certificate.from_json(v1_document(extract(ico, C13)))
 
-    def test_format_3_is_rejected(self, ico):
+    @pytest.mark.parametrize("fmt", ["pig-certificate/3", "pig-certificate/5"])
+    def test_older_formats_are_rejected(self, ico, fmt):
         payload = json.loads(extract(ico, C13).to_json())
-        payload["format"] = "pig-certificate/3"
+        payload["format"] = fmt
         with pytest.raises(CertificateError, match="unknown certificate format"):
             Certificate.from_json(json.dumps(payload))
+
+    def test_nodes_hold_op_choices_and_subtrees_only(self, monkeypatch):
+        # nothing replay derives: no need, w_ids, edge counts, strategy,
+        # sides, recipe or tagged sub-instances; one sub-tree is a dict,
+        # so a step nests one JSON level
+        from test_golden import SPECS, build
+
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        cases = [(build(spec), spec["ratio"]) for spec in SPECS] + [
+            (inp.build(), C13)
+            for name in ("plain-large", "flagged-mix") for tiny in (False, True)
+            for inp in workloads.inputs(name, 0, tiny)
+        ]
+        ops = Counter()
+        for g, ratio in cases:
+            for node in _nodes(extract(g, ratio).root):
+                ops[node["op"]] += 1
+                assert set(node) in NODE_KEYS[node["op"]], node.keys()
+                assert isinstance(node.get("child", {}), dict)
+                assert len(node.get("children", "..")) >= 2
+                if "plan" in node:
+                    assert node["plan"].keys() == {"S", "parts"}
+        assert ops.keys() == {"reduce", "exact", "triangulate", "split"}
+
 
     def test_old_two_node_shape_is_refused(self, monkeypatch):
         # format 3's triangulate node after a fused reduction, under a
@@ -267,9 +302,6 @@ class TestCheckCertificate:
             for child in node.get("children", []):
                 if clobber(child):
                     return True
-            for sub in node.get("subs", []):
-                if clobber(sub["child"]):
-                    return True
             return False
 
         if clobber(payload["root"]):
@@ -294,6 +326,24 @@ class TestCheckCertificate:
         for doc in bad:
             with pytest.raises(CertificateError):
                 Certificate.from_json(doc)
+
+    def test_oversized_int_is_bad_json(self):
+        # past Python's 4,300-digit limit on int-string conversion
+        text = extract(generate(GenSpec(seed=9, n=40)), C13).to_json()
+        text = text.replace('"n":40', '"n":' + "9" * 5000)
+        with pytest.raises(CertificateError, match="^bad JSON: Exceeds the limit"):
+            Certificate.from_json(text)
+
+    def test_malformed_choice_is_echoed_short(self):
+        g = generate(GenSpec(seed=9, n=40))
+        payload = json.loads(extract(g, C13).to_json())
+        deep = []
+        for _ in range(19_000):
+            deep = [deep]
+        _reduce_node(payload)["plan"]["S"] = deep
+        ok, reason = check_certificate(g, _direct(payload))
+        assert not ok and reason.endswith("malformed 'S': [[[[[[[...]]]]]]]")
+        assert len(reason) < 80
 
     def test_numbers_bound_by_type(self):
         g = generate(
@@ -448,8 +498,7 @@ FORGED = {  # (sparse, root): a reduce is due on the flagged graph
     "components-on-connected": (False, lambda g: {
         "op": "components", "children": [{"op": "exact"}]}),
     "triangulate-for-reduce": (False, lambda g: {
-        "op": "triangulate", "m_before": g.m, "m_after": g.m,
-        "child": {"op": "exact"}}),
+        "op": "triangulate", "child": {"op": "exact"}}),
     "exact-for-triangulate": (True, lambda g: {
         "op": "exact", "child": {"op": "exact"}}),
 }
@@ -610,22 +659,26 @@ class TestSplitStage:
         cert = extract(g, C13)
         node = _find_op(cert.root, "split")
         assert node is not None
-        assert node["strategy"] == strategy
+        assert split_plan(g, node["triangle"], C13).strategy == strategy
         assert cert.size >= cert.bound
         ok, reason = check_certificate(g, cert)
         assert ok, reason
 
     def test_split_replay_detects_tamper(self):
         from conftest import glued_pair
+        from pig.graph import separating_triangles
 
         g = glued_pair(16, 14)
         cert = extract(g, C13)
         payload = json.loads(cert.to_json())
         node = _find_op(payload["root"], "split")
-        node["strategy"] = "delete-both"
-        bad = Certificate.from_json(json.dumps(payload))
-        ok, reason = check_certificate(g, bad)
-        assert not ok
+        others = [t for t in separating_triangles(g) if list(t) != node["triangle"]]
+        forgeries = [[0, 1, 2], sorted(node["triangle"], reverse=True), *others[:1],
+                     list(range(1, 10**5)), [10**4000, 1, 2]]
+        for forged in forgeries:
+            node["triangle"] = list(forged)
+            ok, reason = check_certificate(g, _direct(payload))
+            assert not ok and 0 < len(reason) < 80, reason[:80]
 
     def test_chained_blocks_nested_splits(self):
         # three glued blocks leave two separating triangles; the recursion
@@ -662,17 +715,6 @@ class TestSplitStage:
         assert cert.size >= cert.bound
         ok, reason = check_certificate(chain, cert)
         assert ok, reason
-
-    def test_tampered_contraction_ids_detected(self):
-        g = generate(GenSpec(seed=9, n=40))
-        cert = extract(g, C13)
-        payload = json.loads(cert.to_json())
-        node = _find_op(payload["root"], "reduce")
-        if node and node["plan"]["w_ids"]:
-            node["plan"]["w_ids"][0] += 1
-            bad = Certificate.from_json(json.dumps(payload))
-            ok, reason = check_certificate(g, bad)
-            assert not ok and "diverge" in reason
 
 
 class TestModes:
