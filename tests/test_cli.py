@@ -243,6 +243,7 @@ def test_check_cert_deep_document_exits_2(rot_file, tmp_path):
 
 
 def test_check_cert_oversized_int_exits_2(rot_file, tmp_path, capsys):
+    # past Python's 4,300-digit limit on int-string conversion
     cert = tmp_path / "out.cert"
     main(["extract", str(rot_file), "--json", str(cert)])
     cert.write_text(cert.read_text().replace('"n":30', '"n":' + "9" * 5000))

@@ -168,10 +168,9 @@ class TestCertificateFormat:
         with pytest.raises(CertificateError, match="unknown certificate format"):
             Certificate.from_json(v1_document(extract(ico, C13)))
 
-    @pytest.mark.parametrize("fmt", ["pig-certificate/3", "pig-certificate/5"])
-    def test_older_formats_are_rejected(self, ico, fmt):
+    def test_format_3_is_rejected(self, ico):
         payload = json.loads(extract(ico, C13).to_json())
-        payload["format"] = fmt
+        payload["format"] = "pig-certificate/3"
         with pytest.raises(CertificateError, match="unknown certificate format"):
             Certificate.from_json(json.dumps(payload))
 
@@ -198,7 +197,6 @@ class TestCertificateFormat:
                 if "plan" in node:
                     assert node["plan"].keys() == {"S", "parts"}
         assert ops.keys() == {"reduce", "exact", "triangulate", "split"}
-
 
     def test_old_two_node_shape_is_refused(self, monkeypatch):
         # format 3's triangulate node after a fused reduction, under a
@@ -317,6 +315,7 @@ class TestCheckCertificate:
             lambda p: p.update(size=p["size"] + 5),
             lambda p: p.update(wize=p.pop("size")),
             lambda p: p.update(format="pig-certificate/2"),
+            lambda p: p.update(format="pig-certificate/5"),
         ]
         bad = ["{}", "not json", "[]"]
         for edit in edits:
@@ -326,13 +325,6 @@ class TestCheckCertificate:
         for doc in bad:
             with pytest.raises(CertificateError):
                 Certificate.from_json(doc)
-
-    def test_oversized_int_is_bad_json(self):
-        # past Python's 4,300-digit limit on int-string conversion
-        text = extract(generate(GenSpec(seed=9, n=40)), C13).to_json()
-        text = text.replace('"n":40', '"n":' + "9" * 5000)
-        with pytest.raises(CertificateError, match="^bad JSON: Exceeds the limit"):
-            Certificate.from_json(text)
 
     def test_malformed_choice_is_echoed_short(self):
         g = generate(GenSpec(seed=9, n=40))

@@ -23,7 +23,7 @@ from pig.cli import main
 from pig.extract import extract
 from pig.graph import parse_rotation_graph
 
-ROT = glued_pair(30, 30).serialize()  # a split whose sides reduce to exact steps
+ROT = glued_pair(30, 30).serialize()  # split, triangulate, reduce and exact nodes
 CERT = json.loads(extract(parse_rotation_graph(ROT), "3/13").to_json())
 SLOT = "@@mutant@@"  # stands for text json.dumps cannot write
 
@@ -31,8 +31,12 @@ SLOT = "@@mutant@@"  # stands for text json.dumps cannot write
 def _paths(value, path=()):
     """Every location in a parsed certificate, the whole document first."""
     yield path
-    items = value.items() if isinstance(value, dict) else enumerate(value) \
-        if isinstance(value, list) else ()
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
     for key, sub in items:
         yield from _paths(sub, path + (key,))
 
