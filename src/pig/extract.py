@@ -19,6 +19,7 @@ import json
 import reprlib
 import time
 from dataclasses import dataclass, field, replace
+from itertools import count
 from typing import Callable, Sequence
 
 from . import mis
@@ -49,9 +50,9 @@ from .reduce import (
 )
 
 BASE_EXACT_N = 20
-CERT_FORMAT = "pig-certificate/6"
+CERT_FORMAT = "pig-certificate/7"
 _HEADER = {"format", "ratio", "graph_hash", "n", "bound", "size",
-           "independent_set", "root"}
+           "independent_set", "steps"}
 
 
 class IncompletenessDiagnostic(RuntimeError):
@@ -59,11 +60,11 @@ class IncompletenessDiagnostic(RuntimeError):
     separating triangles: a detector or planner gap.  Carries the offending
     graph for triage; extraction never silently returns an undersized set.
     A level whose set falls short of its size contract is reported with
-    the root graph and the level's ``path``, since its own graph is gone."""
+    the root graph and ``where`` the level is, since its own graph is gone."""
 
-    def __init__(self, g: EmbeddedGraph, ratio: Ratio, path: str | None = None):
+    def __init__(self, g: EmbeddedGraph, ratio: Ratio, where: str | None = None):
         what = (
-            f"size contract broken at {path}" if path
+            f"size contract broken at {where}" if where
             else f"no certified reduction on n={g.n} triangulation"
         )
         super().__init__(f"{what} at ratio {ratio}")
@@ -77,7 +78,8 @@ class CertificateError(ValueError):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Extraction result plus the ordered reduction trace for replay."""
+    """Extraction result plus the ordered reduction trace for replay:
+    ``root`` is the step tree, which the JSON writes as a flat list."""
 
     ratio: str
     graph_hash: str
@@ -99,9 +101,9 @@ class Certificate:
             "bound": self.bound,
             "size": self.size,
             "independent_set": list(self.independent_set),
-            "root": self.root,
+            "steps": _steps(self.root),
         }
-        return _dumps(payload) + "\n"
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -132,42 +134,46 @@ class Certificate:
             n=payload["n"],
             bound=payload["bound"],
             independent_set=tuple(payload["independent_set"]),
-            root=payload["root"],
+            root=_tree(payload["steps"]),
         )
 
 
-class _Raw(str):
-    """Text ``_dumps`` writes as it is."""
-
-
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _dumps(value) -> str:
-    """``json.dumps(value, sort_keys=True, separators=(",", ":"))`` without
-    recursing into the step tree, which nests as deep as the steps go: a
-    container holding a dict is written on an explicit stack, any other
-    value by the encoder."""
-    out: list[str] = []
-    todo = [value]
+def _steps(root: dict) -> list[dict]:
+    """The step tree in pre-order, each node without its sub-trees and
+    with their count in ``kids`` where it is not one."""
+    out, todo = [], [root]
     while todo:
-        v = todo.pop()
-        if type(v) is _Raw:
-            out.append(v)
-            continue
-        items = v.values() if isinstance(v, dict) else v if isinstance(v, list) else ()
-        if not any(isinstance(x, dict) for x in items):
-            out.append(_ENCODE(v))
-        elif isinstance(v, dict):
-            todo.append(_Raw("}"))
-            keys = sorted(v)
-            for i in reversed(range(len(keys))):
-                todo += [v[keys[i]], _Raw(("," if i else "{") + _ENCODE(keys[i]) + ":")]
-        else:
-            todo.append(_Raw("]"))
-            for i in reversed(range(len(v))):
-                todo += [v[i], _Raw("," if i else "[")]
-    return "".join(out)
+        node = todo.pop()
+        kids = _recorded_kids(node)
+        entry = {k: v for k, v in node.items() if k not in ("child", "children")}
+        if len(kids) != 1:
+            entry["kids"] = len(kids)
+        out.append(entry)
+        todo += reversed(kids)
+    return out
+
+
+def _tree(steps) -> dict:
+    """The step tree that a pre-order list of steps writes, rebuilt from
+    the last entry back, each entry taking the sub-trees built after it;
+    a list whose counts do not add up is refused, naming the entry."""
+    if not isinstance(steps, list) or not steps:
+        raise CertificateError("steps is not a non-empty list")
+    built: list[tuple[int, dict]] = []  # (index, sub-tree), the first in order last
+    for i in reversed(range(len(steps))):
+        node = steps[i]
+        if not isinstance(node, dict) or "child" in node or "children" in node:
+            raise CertificateError(f"step {i}: not an object, or holds 'child' or 'children'")
+        due = node.pop("kids", 1)
+        if type(due) is not int or not 0 <= due <= len(built):
+            raise CertificateError(f"step {i}: 'kids' {_brief(due)} is not in 0..{len(built)}")
+        kids = [built.pop()[1] for _ in range(due)]
+        if kids:
+            node |= {"child": kids[0]} if due == 1 else {"children": kids}
+        built.append((i, node))
+    if len(built) > 1:
+        raise CertificateError(f"step {built[-2][0]}: after the root's tree has closed")
+    return built[0][1]
 
 
 # -- the step engine -------------------------------------------------------------
@@ -357,6 +363,7 @@ class _Level:
 
     step: Step
     n: int
+    where: str  # "step i (op)": its index in pre-order, as its entry in ``steps``
     record: object  # the recorded node on replay
     todo: list  # (graph, record) per sub-instance not yet run, last first
     sols: list = field(default_factory=list)
@@ -366,23 +373,21 @@ class _Level:
 def _walk(g: EmbeddedGraph, record, expand, close) -> tuple[frozenset[int], dict]:
     """Run the steps from ``g`` in post-order, on an explicit stack.
 
-    ``expand(g, record, where)`` returns the step taken on ``g`` and one
-    record per sub-instance.
-    ``close(level, out, node, where)`` checks a finished level and returns
-    the node its parent combines.  ``where()`` names the level at hand by
-    its path of ops from the root.  Once a level's sub-instances are on the
+    ``expand(g, record, i)`` returns the step taken on ``g``, the ``i``-th
+    in pre-order, and one record per sub-instance.
+    ``close(level, out, node)`` checks a finished level and returns the
+    node its parent combines.  Once a level's sub-instances are on the
     stack it keeps only its combine data and ``n``, so no level's graph
     outlives its step.
     """
     stack: list[_Level] = []
-
-    def where() -> str:
-        return "root" + "".join(f".{lv.step.op}[{len(lv.sols)}]" for lv in stack)
+    order = count()
 
     def push(sub: EmbeddedGraph, rec) -> None:
-        step, kids = expand(sub, rec, where)
+        i = next(order)
+        step, kids = expand(sub, rec, i)
         todo = list(zip(step.subs, kids))[::-1]
-        stack.append(_Level(replace(step, subs=()), sub.n, rec, todo))
+        stack.append(_Level(replace(step, subs=()), sub.n, f"step {i} ({step.op})", rec, todo))
 
     push(g, record)
     while True:
@@ -392,7 +397,7 @@ def _walk(g: EmbeddedGraph, record, expand, close) -> tuple[frozenset[int], dict
             continue
         stack.pop()
         out, node = top.step.finish(top.sols, top.nodes)
-        node = close(top, out, node, where)
+        node = close(top, out, node)
         if not stack:
             return out, node
         stack[-1].sols.append(out)
@@ -403,13 +408,13 @@ def extract(g: EmbeddedGraph, c: Ratio | str) -> Certificate:
     """Extract a verified independent set of size >= ceil(c*n) with trace."""
     ratio = Ratio.parse(c) if isinstance(c, str) else c
 
-    def expand(sub, rec, where):
+    def expand(sub, rec, i):
         step = next_step(sub, ratio)
         return step, [None] * len(step.subs)
 
-    def close(level, out, node, where):
+    def close(level, out, node):
         if len(out) < ratio.ceil_mul(level.n):  # checked at every level
-            raise IncompletenessDiagnostic(g, ratio, f"{where()} (n={level.n})")
+            raise IncompletenessDiagnostic(g, ratio, f"{level.where}, n={level.n}")
         return node
 
     sol, root = _walk(g, None, expand, close)
@@ -428,7 +433,7 @@ def extract(g: EmbeddedGraph, c: Ratio | str) -> Certificate:
 def _replay(g: EmbeddedGraph, root, c: Ratio) -> frozenset[int]:
     """Re-run the recorded steps and check each node's own fields."""
 
-    def expand(sub, node, where):
+    def expand(sub, node, i):
         try:
             if not isinstance(node, dict):
                 raise CertificateError("not a node")
@@ -441,16 +446,16 @@ def _replay(g: EmbeddedGraph, root, c: Ratio) -> frozenset[int]:
                     f"{len(kids)} sub-trees recorded, the step makes {len(step.subs)}"
                 )
         except CertificateError as exc:
-            raise CertificateError(f"{where()}: {exc}") from None
+            raise CertificateError(f"step {i}: {exc}") from None
         return step, kids
 
-    def close(level, got, fresh, where):
+    def close(level, got, fresh):
         ours, theirs = _own(fresh), _own(level.record)
         if ours != theirs:
-            keys = sorted(k for k in ours | theirs if ours.get(k) != theirs.get(k))
-            raise CertificateError(f"{where()}: replay diverges in {_brief(', '.join(keys))}")
+            keys = ", ".join(sorted(k for k in ours | theirs if ours.get(k) != theirs.get(k)))
+            raise CertificateError(f"{level.where}: replay diverges in {_brief(keys)}")
         if len(got) < c.ceil_mul(level.n):
-            raise CertificateError(f"{where()}: recorded set breaks the size contract")
+            raise CertificateError(f"{level.where}: recorded set breaks the size contract")
         return level.record  # the parent compares its own fields only
 
     return _walk(g, root, expand, close)[0]

@@ -46,15 +46,7 @@ neighbours of N(v).
 from __future__ import annotations
 
 import os
-import sys
 from typing import Iterable, Sequence
-
-# Deep enough for the solver's branching and for ``json.loads`` on a plain
-# n=10^4 certificate (its step tree nests about 2,496 deep).  Much higher,
-# and the C JSON scanner overflows an 8 MiB C stack on a hostile document
-# before Python can raise RecursionError.
-RECURSION_LIMIT = 20_000
-sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_LIMIT))
 
 DEFAULT_BUDGET = 10_000_000
 _BUDGET_ENV = "PIG_ORACLE_BUDGET"

@@ -254,10 +254,11 @@ def seven_ring_fixture() -> EmbeddedGraph:
 
 
 def v1_document(cert) -> str:
-    """``cert`` in the retired ``pig-certificate/1`` shape, whose nodes
-    repeated the running set and its ledger."""
+    """``cert`` in the retired ``pig-certificate/1`` shape, a nested tree
+    whose nodes repeated the running set and its ledger."""
     payload = json.loads(cert.to_json())
+    del payload["steps"]
     payload["format"] = "pig-certificate/1"
-    payload["root"].update(n=cert.n, bound=cert.bound, size=cert.size,
-                           set=list(cert.independent_set))
+    payload["root"] = cert.root | dict(n=cert.n, bound=cert.bound, size=cert.size,
+                                       set=list(cert.independent_set))
     return json.dumps(payload)

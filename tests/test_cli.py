@@ -176,7 +176,7 @@ def test_check_cert_malformed_exits_1(rot_file, tmp_path, capsys):
     cert = tmp_path / "out.cert"
     main(["extract", str(rot_file), "--json", str(cert)])
     payload = json.loads(cert.read_text())
-    payload["root"] = [payload["root"]]
+    payload["steps"][0]["op"] = [payload["steps"][0]["op"]]
     cert.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["check-cert", str(rot_file), str(cert)]) == 1
@@ -191,8 +191,8 @@ def test_check_cert_oracle_budget_exits_1(flagged_file, tmp_path, capsys, monkey
     main(["extract", str(flagged_file), "--json", str(cert)])
     payload = json.loads(cert.read_text())
     s = [7, 9, 13, 15, 17, 18, 19, 21, 24, 25, 27, 29, 30, 31, 34, 36]
-    payload["root"] = {"op": "reduce", "plan": {"S": s, "parts": [s]},
-                       "child": {"op": "exact"}}
+    payload["steps"] = [{"op": "reduce", "plan": {"S": s, "parts": [s]}},
+                        {"op": "exact", "kids": 0}]
     cert.write_text(json.dumps(payload))
     monkeypatch.setenv("PIG_ORACLE_BUDGET", "3")
     capsys.readouterr()
@@ -231,7 +231,7 @@ def test_check_cert_deep_document_exits_2(rot_file, tmp_path):
     # (exit 139) while the recursion limit stood at 100,000
     cert = tmp_path / "deep.cert"
     deep = "[" * 95_000 + "]" * 95_000
-    cert.write_text(f'{{"format":"{CERT_FORMAT}","root":{deep}}}')
+    cert.write_text(f'{{"format":"{CERT_FORMAT}","steps":{deep}}}')
     src = str(Path(pig.__file__).parents[1])
     run = subprocess.run(
         [sys.executable, "-m", "pig.cli", "check-cert", str(rot_file), str(cert)],
@@ -240,6 +240,46 @@ def test_check_cert_deep_document_exits_2(rot_file, tmp_path):
     assert run.returncode == 2
     assert run.stderr.startswith("input error: ")
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+
+HOSTILE_STEPS = {  # an edit of a valid step list, and the index its line names
+    "empty": (lambda s: [], None),
+    "not-a-list": (lambda s: s[0], None),
+    "entry-not-an-object": (lambda s: [s[0], "exact", *s[2:]], 1),
+    "entry-holds-child": (lambda s: [s[0] | {"child": s[1]}, *s[1:]], 0),
+    "entry-holds-children": (lambda s: [s[0] | {"children": s[1:]}, *s[1:]], 0),
+    "kids-negative": (lambda s: [*s[:-1], s[-1] | {"kids": -1}], -1),
+    "kids-bool": (lambda s: [*s[:-1], s[-1] | {"kids": False}], -1),
+    "kids-string": (lambda s: [*s[:-1], s[-1] | {"kids": "0"}], -1),
+    "kids-past-the-end": (lambda s: [s[0] | {"kids": len(s)}, *s[1:]], 0),
+    "after-the-root-closed": (lambda s: [*s, {"op": "exact", "kids": 0}], -1),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(HOSTILE_STEPS))
+def test_check_cert_hostile_step_list_exits_2(edit, rot_file, tmp_path, capsys):
+    forge, at = HOSTILE_STEPS[edit]
+    payload = json.loads(extract(parse_rotation_graph(rot_file.read_text()), "3/13").to_json())
+    assert len(payload["steps"]) > 2
+    steps = payload["steps"] = forge(payload["steps"])
+    cert = tmp_path / "c.cert"
+    cert.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["check-cert", str(rot_file), str(cert)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    name = "steps is not a non-empty list" if at is None else f"step {at % len(steps)}: "
+    assert err.startswith(f"input error: {name}"), err
+
+
+def test_import_leaves_the_recursion_limit():
+    code = ("import sys; before = sys.getrecursionlimit(); import pig, pig.cli; "
+            "print(before, sys.getrecursionlimit())")
+    src = str(Path(pig.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    before, after = run.stdout.split()
+    assert before == after
 
 
 def test_check_cert_oversized_int_exits_2(rot_file, tmp_path, capsys):

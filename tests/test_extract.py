@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import random
 import string
@@ -16,6 +17,7 @@ from pig.extract import (
     BASE_EXACT_N,
     Certificate,
     CertificateError,
+    IncompletenessDiagnostic,
     check_certificate,
     corpus_run,
     extract,
@@ -120,10 +122,14 @@ class TestDeterminism:
         assert ok, reason
 
 
+def _kids(node):
+    return [node["child"]] if "child" in node else node.get("children", [])
+
+
 def _nodes(node):
     """Every node of a certificate tree, parents first."""
     yield node
-    for kid in [node["child"]] if "child" in node else node.get("children", []):
+    for kid in _kids(node):
         yield from _nodes(kid)
 
 
@@ -168,6 +174,24 @@ class TestCertificateFormat:
         with pytest.raises(CertificateError, match="unknown certificate format"):
             Certificate.from_json(v1_document(extract(ico, C13)))
 
+    def test_steps_are_the_tree_in_pre_order(self):
+        # one entry per node, its sub-trees cut off and counted in ``kids``
+        # where there are not one: the JSON nests no deeper for a deeper tree
+        from conftest import glued_pair
+
+        for g in (glued_pair(16, 14), generate(GenSpec(seed=0, n=300))):
+            cert = extract(g, C13)
+            want = []
+            for node in _nodes(cert.root):
+                entry = {k: v for k, v in node.items() if k not in ("child", "children")}
+                n = len(_kids(node))
+                want.append(entry | ({} if n == 1 else {"kids": n}))
+            text = cert.to_json()
+            assert json.loads(text)["steps"] == want
+            assert {"split", "reduce"} & {entry["op"] for entry in want}
+            nesting = itertools.accumulate((c in "[{") - (c in "]}") for c in text)
+            assert max(nesting) <= 6  # header, steps, entry, plan, parts, a part
+
     def test_format_3_is_rejected(self, ico):
         payload = json.loads(extract(ico, C13).to_json())
         payload["format"] = "pig-certificate/3"
@@ -203,12 +227,13 @@ class TestCertificateFormat:
         # format 4 header: refused where the reduction's child is due,
         # after the one oracle call that certifies the root's plan
         g = generate(GenSpec(seed=9, n=40))
-        payload = json.loads(extract(g, C13).to_json())
-        root = payload["root"]
+        text = extract(g, C13).to_json()
+        root = Certificate.from_json(text).root
         assert next(_fused(root, g.n)) is root
         h = g.delete_set(root["plan"]["S"])
-        root["child"] = {"op": "triangulate", "m_before": h.m, "m_after": 3 * h.n - 6,
-                         "child": root["child"]}
+        payload = json.loads(text)  # the root's child becomes the triangulate's
+        shape3 = {"op": "triangulate", "m_before": h.m, "m_after": 3 * h.n - 6}
+        payload["steps"].insert(1, shape3)
         cert = Certificate.from_json(json.dumps(payload))
         calls = []
         for name in ("mis_exact", "alpha_at_least"):
@@ -217,23 +242,27 @@ class TestCertificateFormat:
                 return real(*args, **kw)
             monkeypatch.setattr(mis, name, recording)
         ok, reason = check_certificate(g, cert)
-        assert not ok and reason.startswith("root.reduce[0]: op 'triangulate' where ")
+        assert not ok and reason.startswith("step 1: op 'triangulate' where ")
         assert calls == ["alpha_at_least"]
 
 
 CERT_FIELDS = ("ratio", "graph_hash", "n", "bound", "independent_set", "root")
 
 
-def _direct(payload):
-    """The certificate built directly, past from_json's header checks."""
-    fields = {f: payload[f] for f in CERT_FIELDS}
-    if isinstance(fields["independent_set"], list):
-        fields["independent_set"] = tuple(fields["independent_set"])
+def _fields(g, ratio=C13) -> dict:
+    """The fields of ``g``'s certificate as ``from_json`` reads them back,
+    its nested ``root`` among them, to forge and pass to ``_direct``."""
+    cert = Certificate.from_json(extract(g, ratio).to_json())
+    return {f: getattr(cert, f) for f in CERT_FIELDS}
+
+
+def _direct(fields):
+    """The certificate built directly, past from_json's checks."""
     return Certificate(**fields)
 
 
-def _reduce_node(payload):
-    return _find_op(payload["root"], "reduce")
+def _reduce_node(fields):
+    return _find_op(fields["root"], "reduce")
 
 
 def _without_match(value):
@@ -279,8 +308,7 @@ class TestCheckCertificate:
         payload = json.loads(cert.to_json())
         payload["independent_set"] = payload["independent_set"][:-1]
         payload["size"] = len(payload["independent_set"])
-        payload["root"]["set"] = payload["independent_set"]
-        payload["root"]["size"] = payload["size"]
+        payload["steps"][0].update(set=payload["independent_set"], size=payload["size"])
         bad = Certificate.from_json(json.dumps(payload))
         ok, reason = check_certificate(ico, bad)
         assert not ok
@@ -289,23 +317,11 @@ class TestCheckCertificate:
         g = generate(GenSpec(seed=9, n=40))
         cert = extract(g, C13)
         payload = json.loads(cert.to_json())
-
-        def clobber(node):
-            if node["op"] == "reduce":
-                node["plan"]["S"] = node["plan"]["S"][:-1]
-                return True
-            for key in ("child",):
-                if key in node and clobber(node[key]):
-                    return True
-            for child in node.get("children", []):
-                if clobber(child):
-                    return True
-            return False
-
-        if clobber(payload["root"]):
-            bad = Certificate.from_json(json.dumps(payload))
-            ok, reason = check_certificate(g, bad)
-            assert not ok
+        node = next(entry for entry in payload["steps"] if entry["op"] == "reduce")
+        node["plan"]["S"] = node["plan"]["S"][:-1]
+        bad = Certificate.from_json(json.dumps(payload))
+        ok, reason = check_certificate(g, bad)
+        assert not ok
 
     def test_bad_format(self):
         text = extract(generate(GenSpec(seed=9, n=40)), C13).to_json()
@@ -316,6 +332,7 @@ class TestCheckCertificate:
             lambda p: p.update(wize=p.pop("size")),
             lambda p: p.update(format="pig-certificate/2"),
             lambda p: p.update(format="pig-certificate/5"),
+            lambda p: p.update(format="pig-certificate/6"),
         ]
         bad = ["{}", "not json", "[]"]
         for edit in edits:
@@ -328,12 +345,12 @@ class TestCheckCertificate:
 
     def test_malformed_choice_is_echoed_short(self):
         g = generate(GenSpec(seed=9, n=40))
-        payload = json.loads(extract(g, C13).to_json())
+        fields = _fields(g)
         deep = []
         for _ in range(19_000):
             deep = [deep]
-        _reduce_node(payload)["plan"]["S"] = deep
-        ok, reason = check_certificate(g, _direct(payload))
+        _reduce_node(fields)["plan"]["S"] = deep
+        ok, reason = check_certificate(g, _direct(fields))
         assert not ok and reason.endswith("malformed 'S': [[[[[[[...]]]]]]]")
         assert len(reason) < 80
 
@@ -368,10 +385,10 @@ class TestCheckCertificate:
     @pytest.mark.parametrize("tamper", sorted(MALFORMED))
     def test_malformed_certificate_fails_without_raising(self, tamper):
         g = generate(GenSpec(seed=9, n=40))
-        payload = json.loads(extract(g, C13).to_json())
-        assert check_certificate(g, _direct(payload)) == (True, "ok")
-        MALFORMED[tamper](payload)
-        ok, reason = check_certificate(g, _direct(payload))
+        fields = _fields(g)
+        assert check_certificate(g, _direct(fields)) == (True, "ok")
+        MALFORMED[tamper](fields)
+        ok, reason = check_certificate(g, _direct(fields))
         assert not ok and reason
 
     def test_accepted_byte_edits_change_no_checked_value(self):
@@ -466,11 +483,11 @@ class TestFusedReplay:
         # the fused reduction's child is a reduce: the graph it leaves is
         # triangulated already
         g = generate(GenSpec(seed=9, n=40))
-        payload = json.loads(extract(g, C13).to_json())
-        kid = next(_fused(payload["root"], g.n))["child"]
+        fields = _fields(g)
+        kid = next(_fused(fields["root"], g.n))["child"]
         assert kid["op"] == "reduce"
         kid["op"] = op
-        ok, reason = check_certificate(g, _direct(payload))
+        ok, reason = check_certificate(g, _direct(fields))
         assert not ok and reason
 
 
@@ -481,8 +498,7 @@ def _forged(root, sparse=False, ratio=C13):
     if sparse:
         g = sparsify(g, 0, 0.01)
         assert g.is_connected() and not g.is_triangulation()
-    payload = json.loads(extract(g, ratio).to_json())
-    return g, _direct(payload | {"root": root(g)})
+    return g, _direct(_fields(g, ratio) | {"root": root(g)})
 
 
 FORGED = {  # (sparse, root): a reduce is due on the flagged graph
@@ -514,7 +530,7 @@ class TestForcedSteps:
 
         monkeypatch.setattr(mis, "mis_exact", recording)
         ok, reason = check_certificate(g, cert)
-        assert not ok and reason.startswith("root: op ")
+        assert not ok and reason.startswith("step 0: op ")
         assert max(sizes, default=0) <= BASE_EXACT_N
 
     def test_oracle_budget_exceeded_fails_the_check(self, monkeypatch):
@@ -528,16 +544,26 @@ class TestForcedSteps:
         ok, reason = check_certificate(g, cert)
         assert not ok and reason == "oracle budget exceeded: exceeded 4 nodes"
 
+    def test_fail_line_names_the_step(self):
+        # plain-large's input, whose tree is a chain of 246 steps: naming
+        # the path from the root made this line 2,047 characters long
+        g = generate(GenSpec(seed=0, n=1000))
+        payload = json.loads(extract(g, C13).to_json())
+        payload["steps"][200]["op"] = "exact"
+        ok, reason = check_certificate(g, Certificate.from_json(json.dumps(payload)))
+        assert not ok and reason.startswith("step 200: op 'exact' where ")
+        assert len(reason) < 100, reason[:200]
+
     def test_plan_above_the_largest_is_refused_at_once(self, monkeypatch):
         # a whole-graph window at the default budget would keep the checker
         # searching for minutes, at any ratio
         monkeypatch.delenv("PIG_ORACLE_BUDGET", raising=False)
         g = generate(GenSpec(seed=1, n=400, min_degree5=True, no_separating_triangle=True))
         for ratio in (C13, Ratio(1, 400)):
-            payload = json.loads(extract(g, ratio).to_json())
-            payload["root"] = {"op": "reduce", "plan": {"S": sorted(g.vertices), "parts": []},
-                               "child": {"op": "exact"}}
-            cert = _direct(payload)
+            fields = _fields(g, ratio)
+            fields["root"] = {"op": "reduce", "plan": {"S": sorted(g.vertices), "parts": []},
+                              "child": {"op": "exact"}}
+            cert = _direct(fields)
             start = time.perf_counter()
             ok, reason = check_certificate(g, cert)
             assert time.perf_counter() - start < 0.1
@@ -549,18 +575,29 @@ class TestEngine:
     past its step, and the reduce level's window-only independence check."""
 
     def test_deep_plain_graph_at_default_recursion_limit(self):
-        # one node per reduction: the step tree nests about 621 deep here,
-        # so even the JSON parser stays under the default limit
-        g = generate(GenSpec(seed=7, n=2500))
+        # one node per reduction: the step tree nests 1,246 deep here, which
+        # the JSON parser could not read as a nested document at this limit
+        g = generate(GenSpec(seed=7, n=5000))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
             cert = extract(g, C13)
-            again = Certificate.from_json(cert.to_json())
+            text = cert.to_json()
+            again = Certificate.from_json(text)
             assert check_certificate(g, again) == (True, "ok")
+            assert again.to_json() == text  # == on the trees recurses 1,246 deep
         finally:
             sys.setrecursionlimit(limit)
-        assert again == cert
+
+    def test_size_contract_names_the_step(self, monkeypatch):
+        # the level is named by its index in ``steps``: the exact base case
+        # closes first, and it is the last entry
+        g = generate(GenSpec(seed=9, n=40))
+        last = len(json.loads(extract(g, C13).to_json())["steps"]) - 1
+        monkeypatch.setattr(mis, "mis_exact", lambda *args, **kw: ())
+        with pytest.raises(IncompletenessDiagnostic) as info:
+            extract(g, C13)
+        assert str(info.value).startswith(f"size contract broken at step {last} (exact), n=")
 
     def test_peak_memory_is_local(self):
         g = generate(GenSpec(seed=0, n=600))
@@ -661,15 +698,14 @@ class TestSplitStage:
         from pig.graph import separating_triangles
 
         g = glued_pair(16, 14)
-        cert = extract(g, C13)
-        payload = json.loads(cert.to_json())
-        node = _find_op(payload["root"], "split")
+        fields = _fields(g)
+        node = _find_op(fields["root"], "split")
         others = [t for t in separating_triangles(g) if list(t) != node["triangle"]]
         forgeries = [[0, 1, 2], sorted(node["triangle"], reverse=True), *others[:1],
                      list(range(1, 10**5)), [10**4000, 1, 2]]
         for forged in forgeries:
             node["triangle"] = list(forged)
-            ok, reason = check_certificate(g, _direct(payload))
+            ok, reason = check_certificate(g, _direct(fields))
             assert not ok and 0 < len(reason) < 80, reason[:80]
 
     def test_chained_blocks_nested_splits(self):
