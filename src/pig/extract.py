@@ -163,16 +163,19 @@ def _tree(steps) -> dict:
     for i in reversed(range(len(steps))):
         node = steps[i]
         if not isinstance(node, dict) or "child" in node or "children" in node:
-            raise CertificateError(f"step {i}: not an object, or holds 'child' or 'children'")
-        due = node.pop("kids", 1)
+            raise CertificateError(f"{_at(i)}: not an object, or holds 'child' or 'children'")
+        written = node.pop("kids", None)
+        if written == 1:  # left out where it is one
+            raise CertificateError(f"{_at(i)}: 'kids' {_brief(written)} where none is written")
+        due = 1 if written is None else written
         if type(due) is not int or not 0 <= due <= len(built):
-            raise CertificateError(f"step {i}: 'kids' {_brief(due)} is not in 0..{len(built)}")
+            raise CertificateError(f"{_at(i)}: 'kids' {_brief(due)} is not in 0..{len(built)}")
         kids = [built.pop()[1] for _ in range(due)]
         if kids:
             node |= {"child": kids[0]} if due == 1 else {"children": kids}
         built.append((i, node))
     if len(built) > 1:
-        raise CertificateError(f"step {built[-2][0]}: after the root's tree has closed")
+        raise CertificateError(f"{_at(built[-2][0])}: after the root's tree has closed")
     return built[0][1]
 
 
@@ -304,6 +307,12 @@ def next_step(g: EmbeddedGraph, c: Ratio, node: dict | None = None) -> Step:
     return _reduce(g, cert, match=label)
 
 
+def _at(i: int, op: str | None = None) -> str:
+    """How messages name the step with pre-order index ``i``, the index
+    of its entry in ``steps``, and with its op once it is known."""
+    return f"step {i}" if op is None else f"step {i} ({op})"
+
+
 def _brief(value) -> str:
     """``value`` as an error message echoes it: a repr cut in depth and
     to 40 characters, however deep or long the recorded value is."""
@@ -363,11 +372,15 @@ class _Level:
 
     step: Step
     n: int
-    where: str  # "step i (op)": its index in pre-order, as its entry in ``steps``
+    i: int  # its index in pre-order, the index of its entry in ``steps``
     record: object  # the recorded node on replay
     todo: list  # (graph, record) per sub-instance not yet run, last first
     sols: list = field(default_factory=list)
     nodes: list = field(default_factory=list)
+
+    @property
+    def where(self) -> str:
+        return _at(self.i, self.step.op)
 
 
 def _walk(g: EmbeddedGraph, record, expand, close) -> tuple[frozenset[int], dict]:
@@ -387,7 +400,7 @@ def _walk(g: EmbeddedGraph, record, expand, close) -> tuple[frozenset[int], dict
         i = next(order)
         step, kids = expand(sub, rec, i)
         todo = list(zip(step.subs, kids))[::-1]
-        stack.append(_Level(replace(step, subs=()), sub.n, f"step {i} ({step.op})", rec, todo))
+        stack.append(_Level(replace(step, subs=()), sub.n, i, rec, todo))
 
     push(g, record)
     while True:
@@ -446,7 +459,7 @@ def _replay(g: EmbeddedGraph, root, c: Ratio) -> frozenset[int]:
                     f"{len(kids)} sub-trees recorded, the step makes {len(step.subs)}"
                 )
         except CertificateError as exc:
-            raise CertificateError(f"step {i}: {exc}") from None
+            raise CertificateError(f"{_at(i)}: {exc}") from None
         return step, kids
 
     def close(level, got, fresh):
@@ -544,30 +557,17 @@ def corpus_run(specs: Sequence[GenSpec], c: Ratio | str) -> CorpusReport:
                 CorpusEntry(spec, 0, 0, 0, False, time.perf_counter() - t0, str(exc))
             )
             continue
+        size, ok, diagnostic, graph_text = 0, False, None, None
         try:
             cert = extract(g, ratio)
-            ok = (
-                len(cert.independent_set) >= cert.bound
-                and mis.verify_independent(g, cert.independent_set)
-            )
-            entries.append(
-                CorpusEntry(
-                    spec, g.n, cert.bound, cert.size, ok,
-                    time.perf_counter() - t0,
-                )
-            )
+            size = cert.size
+            ok = size >= cert.bound and mis.verify_independent(g, cert.independent_set)
         except IncompletenessDiagnostic as exc:
-            entries.append(
-                CorpusEntry(
-                    spec, g.n, ratio.ceil_mul(g.n), 0, False,
-                    time.perf_counter() - t0, str(exc), exc.graph_text,
-                )
-            )
+            diagnostic, graph_text = str(exc), exc.graph_text
         except mis.OracleBudgetExceeded as exc:
-            entries.append(
-                CorpusEntry(
-                    spec, g.n, ratio.ceil_mul(g.n), 0, False,
-                    time.perf_counter() - t0, f"oracle budget exceeded: {exc}",
-                )
-            )
+            diagnostic = f"oracle budget exceeded: {exc}"
+        entries.append(CorpusEntry(
+            spec, g.n, ratio.ceil_mul(g.n), size, ok,
+            time.perf_counter() - t0, diagnostic, graph_text,
+        ))
     return CorpusReport(str(ratio), tuple(entries))

@@ -189,25 +189,30 @@ class _Solver:
 
     def _split_or_branch(self, pool: int) -> tuple[int, int]:
         masks = self.masks
-        # one pass over the lowest vertex's component: its vertex set and its
-        # vertex of maximum degree, ties toward the lowest index
-        comp = todo = pool & -pool
-        best_i, best_d = -1, -1
-        while todo:
-            b = todo & -todo
-            todo ^= b
-            i = b.bit_length() - 1
-            nb = masks[i] & pool
-            d = nb.bit_count()
-            if d > best_d or (d == best_d and i < best_i):
-                best_i, best_d = i, d
-            nb &= ~comp
-            comp |= nb
-            todo |= nb
-        if comp != pool:
-            a, w = self.solve(comp, 0)
-            c, x = self.solve(pool ^ comp, 0)
-            return a + c, w | x
+        rest, total, w = pool, 0, 0
+        while rest:
+            # one pass over the lowest vertex's component: its vertex set and
+            # its vertex of maximum degree, ties toward the lowest index
+            comp = todo = rest & -rest
+            best_i, best_d = -1, -1
+            while todo:
+                b = todo & -todo
+                todo ^= b
+                i = b.bit_length() - 1
+                nb = masks[i] & rest
+                d = nb.bit_count()
+                if d > best_d or (d == best_d and i < best_i):
+                    best_i, best_d = i, d
+                nb &= ~comp
+                comp |= nb
+                todo |= nb
+            if comp == pool:
+                break  # connected: branch on best_i
+            # the components in turn, in this frame: the stack does not grow with their number
+            a, x = self.solve(comp, 0)
+            total, w, rest = total + a, w | x, rest ^ comp
+        else:
+            return total, w
         v = 1 << best_i
         nv = masks[best_i] & pool
         # taking v removes N[v]: only the neighbours of N(v) lose a neighbour

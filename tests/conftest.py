@@ -32,6 +32,14 @@ def octahedron() -> EmbeddedGraph:
     )
 
 
+def octahedra(k: int) -> EmbeddedGraph:
+    """k disjoint octahedra: no vertex peels in the oracle, and α = 2k."""
+    o = octahedron()
+    return EmbeddedGraph(
+        {6 * c + v: [6 * c + u for u in o.rotation(v)] for c in range(k) for v in o.vertices}
+    )
+
+
 def cube() -> EmbeddedGraph:
     return embedded_from_faces(
         [

@@ -14,6 +14,7 @@ from conftest import (
     drum,
     embedded_cycle,
     glued_pair,
+    octahedra,
     v1_document,
 )
 from pig.cli import main
@@ -252,6 +253,8 @@ HOSTILE_STEPS = {  # an edit of a valid step list, and the index its line names
     "kids-bool": (lambda s: [*s[:-1], s[-1] | {"kids": False}], -1),
     "kids-string": (lambda s: [*s[:-1], s[-1] | {"kids": "0"}], -1),
     "kids-past-the-end": (lambda s: [s[0] | {"kids": len(s)}, *s[1:]], 0),
+    "kids-one-written": (lambda s: [s[0] | {"kids": 1}, *s[1:]], 0),
+    "last-entry-owes-a-sub-tree": (lambda s: [*s[:-1], {"op": s[-1]["op"]}], -1),
     "after-the-root-closed": (lambda s: [*s, {"op": "exact", "kids": 0}], -1),
 }
 
@@ -280,6 +283,18 @@ def test_import_leaves_the_recursion_limit():
                          env={**os.environ, "PYTHONPATH": src})
     before, after = run.stdout.split()
     assert before == after
+
+
+def test_alpha_on_many_components_at_the_default_recursion_limit(tmp_path):
+    # 400 disjoint octahedra: no vertex peels, and each component cost the
+    # oracle three more frames while it recursed on the rest of the pool
+    path = tmp_path / "octahedra.rot"
+    path.write_text(octahedra(400).serialize())
+    src = str(Path(pig.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-m", "pig.cli", "alpha", str(path)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0 and run.stderr == "", run.stderr[-300:]
+    assert run.stdout.splitlines()[0] == "alpha=800"
 
 
 def test_check_cert_oversized_int_exits_2(rot_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from pig import mis
 from pig.generate import GenSpec, generate
 from pig.graph import parse_rotation_graph
 
-from conftest import ORACLE_EXACT_OPTIMA, brute_alpha, embedded_cycle, stacked_k4s
+from conftest import ORACLE_EXACT_OPTIMA, brute_alpha, embedded_cycle, octahedra, stacked_k4s
 
 
 class _Bare:
@@ -209,6 +210,19 @@ def test_planar_corpus_alpha_at_least_consistency():
         assert a == brute_alpha(g)
         assert mis.alpha_at_least(g, a)
         assert not mis.alpha_at_least(g, a + 1)
+
+
+def test_many_components_at_the_default_recursion_limit():
+    # the components are solved in one frame, so the stack does not grow
+    # with their number
+    g = octahedra(400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert mis.alpha(g) == 800
+        assert mis.mis_exact(g)[:4] == (1, 6, 7, 12)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_budget_guard():
