@@ -79,18 +79,32 @@ class CertificateError(ValueError):
 @dataclass(frozen=True)
 class Certificate:
     """Extraction result plus the ordered reduction trace for replay:
-    ``root`` is the step tree, which the JSON writes as a flat list."""
+    ``steps`` holds one entry per step in pre-order, as the JSON writes it."""
 
     ratio: str
     graph_hash: str
     n: int
     bound: int
     independent_set: tuple[int, ...]
-    root: dict
+    steps: tuple[dict, ...]
 
     @property
     def size(self) -> int:
         return len(self.independent_set)
+
+    @property
+    def root(self) -> dict:
+        """The steps as a nested tree, a step's sub-trees under ``child``
+        for one and ``children`` for several: a view built on each read,
+        each entry taking the sub-trees built after it."""
+        built: list[dict] = []  # the first sub-tree in order last
+        for entry in reversed(self.steps):
+            node = {k: v for k, v in entry.items() if k != "kids"}
+            kids = [built.pop() for _ in range(entry.get("kids", 1))]
+            if kids:
+                node |= {"child": kids[0]} if len(kids) == 1 else {"children": kids}
+            built.append(node)
+        return built[0]
 
     def to_json(self) -> str:
         payload = {
@@ -101,7 +115,7 @@ class Certificate:
             "bound": self.bound,
             "size": self.size,
             "independent_set": list(self.independent_set),
-            "steps": _steps(self.root),
+            "steps": list(self.steps),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -128,55 +142,35 @@ class Certificate:
             raise CertificateError("n, bound, size and the set's members must be ints")
         if payload["size"] != len(payload["independent_set"]):
             raise CertificateError("header size is not the set's size")
+        _check_counts(payload["steps"])
         return cls(
             ratio=payload["ratio"],
             graph_hash=payload["graph_hash"],
             n=payload["n"],
             bound=payload["bound"],
             independent_set=tuple(payload["independent_set"]),
-            root=_tree(payload["steps"]),
+            steps=tuple(payload["steps"]),
         )
 
 
-def _steps(root: dict) -> list[dict]:
-    """The step tree in pre-order, each node without its sub-trees and
-    with their count in ``kids`` where it is not one."""
-    out, todo = [], [root]
-    while todo:
-        node = todo.pop()
-        kids = _recorded_kids(node)
-        entry = {k: v for k, v in node.items() if k not in ("child", "children")}
-        if len(kids) != 1:
-            entry["kids"] = len(kids)
-        out.append(entry)
-        todo += reversed(kids)
-    return out
-
-
-def _tree(steps) -> dict:
-    """The step tree that a pre-order list of steps writes, rebuilt from
-    the last entry back, each entry taking the sub-trees built after it;
-    a list whose counts do not add up is refused, naming the entry."""
+def _check_counts(steps) -> None:
+    """Refuse a pre-order list whose ``kids`` counts do not make one tree,
+    naming the entry, in one pass that counts the sub-trees still owed."""
     if not isinstance(steps, list) or not steps:
         raise CertificateError("steps is not a non-empty list")
-    built: list[tuple[int, dict]] = []  # (index, sub-tree), the first in order last
-    for i in reversed(range(len(steps))):
-        node = steps[i]
-        if not isinstance(node, dict) or "child" in node or "children" in node:
+    owed = 1  # the root
+    for i, entry in enumerate(steps):
+        if not isinstance(entry, dict) or "child" in entry or "children" in entry:
             raise CertificateError(f"{_at(i)}: not an object, or holds 'child' or 'children'")
-        written = node.pop("kids", None)
-        if written == 1:  # left out where it is one
-            raise CertificateError(f"{_at(i)}: 'kids' {_brief(written)} where none is written")
-        due = 1 if written is None else written
-        if type(due) is not int or not 0 <= due <= len(built):
-            raise CertificateError(f"{_at(i)}: 'kids' {_brief(due)} is not in 0..{len(built)}")
-        kids = [built.pop()[1] for _ in range(due)]
-        if kids:
-            node |= {"child": kids[0]} if due == 1 else {"children": kids}
-        built.append((i, node))
-    if len(built) > 1:
-        raise CertificateError(f"{_at(built[-2][0])}: after the root's tree has closed")
-    return built[0][1]
+        if not owed:
+            raise CertificateError(f"{_at(i)}: after the root's tree has closed")
+        due = entry.get("kids", 1)
+        if due == 1 and "kids" in entry:  # left out where it is one
+            raise CertificateError(f"{_at(i)}: 'kids' {_brief(due)} where none is written")
+        room = len(steps) - i - owed  # the most the entries after it can hold
+        if type(due) is not int or not 0 <= due <= room:
+            raise CertificateError(f"{_at(i)}: 'kids' {_brief(due)} is not in 0..{room}")
+        owed += due - 1
 
 
 # -- the step engine -------------------------------------------------------------
@@ -189,9 +183,9 @@ class Step:
 
     ``fields`` are the certificate fields the choice of step fixes.
     ``combine(sols)`` maps the sub-solutions to the solution; it keeps no
-    sub-instance alive.  A node records the step's op, its choices and its
-    sub-trees, ``child`` for one and ``children`` for several, and nothing
-    replay derives; the set is recorded once, in the certificate header.
+    sub-instance alive.  An entry records the step's op, its choices and
+    the number of its sub-instances, and nothing replay derives; the set
+    is recorded once, in the certificate header.
     """
 
     op: str
@@ -199,12 +193,11 @@ class Step:
     subs: tuple[EmbeddedGraph, ...]
     combine: Callable[[list[frozenset[int]]], frozenset[int]]
 
-    def finish(self, sols: list, kids: list) -> tuple[frozenset[int], dict]:
-        """Combine the sub-solutions; return the solution and its node."""
-        node = {"op": self.op} | self.fields
-        if kids:
-            node |= {"child": kids[0]} if len(kids) == 1 else {"children": kids}
-        return self.combine(sols), node
+    def entry(self) -> dict:
+        """The step's entry in ``steps``: its op, its fields, and the number
+        of its sub-instances in ``kids`` where that is not one."""
+        kids = len(self.subs)
+        return {"op": self.op} | self.fields | ({} if kids == 1 else {"kids": kids})
 
     def summary(self) -> dict:
         """The step as ``pig reduce`` prints it."""
@@ -231,7 +224,7 @@ def _components(g: EmbeddedGraph) -> Step:
 def _reduce(g: EmbeddedGraph, cert: CertifiedPlan, **label) -> Step:
     """A reduction that leaves more than ``BASE_EXACT_N`` vertices, which
     the next step would triangulate, chords what it leaves in the same
-    edit: its one node stands for the fan-chord triangulation too."""
+    edit: its one entry stands for the fan-chord triangulation too."""
     fill = g.n - len(cert.plan.s) + cert.plan.t > BASE_EXACT_N
     reduced, ctx = apply_plan(g, cert, fill)
     fields = {"plan": cert.plan.summary()} | label
@@ -285,18 +278,18 @@ def _certified_config_plan(g: EmbeddedGraph, c: Ratio) -> tuple[CertifiedPlan, s
     raise IncompletenessDiagnostic(g, c)
 
 
-def next_step(g: EmbeddedGraph, c: Ratio, node: dict | None = None) -> Step:
+def next_step(g: EmbeddedGraph, c: Ratio, entry: dict | None = None) -> Step:
     """The step taken on ``g``: the one copy of the order.  The graph forces
     components, the exact base case and triangulation; a reduction's plan
-    and a split's triangle are the planner's, or the recorded ``node``'s."""
+    and a split's triangle are the planner's, or the recorded ``entry``'s."""
     if not g.is_connected():
         return _components(g)
     if g.n <= BASE_EXACT_N:
         return _exact(g)
     if not g.is_triangulation():
         return Step("triangulate", {}, (triangulate(g),), lambda sols: sols[0])
-    if node is not None:
-        return _recorded(g, c, node)
+    if entry is not None:
+        return _recorded(g, c, entry)
     plan = find_low_degree_plan(g, c)
     if plan is not None:
         return _reduce(g, certify_plan(g, plan))
@@ -331,35 +324,21 @@ def _ids(value) -> bool:
     return isinstance(value, list) and all(type(v) is int for v in value)
 
 
-def _recorded(g: EmbeddedGraph, c: Ratio, node: dict) -> Step:
-    """The step a recorded ``reduce`` or ``split`` node chooses."""
-    op = node.get("op")
+def _recorded(g: EmbeddedGraph, c: Ratio, entry: dict) -> Step:
+    """The step a recorded ``reduce`` or ``split`` entry chooses."""
+    op = entry.get("op")
     if op == "split":
-        return _split(g, c, _get(node, "triangle", _ids))
+        return _split(g, c, _get(entry, "triangle", _ids))
     if op != "reduce":
         raise CertificateError(f"op {_brief(op)} where a reduce or split is due")
-    rec = _get(node, "plan", lambda v: isinstance(v, dict))
+    rec = _get(entry, "plan", lambda v: isinstance(v, dict))
     s = frozenset(_get(rec, "S", _ids))
     parts = _get(rec, "parts", lambda v: isinstance(v, list) and all(map(_ids, v)))
     plan = ReductionPlan(s, tuple(map(frozenset, parts)), c)
     label = {}
-    if "match" in node:  # recorded for the catalog's steps, never interpreted
-        label["match"] = _get(node, "match", lambda v: isinstance(v, str))
+    if "match" in entry:  # recorded for the catalog's steps, never interpreted
+        label["match"] = _get(entry, "match", lambda v: isinstance(v, str))
     return _reduce(g, certify_plan(g, plan), **label)
-
-
-def _recorded_kids(node: dict) -> list:
-    """The recorded sub-trees; a malformed one fails where it is replayed."""
-    if "child" in node:
-        return [node["child"]]
-    kids = node.get("children", [])
-    return kids if isinstance(kids, list) else [None]
-
-
-def _own(node: dict) -> dict:
-    """The node with its sub-trees blanked: the fields replay compares.
-    Comparing whole sub-trees at every level would make replay quadratic."""
-    return {k: None if k in ("child", "children") else v for k, v in node.items()}
 
 
 # -- extraction and replay -------------------------------------------------------
@@ -373,64 +352,57 @@ class _Level:
     step: Step
     n: int
     i: int  # its index in pre-order, the index of its entry in ``steps``
-    record: object  # the recorded node on replay
-    todo: list  # (graph, record) per sub-instance not yet run, last first
+    todo: list  # the sub-instances not yet run, last first
     sols: list = field(default_factory=list)
-    nodes: list = field(default_factory=list)
-
-    @property
-    def where(self) -> str:
-        return _at(self.i, self.step.op)
 
 
-def _walk(g: EmbeddedGraph, record, expand, close) -> tuple[frozenset[int], dict]:
-    """Run the steps from ``g`` in post-order, on an explicit stack.
+def _walk(g: EmbeddedGraph, c: Ratio, expand, short) -> tuple[frozenset[int], int]:
+    """Run the steps from ``g`` in post-order, on an explicit stack; return
+    the solution and the number of steps run.
 
-    ``expand(g, record, i)`` returns the step taken on ``g``, the ``i``-th
-    in pre-order, and one record per sub-instance.
-    ``close(level, out, node)`` checks a finished level and returns the
-    node its parent combines.  Once a level's sub-instances are on the
+    ``expand(g, i)`` returns the step taken on ``g``, the ``i``-th in
+    pre-order.  A level whose solution breaks its size contract at ``c``
+    raises ``short(where, n)``.  Once a level's sub-instances are on the
     stack it keeps only its combine data and ``n``, so no level's graph
     outlives its step.
     """
     stack: list[_Level] = []
     order = count()
 
-    def push(sub: EmbeddedGraph, rec) -> None:
+    def push(sub: EmbeddedGraph) -> None:
         i = next(order)
-        step, kids = expand(sub, rec, i)
-        todo = list(zip(step.subs, kids))[::-1]
-        stack.append(_Level(replace(step, subs=()), sub.n, i, rec, todo))
+        step = expand(sub, i)
+        stack.append(_Level(replace(step, subs=()), sub.n, i, list(step.subs[::-1])))
 
-    push(g, record)
+    push(g)
     while True:
         top = stack[-1]
         if top.todo:
-            push(*top.todo.pop())
+            push(top.todo.pop())
             continue
         stack.pop()
-        out, node = top.step.finish(top.sols, top.nodes)
-        node = close(top, out, node)
+        out = top.step.combine(top.sols)
+        if len(out) < c.ceil_mul(top.n):  # checked at every level
+            raise short(_at(top.i, top.step.op), top.n)
         if not stack:
-            return out, node
+            return out, next(order)
         stack[-1].sols.append(out)
-        stack[-1].nodes.append(node)
 
 
 def extract(g: EmbeddedGraph, c: Ratio | str) -> Certificate:
     """Extract a verified independent set of size >= ceil(c*n) with trace."""
     ratio = Ratio.parse(c) if isinstance(c, str) else c
+    steps = []
 
-    def expand(sub, rec, i):
+    def expand(sub, i):
         step = next_step(sub, ratio)
-        return step, [None] * len(step.subs)
+        steps.append(step.entry())
+        return step
 
-    def close(level, out, node):
-        if len(out) < ratio.ceil_mul(level.n):  # checked at every level
-            raise IncompletenessDiagnostic(g, ratio, f"{level.where}, n={level.n}")
-        return node
+    def short(where, n):
+        return IncompletenessDiagnostic(g, ratio, f"{where}, n={n}")
 
-    sol, root = _walk(g, None, expand, close)
+    sol = _walk(g, ratio, expand, short)[0]
     if not mis.verify_independent(g, sol):
         raise LiftError("extracted set not independent")
     return Certificate(
@@ -439,44 +411,46 @@ def extract(g: EmbeddedGraph, c: Ratio | str) -> Certificate:
         n=g.n,
         bound=ratio.ceil_mul(g.n),
         independent_set=tuple(sorted(sol)),
-        root=root,
+        steps=tuple(steps),
     )
 
 
-def _replay(g: EmbeddedGraph, root, c: Ratio) -> frozenset[int]:
-    """Re-run the recorded steps and check each node's own fields."""
+def _replay(g: EmbeddedGraph, steps, c: Ratio) -> frozenset[int]:
+    """Re-run the recorded steps, checking each entry before its sub-trees
+    run, and that the walk reads the list to its end and no further."""
 
-    def expand(sub, node, i):
+    def expand(sub, i):
         try:
-            if not isinstance(node, dict):
-                raise CertificateError("not a node")
-            step = next_step(sub, c, node)
-            if node.get("op") != step.op:
-                raise CertificateError(f"op {_brief(node.get('op'))} where {step.op!r} is due")
-            kids = _recorded_kids(node)
-            if len(kids) != len(step.subs):
-                raise CertificateError(
-                    f"{len(kids)} sub-trees recorded, the step makes {len(step.subs)}"
-                )
+            if i == len(steps):
+                raise CertificateError("the step list ends before the walk")
+            entry = steps[i]
+            if not isinstance(entry, dict):
+                raise CertificateError("not an object")
+            step = next_step(sub, c, entry)
+            if entry.get("op") != step.op:
+                raise CertificateError(f"op {_brief(entry.get('op'))} where {step.op!r} is due")
         except CertificateError as exc:
             raise CertificateError(f"{_at(i)}: {exc}") from None
-        return step, kids
+        ours = step.entry()
+        if ours != entry:
+            keys = ", ".join(sorted(str(k) for k in ours | entry if k not in ours
+                                    or k not in entry or ours[k] != entry[k]))
+            raise CertificateError(f"{_at(i, step.op)}: replay diverges in {_brief(keys)}")
+        return step
 
-    def close(level, got, fresh):
-        ours, theirs = _own(fresh), _own(level.record)
-        if ours != theirs:
-            keys = ", ".join(sorted(k for k in ours | theirs if ours.get(k) != theirs.get(k)))
-            raise CertificateError(f"{level.where}: replay diverges in {_brief(keys)}")
-        if len(got) < c.ceil_mul(level.n):
-            raise CertificateError(f"{level.where}: recorded set breaks the size contract")
-        return level.record  # the parent compares its own fields only
+    def short(where, n):
+        return CertificateError(f"{where}: recorded set breaks the size contract")
 
-    return _walk(g, root, expand, close)[0]
+    got, ran = _walk(g, c, expand, short)
+    if ran < len(steps):
+        raise CertificateError(f"{_at(ran)}: after the root's tree has closed")
+    return got
 
 
 def check_certificate(g: EmbeddedGraph, cert: Certificate) -> tuple[bool, str]:
-    """Replay every step and size-ledger entry; (ok, reason).  Never raises
-    on a malformed certificate, one that exhausts the oracle's budget too."""
+    """Check the claimed set in O(n+m), then replay the steps and match the
+    set they give; (ok, reason).  Never raises on a malformed certificate,
+    one that exhausts the oracle's budget too."""
     if cert.graph_hash != g.graph_hash():
         return False, "graph hash mismatch"
     try:
@@ -485,18 +459,22 @@ def check_certificate(g: EmbeddedGraph, cert: Certificate) -> tuple[bool, str]:
         return False, str(exc)
     if cert.bound != ratio.ceil_mul(g.n) or cert.n != g.n:
         return False, "header bound/size mismatch"
+    claim = cert.independent_set
+    if not isinstance(claim, tuple) or not all(type(v) is int and g.has_vertex(v)
+                                               for v in claim):
+        return False, "claimed set is not a tuple of the graph's vertices"
+    if not mis.verify_independent(g, claim):
+        return False, "claimed set not independent"
+    if len(claim) < cert.bound:
+        return False, "claimed set below bound"
     try:
-        got = _replay(g, cert.root, ratio)
+        got = _replay(g, cert.steps, ratio)
     except (CertificateError, GraphError, LiftError, PlanRejected) as exc:
         return False, str(exc)
     except mis.OracleBudgetExceeded as exc:
         return False, f"oracle budget exceeded: {exc}"
-    if tuple(sorted(got)) != cert.independent_set:
+    if tuple(sorted(got)) != claim:
         return False, "final set differs from trace"
-    if not mis.verify_independent(g, got):
-        return False, "final set not independent"
-    if len(got) < cert.bound:
-        return False, "final set below bound"
     return True, "ok"
 
 

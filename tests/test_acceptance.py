@@ -311,15 +311,6 @@ def _walk_reduce_steps(g, node, c, visit):
         _walk_reduce_steps(sub, kid, c, visit)
 
 
-def _count_reduce_nodes(root):
-    count, todo = 0, [root]
-    while todo:
-        node = todo.pop()
-        count += node["op"] == "reduce"
-        todo += [node["child"]] if "child" in node else node.get("children", [])
-    return count
-
-
 def test_criterion_8_certification_exhaustiveness(main_corpus_certificates):
     t0 = time.perf_counter()
     checked_plans = 0
@@ -354,7 +345,7 @@ def test_criterion_8_certification_exhaustiveness(main_corpus_certificates):
     reduce_nodes = 0
     for tag, g, cert in main_corpus_certificates:
         _walk_reduce_steps(g, cert.root, C13, visit)
-        reduce_nodes += _count_reduce_nodes(cert.root)
+        reduce_nodes += sum(entry["op"] == "reduce" for entry in cert.steps)
     dt = time.perf_counter() - t0
     assert checked_plans == reduce_nodes > 0
     assert dt < 300, f"criterion 8 exceeded budget: {dt:.1f}s"
@@ -380,7 +371,7 @@ def test_replay_runs_no_planner(main_corpus_certificates, monkeypatch):
     glued = glued_pair(16, 14)
     cases = [(g, cert) for tag, g, cert in main_corpus_certificates
              if tag.startswith("flag-")] + [(glued, extract(glued, C13))]
-    assert len(cases) == 41 and cases[-1][1].root["op"] == "split"
+    assert len(cases) == 41 and cases[-1][1].steps[0]["op"] == "split"
     calls = []
     for name in PLANNER:
         monkeypatch.setattr(engine, name, lambda *a, name=name, **k: calls.append(name))

@@ -145,12 +145,12 @@ def test_reduce_prints_the_first_step_of_extract(name, tmp_path, capsys):
     path.write_text(FIRST_STEP_GRAPHS[name]().serialize())
     assert main(["reduce", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    root = extract(parse_rotation_graph(path.read_text()), "3/13").root
+    first = extract(parse_rotation_graph(path.read_text()), "3/13").steps[0]
     fields = {k: v for k, v in payload.items() if k not in ("step", "count")}
-    assert payload["step"] == root["op"]
-    assert fields == {k: root.get(k) for k in fields}
-    if root["op"] == "reduce":
-        assert payload["plan"] == root["plan"]
+    assert payload["step"] == first["op"]
+    assert fields == {k: first.get(k) for k in fields}
+    if first["op"] == "reduce":
+        assert payload["plan"] == first["plan"]
 
 
 def test_reduce_step_split(tmp_path, capsys):
@@ -254,6 +254,7 @@ HOSTILE_STEPS = {  # an edit of a valid step list, and the index its line names
     "kids-string": (lambda s: [*s[:-1], s[-1] | {"kids": "0"}], -1),
     "kids-past-the-end": (lambda s: [s[0] | {"kids": len(s)}, *s[1:]], 0),
     "kids-one-written": (lambda s: [s[0] | {"kids": 1}, *s[1:]], 0),
+    "kids-null": (lambda s: [s[0] | {"kids": None}, *s[1:]], 0),
     "last-entry-owes-a-sub-tree": (lambda s: [*s[:-1], {"op": s[-1]["op"]}], -1),
     "after-the-root-closed": (lambda s: [*s, {"op": "exact", "kids": 0}], -1),
 }

@@ -70,13 +70,9 @@ def test_windowed_restriction():
     assert all((wm.kind, wm.roles) in all_matches for wm in windowed)
 
 
-def _reduce_labels(node, acc):
-    """The ``match`` label of every catalog step in a certificate tree."""
-    if node.get("op") == "reduce" and "match" in node:
-        acc.add(node["match"])
-    for kid in [node["child"]] if "child" in node else node.get("children", []):
-        _reduce_labels(kid, acc)
-    return acc
+def _reduce_labels(steps):
+    """The ``match`` label of every catalog step in a certificate."""
+    return {entry["match"] for entry in steps if entry["op"] == "reduce" and "match" in entry}
 
 
 def test_every_detector_is_needed(ico):
@@ -87,7 +83,7 @@ def test_every_detector_is_needed(ico):
 
     labels = set()
     for g in (subdivide(ico), drum(8)):
-        _reduce_labels(extract(g, "3/13").root, labels)
+        labels |= _reduce_labels(extract(g, "3/13").steps)
     assert labels == set(DETECTOR_ORDER)
 
 
@@ -103,7 +99,7 @@ def test_sweep_fallback_certifies_without_the_catalog(ico, monkeypatch):
     graphs += [flagged(seed, 80) for seed in range(6)]
     for g in graphs:
         cert = ex.extract(g, "3/13")
-        labels = _reduce_labels(cert.root, set())
+        labels = _reduce_labels(cert.steps)
         assert labels == {"sweep"}, labels
         assert ex.check_certificate(g, cert) == (True, "ok")
         assert cert.size >= cert.bound

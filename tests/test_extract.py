@@ -1,12 +1,15 @@
+import copy
 import importlib
 import itertools
 import json
+import pickle
 import random
 import string
 import sys
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -77,7 +80,7 @@ class TestExtractBasics:
         cert = extract(g, C13)
         assert cert.n == 16
         assert cert.size >= 1 + 3  # per-component bounds add up
-        assert cert.root["op"] == "components"
+        assert cert.steps[0]["op"] == "components"
 
     def test_disjoint_k4s_quarter_ratio(self, graph_k4):
         rot = {}
@@ -146,12 +149,12 @@ def _fused(node, n):
         node = node["child"]
 
 
-NODE_KEYS = {  # the keys a node of each op may hold
-    "exact": [{"op"}],
-    "components": [{"op", "children"}],
-    "triangulate": [{"op", "child"}],
-    "reduce": [{"op", "plan", "child"}, {"op", "plan", "match", "child"}],
-    "split": [{"op", "triangle", "children"}],
+ENTRY_KEYS = {  # the keys an entry of each op may hold
+    "exact": [{"op", "kids"}],
+    "components": [{"op", "kids"}],
+    "triangulate": [{"op"}],
+    "reduce": [{"op", "plan"}, {"op", "plan", "match"}],
+    "split": [{"op", "triangle", "kids"}],
 }
 
 
@@ -159,12 +162,11 @@ class TestCertificateFormat:
     def test_nodes_record_each_step_once(self):
         g = generate(GenSpec(seed=0, n=300))
         cert = extract(g, C13)
-        nodes = list(_nodes(cert.root))
-        # one node per step: a reduce per 4 vertices or so, down to the
-        # exact base case (71 nodes)
-        assert len(nodes) > 60
-        for node in nodes:
-            assert not {"n", "bound", "size", "set"} & node.keys(), node["op"]
+        # one entry per step: a reduce per 4 vertices or so, down to the
+        # exact base case (71 entries)
+        assert len(cert.steps) > 60
+        for entry in cert.steps:
+            assert not {"n", "bound", "size", "set"} & entry.keys(), entry["op"]
         fused = list(_fused(cert.root, g.n))
         assert len(fused) > 60
         assert all(node["child"]["op"] != "triangulate" for node in fused)
@@ -200,8 +202,8 @@ class TestCertificateFormat:
 
     def test_nodes_hold_op_choices_and_subtrees_only(self, monkeypatch):
         # nothing replay derives: no need, w_ids, edge counts, strategy,
-        # sides, recipe or tagged sub-instances; one sub-tree is a dict,
-        # so a step nests one JSON level
+        # sides, recipe or tagged sub-instances; ``kids`` is written for
+        # the exact base case's none and for two or more sub-trees only
         from test_golden import SPECS, build
 
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
@@ -213,13 +215,12 @@ class TestCertificateFormat:
         ]
         ops = Counter()
         for g, ratio in cases:
-            for node in _nodes(extract(g, ratio).root):
-                ops[node["op"]] += 1
-                assert set(node) in NODE_KEYS[node["op"]], node.keys()
-                assert isinstance(node.get("child", {}), dict)
-                assert len(node.get("children", "..")) >= 2
-                if "plan" in node:
-                    assert node["plan"].keys() == {"S", "parts"}
+            for entry in extract(g, ratio).steps:
+                ops[entry["op"]] += 1
+                assert set(entry) in ENTRY_KEYS[entry["op"]], entry.keys()
+                assert entry.get("kids", 2) >= 2 or entry == {"op": "exact", "kids": 0}
+                if "plan" in entry:
+                    assert entry["plan"].keys() == {"S", "parts"}
         assert ops.keys() == {"reduce", "exact", "triangulate", "split"}
 
     def test_old_two_node_shape_is_refused(self, monkeypatch):
@@ -246,23 +247,23 @@ class TestCertificateFormat:
         assert calls == ["alpha_at_least"]
 
 
-CERT_FIELDS = ("ratio", "graph_hash", "n", "bound", "independent_set", "root")
+CERT_FIELDS = ("ratio", "graph_hash", "n", "bound", "independent_set", "steps")
 
 
 def _fields(g, ratio=C13) -> dict:
     """The fields of ``g``'s certificate as ``from_json`` reads them back,
-    its nested ``root`` among them, to forge and pass to ``_direct``."""
+    its ``steps`` as a list, to forge and pass to ``_direct``."""
     cert = Certificate.from_json(extract(g, ratio).to_json())
-    return {f: getattr(cert, f) for f in CERT_FIELDS}
+    return {f: getattr(cert, f) for f in CERT_FIELDS} | {"steps": list(cert.steps)}
 
 
 def _direct(fields):
     """The certificate built directly, past from_json's checks."""
-    return Certificate(**fields)
+    return Certificate(**fields | {"steps": tuple(fields["steps"])})
 
 
-def _reduce_node(fields):
-    return _find_op(fields["root"], "reduce")
+def _reduce_entry(fields):
+    return _find_op(fields["steps"], "reduce")
 
 
 def _without_match(value):
@@ -274,18 +275,18 @@ def _without_match(value):
     return value
 
 
-MALFORMED = {
-    "missing-child": lambda p: _reduce_node(p).pop("child"),
-    "plan-extra-kind": lambda p: _reduce_node(p)["plan"].update(kind="anchored-pairs"),
-    "plan-S-not-ids": lambda p: _reduce_node(p)["plan"].update(S=["a"]),
-    "plan-null": lambda p: _reduce_node(p).update(plan=None),
-    "split-absent-triangle": lambda p: p["root"].update(
+MALFORMED = {  # an edit of the fields; the root is the first entry
+    "missing-child": lambda p: _reduce_entry(p).update(kids=0),
+    "plan-extra-kind": lambda p: _reduce_entry(p)["plan"].update(kind="anchored-pairs"),
+    "plan-S-not-ids": lambda p: _reduce_entry(p)["plan"].update(S=["a"]),
+    "plan-null": lambda p: _reduce_entry(p).update(plan=None),
+    "split-absent-triangle": lambda p: p["steps"][0].update(
         op="split", triangle=[10**6, 10**6 + 1, 10**6 + 2]
     ),
-    "root-is-list": lambda p: p.update(root=[p["root"]]),
-    "root-unknown-op": lambda p: p["root"].update(op=["reduce"]),
+    "root-is-list": lambda p: p["steps"].__setitem__(0, [p["steps"][0]]),
+    "root-unknown-op": lambda p: p["steps"][0].update(op=["reduce"]),
     "independent-set-null": lambda p: p.update(independent_set=None),
-    "node-set-null": lambda p: p["root"].update(set=None),
+    "node-set-null": lambda p: p["steps"][0].update(set=None),
     "ratio-null": lambda p: p.update(ratio=None),
 }
 
@@ -349,7 +350,7 @@ class TestCheckCertificate:
         deep = []
         for _ in range(19_000):
             deep = [deep]
-        _reduce_node(fields)["plan"]["S"] = deep
+        _reduce_entry(fields)["plan"]["S"] = deep
         ok, reason = check_certificate(g, _direct(fields))
         assert not ok and reason.endswith("malformed 'S': [[[[[[[...]]]]]]]")
         assert len(reason) < 80
@@ -390,6 +391,14 @@ class TestCheckCertificate:
         MALFORMED[tamper](fields)
         ok, reason = check_certificate(g, _direct(fields))
         assert not ok and reason
+
+    def test_divergence_names_the_key(self):
+        # a key only the record holds is named too, even with a null value
+        g = generate(GenSpec(seed=9, n=40))
+        fields = _fields(g)
+        fields["steps"][0]["set"] = None
+        ok, reason = check_certificate(g, _direct(fields))
+        assert (ok, reason) == (False, "step 0 (reduce): replay diverges in 'set'")
 
     def test_accepted_byte_edits_change_no_checked_value(self):
         # every recorded value but the catalog steps' ``match`` label is
@@ -440,9 +449,10 @@ def test_flagged_mix_reductions_have_no_triangulate_child(monkeypatch):
             "flagged-mix", 0, tiny=True):
         g = recipe.build()
         cert = extract(g, C13)
-        reduces = [node for node in _nodes(cert.root) if node["op"] == "reduce"]
-        assert all(node["child"]["op"] != "triangulate" for node in reduces)
-        contracted += sum(1 for node in reduces if node["plan"]["parts"])
+        reduces = [(entry, kid) for entry, kid in zip(cert.steps, cert.steps[1:])
+                   if entry["op"] == "reduce"]
+        assert all(kid["op"] != "triangulate" for _, kid in reduces)
+        contracted += sum(1 for entry, _ in reduces if entry["plan"]["parts"])
         assert check_certificate(g, cert) == (True, "ok")
     assert contracted > 100
 
@@ -484,31 +494,31 @@ class TestFusedReplay:
         # triangulated already
         g = generate(GenSpec(seed=9, n=40))
         fields = _fields(g)
-        kid = next(_fused(fields["root"], g.n))["child"]
+        root = _direct(fields).root
+        assert next(_fused(root, g.n)) is root  # so its child is entry 1
+        kid = fields["steps"][1]
         assert kid["op"] == "reduce"
         kid["op"] = op
         ok, reason = check_certificate(g, _direct(fields))
         assert not ok and reason
 
 
-def _forged(root, sparse=False, ratio=C13):
+def _forged(steps, sparse=False, ratio=C13):
     """A flagged n=120 graph, with three edges gone if ``sparse``, and its
-    certificate at ``ratio`` with ``root`` put in."""
+    certificate at ``ratio`` with ``steps`` put in."""
     g = generate(GenSpec(seed=7, n=120, min_degree5=True, no_separating_triangle=True))
     if sparse:
         g = sparsify(g, 0, 0.01)
         assert g.is_connected() and not g.is_triangulation()
-    return g, _direct(_fields(g, ratio) | {"root": root(g)})
+    return g, _direct(_fields(g, ratio) | {"steps": steps})
 
 
-FORGED = {  # (sparse, root): a reduce is due on the flagged graph
-    "exact-root": (False, lambda g: {"op": "exact"}),
-    "components-on-connected": (False, lambda g: {
-        "op": "components", "children": [{"op": "exact"}]}),
-    "triangulate-for-reduce": (False, lambda g: {
-        "op": "triangulate", "child": {"op": "exact"}}),
-    "exact-for-triangulate": (True, lambda g: {
-        "op": "exact", "child": {"op": "exact"}}),
+EXACT = {"op": "exact", "kids": 0}
+FORGED = {  # (sparse, steps): a reduce is due on the flagged graph
+    "exact-root": (False, [EXACT]),
+    "components-on-connected": (False, [{"op": "components"}, EXACT]),
+    "triangulate-for-reduce": (False, [{"op": "triangulate"}, EXACT]),
+    "exact-for-triangulate": (True, [{"op": "exact"}, EXACT]),
 }
 
 
@@ -533,14 +543,25 @@ class TestForcedSteps:
         assert not ok and reason.startswith("step 0: op ")
         assert max(sizes, default=0) <= BASE_EXACT_N
 
+    def test_bad_claim_fails_before_the_trace(self, monkeypatch):
+        # the forged plan below would spend the budget on replay; the
+        # claimed set holds an edge, and that is the verdict
+        monkeypatch.setenv("PIG_ORACLE_BUDGET", "4")
+        s = [10, 14, 22, 29, 42, 45, 47, 50, 51, 63, 69, 91, 101, 102, 111, 115]
+        g, cert = _forged([{"op": "reduce", "plan": {"S": s, "parts": [s]}}, EXACT])
+        u = cert.independent_set[0]
+        v = min(g.neighbors(u))
+        bad = replace(cert, independent_set=tuple(sorted({*cert.independent_set, v})))
+        assert check_certificate(g, bad) == (False, "claimed set not independent")
+        assert check_certificate(g, cert)[1] == "oracle budget exceeded: exceeded 4 nodes"
+
     def test_oracle_budget_exceeded_fails_the_check(self, monkeypatch):
         # S has 16 vertices, the most a plan may have, all in one part, so
         # one window to certify is all of S: deciding alpha >= 5 there
         # takes 9 oracle nodes
         monkeypatch.setenv("PIG_ORACLE_BUDGET", "4")
         s = [10, 14, 22, 29, 42, 45, 47, 50, 51, 63, 69, 91, 101, 102, 111, 115]
-        g, cert = _forged(lambda g: {
-            "op": "reduce", "plan": {"S": s, "parts": [s]}, "child": {"op": "exact"}})
+        g, cert = _forged([{"op": "reduce", "plan": {"S": s, "parts": [s]}}, EXACT])
         ok, reason = check_certificate(g, cert)
         assert not ok and reason == "oracle budget exceeded: exceeded 4 nodes"
 
@@ -561,8 +582,8 @@ class TestForcedSteps:
         g = generate(GenSpec(seed=1, n=400, min_degree5=True, no_separating_triangle=True))
         for ratio in (C13, Ratio(1, 400)):
             fields = _fields(g, ratio)
-            fields["root"] = {"op": "reduce", "plan": {"S": sorted(g.vertices), "parts": []},
-                              "child": {"op": "exact"}}
+            fields["steps"] = [{"op": "reduce", "plan": {"S": sorted(g.vertices), "parts": []}},
+                               EXACT]
             cert = _direct(fields)
             start = time.perf_counter()
             ok, reason = check_certificate(g, cert)
@@ -575,8 +596,8 @@ class TestEngine:
     past its step, and the reduce level's window-only independence check."""
 
     def test_deep_plain_graph_at_default_recursion_limit(self):
-        # one node per reduction: the step tree nests 1,246 deep here, which
-        # the JSON parser could not read as a nested document at this limit
+        # one entry per reduction: the step tree is 1,246 deep here, which
+        # neither the JSON nor the certificate object nests
         g = generate(GenSpec(seed=7, n=5000))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
@@ -585,9 +606,29 @@ class TestEngine:
             text = cert.to_json()
             again = Certificate.from_json(text)
             assert check_certificate(g, again) == (True, "ok")
-            assert again.to_json() == text  # == on the trees recurses 1,246 deep
+            assert again.to_json() == text and again == cert
+            assert repr(cert).startswith("Certificate(")
+            assert pickle.loads(pickle.dumps(cert)) == cert
+            assert copy.deepcopy(cert) == cert
+            assert cert.root["op"] == "reduce"  # the view builds no recursion
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_step_list_that_ends_before_the_walk(self):
+        g = generate(GenSpec(seed=9, n=40))
+        fields = _fields(g)
+        last = len(fields["steps"]) - 1
+        del fields["steps"][last]
+        ok, reason = check_certificate(g, _direct(fields))
+        assert (ok, reason) == (False, f"step {last}: the step list ends before the walk")
+
+    def test_step_list_with_entries_after_the_walk(self):
+        g = generate(GenSpec(seed=9, n=40))
+        fields = _fields(g)
+        end = len(fields["steps"])
+        fields["steps"] += [EXACT, EXACT]
+        ok, reason = check_certificate(g, _direct(fields))
+        assert (ok, reason) == (False, f"step {end}: after the root's tree has closed")
 
     def test_size_contract_names_the_step(self, monkeypatch):
         # the level is named by its index in ``steps``: the exact base case
@@ -661,8 +702,8 @@ class TestStructuredFamilies:
         assert mis.verify_independent(g, cert.independent_set)
 
 
-def _find_op(node, op):
-    return next((n for n in _nodes(node) if n["op"] == op), None)
+def _find_op(steps, op):
+    return next((entry for entry in steps if entry["op"] == op), None)
 
 
 class TestSplitStage:
@@ -686,9 +727,9 @@ class TestSplitStage:
         assert g.min_degree() >= 5
         assert separating_triangles(g)
         cert = extract(g, C13)
-        node = _find_op(cert.root, "split")
-        assert node is not None
-        assert split_plan(g, node["triangle"], C13).strategy == strategy
+        entry = _find_op(cert.steps, "split")
+        assert entry is not None
+        assert split_plan(g, entry["triangle"], C13).strategy == strategy
         assert cert.size >= cert.bound
         ok, reason = check_certificate(g, cert)
         assert ok, reason
@@ -699,12 +740,12 @@ class TestSplitStage:
 
         g = glued_pair(16, 14)
         fields = _fields(g)
-        node = _find_op(fields["root"], "split")
-        others = [t for t in separating_triangles(g) if list(t) != node["triangle"]]
-        forgeries = [[0, 1, 2], sorted(node["triangle"], reverse=True), *others[:1],
+        entry = _find_op(fields["steps"], "split")
+        others = [t for t in separating_triangles(g) if list(t) != entry["triangle"]]
+        forgeries = [[0, 1, 2], sorted(entry["triangle"], reverse=True), *others[:1],
                      list(range(1, 10**5)), [10**4000, 1, 2]]
         for forged in forgeries:
-            node["triangle"] = list(forged)
+            entry["triangle"] = list(forged)
             ok, reason = check_certificate(g, _direct(fields))
             assert not ok and 0 < len(reason) < 80, reason[:80]
 
