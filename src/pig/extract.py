@@ -79,7 +79,11 @@ class CertificateError(ValueError):
 @dataclass(frozen=True)
 class Certificate:
     """Extraction result plus the ordered reduction trace for replay:
-    ``steps`` holds one entry per step in pre-order, as the JSON writes it."""
+    ``steps`` holds one entry per step in pre-order, as the JSON writes it.
+    The entries are plain dicts shared with ``to_json``, so a certificate
+    is unhashable on purpose."""
+
+    __hash__ = None
 
     ratio: str
     graph_hash: str
@@ -364,15 +368,18 @@ def _walk(g: EmbeddedGraph, c: Ratio, expand, short) -> tuple[frozenset[int], in
     pre-order.  A level whose solution breaks its size contract at ``c``
     raises ``short(where, n)``.  Once a level's sub-instances are on the
     stack it keeps only its combine data and ``n``, so no level's graph
-    outlives its step.
+    outlives its step.  The walk alone holds every sub-instance, so it
+    marks each as owned, and the reduction on it may consume it; ``g``
+    stays whole.
     """
     stack: list[_Level] = []
     order = count()
 
     def push(sub: EmbeddedGraph) -> None:
-        i = next(order)
+        i, n = next(order), sub.n
+        sub._owned = i > 0
         step = expand(sub, i)
-        stack.append(_Level(replace(step, subs=()), sub.n, i, list(step.subs[::-1])))
+        stack.append(_Level(replace(step, subs=()), n, i, list(step.subs[::-1])))
 
     push(g)
     while True:

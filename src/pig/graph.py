@@ -3,7 +3,10 @@
 A graph is stored as the clockwise cyclic order of neighbors around every
 vertex.  That order determines the embedding combinatorially: faces are the
 orbits of the next-dart rule, and validity is checked through Euler's
-formula.  All values are immutable; structural operations return new graphs.
+formula.  Structural operations return new graphs and leave their input
+whole, with one exception: the step walk of ``pig.extract`` marks each
+sub-instance it holds alone, and ``triangulate`` of such a graph hands its
+maps to the child, edited in place, after which the graph refuses reads.
 
 Vertex ids are positive integers.  They are stable across deletions and are
 never reused: graphs derived by contraction mint fresh ids starting at
@@ -37,6 +40,19 @@ class EmbeddingError(GraphError):
     """Rotation system fails validation (symmetry, simplicity, Euler trace)."""
 
 
+class _Consumed:
+    """The maps of a graph whose edit consumed it: its child holds them
+    now, so every read raises."""
+
+    def _refuse(self, *args):
+        raise GraphError("graph consumed by an edit: its child holds its maps")
+
+    __getitem__ = __iter__ = __len__ = __contains__ = get = keys = items = _refuse
+
+
+_CONSUMED = _Consumed()
+
+
 class EmbeddedGraph:
     """Simple plane graph as a clockwise rotation system.
 
@@ -54,14 +70,22 @@ class EmbeddedGraph:
     ``_lost_faces``, since the parent is checked already.  Deletion and
     contraction share one rewrite of the survivors' rotations,
     ``_without``.  ``triangulate`` chords the holes of the fresh child in
-    place, ``_fill``, checking only what the chords add.  Every graph knows
-    its face count (an isolated vertex is one face), its non-triangular
-    faces and its number of components c, with n - m + faces = 2c.
+    place, ``_fill``, splicing the chords into the rewritten rotations and
+    checking only what the chords add.  Every graph knows its face count
+    (an isolated vertex is one face), its non-triangular faces and its
+    number of components c, with n - m + faces = 2c.
+
+    An edit copies the parent's two maps, except ``triangulate``'s edit of
+    a graph the step walk owns (``_owned``, set by the walk on each
+    sub-instance and on no other graph): that one consumes the parent.
+    The child takes the maps over and edits them in place, and the parent
+    then raises ``GraphError`` on every read of them; its ``m`` stays
+    readable, so a caller can still count the edges the call added.
     """
 
     __slots__ = (
         "_rot", "_adj", "_next_id", "_faces", "_m", "_nf", "_holes", "_ncomp",
-        "_buckets", "_septris",
+        "_buckets", "_septris", "_owned",
     )
 
     def __init__(
@@ -86,6 +110,7 @@ class EmbeddedGraph:
         self._ncomp: int | None = None
         self._buckets: dict[int, set[int]] | None = None  # by degree, on demand
         self._septris: tuple | None = None  # separating triangles, on demand
+        self._owned = False  # held by the step walk alone: triangulate consumes it
         self._validate()
 
     # -- basic queries ----------------------------------------------------
@@ -325,16 +350,16 @@ class EmbeddedGraph:
 
     def _without(
         self, gone: Collection[int], at: Mapping[int, int] | None = None,
-    ) -> tuple[dict[int, tuple[int, ...]], Darts]:
-        """The rotations and the dart report of an edit that removes
-        ``gone``: every survivor drops its gone neighbors from its
+    ) -> tuple[dict[int, list[int]], Darts]:
+        """The rotations, as lists, and the dart report of an edit that
+        removes ``gone``: every survivor drops its gone neighbors from its
         rotation.  With ``at`` (a neighbor of the contracted vertices -> its
         first contracted neighbor, in the merged rotation's order) the edit
         is a contraction, even if ``at`` is empty: the fresh vertex
         ``next_id`` has the surviving keys of ``at`` as its rotation and
         takes the slot of each neighbor's first contracted neighbor."""
         rot = self._rot
-        new: dict[int, tuple[int, ...]] = {}
+        new: dict[int, list[int]] = {}
         darts: Darts = ([], [])
         lost: dict[int, set[int]] = {}  # a survivor's gone neighbors
         for v in gone:
@@ -344,7 +369,7 @@ class EmbeddedGraph:
                     lost.setdefault(u, set()).add(v)
         fresh = self._next_id
         if at is not None:
-            new[fresh] = tuple(w for w in at if w not in gone)
+            new[fresh] = [w for w in at if w not in gone]
             darts[1].extend((w, fresh) for w in new[fresh])
         for v, ls in lost.items():
             ns, first = list(rot[v]), at.get(v) if at else None
@@ -353,9 +378,9 @@ class EmbeddedGraph:
                     ns[ns.index(u)] = fresh
                 else:
                     ns.remove(u)
-            new[v] = tuple(ns)
+            new[v] = ns
             inserted = () if first is None else (fresh,)
-            _changed_darts(v, rot[v], new[v], ls, inserted, darts)
+            _changed_darts(v, rot[v], ns, ls, inserted, darts)
         return new, darts
 
     def _lost_faces(
@@ -380,12 +405,15 @@ class EmbeddedGraph:
 
     def _edit(
         self, gone: Collection[int], at: Mapping[int, int] | None = None,
-        ncomp: int | None = None,
+        ncomp: int | None = None, fill: bool = False,
     ) -> "EmbeddedGraph":
         """The child graph: this graph without ``gone``, and with the fresh
         vertex ``next_id`` if ``at`` is given (a contraction, ``_without``),
         checked where it differs.  The maps are copied, not rebuilt, and the
-        degree buckets are handed on.
+        degree buckets are handed on.  With ``fill`` (``triangulate``'s
+        edit) a connected child's holes are chorded, ``_fill``, before any
+        rewritten rotation is written in its final form, and a graph the
+        step walk owns is consumed: the child edits its maps in place.
 
         ``_without`` names the darts (x, v) of this graph and of the child
         whose successor at v the edit changed, and faces are re-traced from
@@ -399,8 +427,18 @@ class EmbeddedGraph:
         counted afresh.
         """
         new, darts = self._without(gone, at)
-        was, m, (nf, holes) = self._rot, self._m, self._face_stats()
-        rot, adj = dict(was), dict(self._adj)
+        was, had, m, (nf, holes) = self._rot, self._adj, self._m, self._face_stats()
+        edited = [v for v in new if v in was]
+        # what the edit needs of this graph, read before its maps change
+        before, old_holes = self._lost_faces(gone, [*edited, *gone], darts[0])
+        dropped = {_canonical(was, h) for h in old_holes}
+        lost = [(v, len(was[v]), had[v]) for v in itertools.chain(edited, gone)]
+        if fill and self._owned:
+            rot, adj = was, had
+            self._rot = self._adj = _CONSUMED
+            self._faces = self._holes = self._septris = None
+        else:
+            rot, adj = dict(was), dict(had)
         for v in gone:
             del rot[v], adj[v]
         rot.update(new)
@@ -409,24 +447,22 @@ class EmbeddedGraph:
         g._rot, g._adj, g._faces = rot, adj, None
         g._next_id = self._next_id + (at is not None)
         g._buckets = g._septris = None
+        g._owned = False
         g._check_rotations(new)
-        edited = [v for v in new if v in was]
-        degrees = sum(len(rot[v]) for v in new)
+        degrees = sum(map(len, new.values()))
         # an untouched survivor kept its rotation: what it lists must still
         # exist and list it back
-        for v in itertools.chain(edited, gone):
-            degrees -= len(was[v])
-            for u in was[v]:
-                if u in rot and u not in new and u not in adj.get(v, ()):
+        for v, d, ns in lost:
+            degrees -= d
+            for u in ns.difference(adj.get(v, ())):
+                if u in rot and u not in new:
                     raise EmbeddingError(
                         f"asymmetric adjacency: {u} lists {v} but not vice versa"
                     )
         g._m = m + degrees // 2
         # A face changed iff one of its darts got a new successor.
-        before, old_holes = self._lost_faces(gone, [*edited, *gone], darts[0])
         count, new_holes = _local_faces(rot, new, darts[1])
         nf += count - before
-        dropped = {_canonical(was, h) for h in old_holes}
         holes = [h for h in holes if h not in dropped] + new_holes
         if at is not None and len(_reach(adj, [self._next_id], set(new))) != len(new):
             g._ncomp = None
@@ -436,30 +472,50 @@ class EmbeddedGraph:
         g._ncomp = _euler(len(rot), g._m, nf, ncomp)
         if self._buckets is not None:
             g._buckets, self._buckets = self._buckets, None
-            for v in itertools.chain(edited, gone):
-                g._buckets[len(was[v])].discard(v)
-            for v in new:
-                g._buckets.setdefault(len(rot[v]), set()).add(v)
+            for v, d, _ in lost:
+                g._buckets[d].discard(v)
+        if fill and g._holes and len(rot) >= 3 and g.is_connected():
+            g._fill(new)
+        else:
+            g._settle(new)
         return g
 
-    def _fill(self) -> None:
+    def _settle(self, spliced: Mapping[int, list[int]]) -> None:
+        """Write each rotation of ``spliced`` as its final tuple and file its
+        vertex in its degree bucket, which it is out of."""
+        rot, buckets = self._rot, self._buckets
+        for v, ns in spliced.items():
+            rot[v] = tuple(ns)
+            if buckets is not None:
+                buckets.setdefault(len(ns), set()).add(v)
+
+    def _fill(self, spliced: dict[int, list[int]]) -> None:
         """Chord every hole, in place: this graph is a connected child that
         no one else holds yet.  Chords fan out of the smallest-id vertex
         available on each face; ears are cut when a fan chord would be
         parallel to an existing edge.  A vertex that fans out takes its
-        chords in one splice of its rotation.
+        chords in one splice of its rotation.  ``spliced`` holds the
+        rotations the edit rewrote, as the lists this graph's map holds,
+        out of their degree buckets (none, for a child already settled);
+        the chords are spliced into these lists, and every rotation
+        touched is then ``_settle``d once.
 
         Only what the chords add is checked: each chord end's rotation is
-        its checked rotation plus its chords (noted at both ends), each
-        once; the faces through the chord darts, none a hole; Euler with
-        one component; and 3n - 6 edges.
+        its checked neighbors plus its chords (noted at both ends), each
+        once; the faces through the chord darts, none a hole, traced as
+        triangles (``_triangles``) or else in full; Euler with one
+        component; and 3n - 6 edges.
         """
-        rot, adj = self._rot, self._adj
-        spliced: dict[int, list[int]] = {}  # rotations of the chord ends so far
+        rot, adj, buckets = self._rot, self._adj, self._buckets
         chords: defaultdict[int, set[int]] = defaultdict(set)
 
         def ring(v: int) -> list[int]:
-            return spliced.get(v) or spliced.setdefault(v, list(rot[v]))
+            ns = spliced.get(v)
+            if ns is None:
+                ns = spliced[v] = list(rot[v])
+                if buckets is not None:
+                    buckets[len(ns)].discard(v)
+            return ns
 
         stack = [list(f) for f in self._holes]
         while stack:
@@ -496,18 +552,18 @@ class EmbeddedGraph:
                 rb.insert(rb.index(p) + 1, a)
             if k - j > 3:
                 stack.append(walk[j:])
-        buckets = self._buckets
         for v, cs in chords.items():
-            was, ns = rot[v], tuple(spliced.get(v, ()))
+            ns = spliced[v]
             now = frozenset(ns)
-            if not len(now) == len(ns) == len(was) + len(cs) or now != adj[v] | cs:
+            if not len(now) == len(ns) == len(adj[v]) + len(cs) or now != adj[v] | cs:
                 raise EmbeddingError(f"rotation of {v} is not its own plus its chords")
-            rot[v], adj[v] = ns, now
-            if buckets is not None:
-                buckets[len(was)].discard(v)
-                buckets.setdefault(len(ns), set()).add(v)
+            adj[v] = now
+        self._settle(spliced)
         self._m += sum(map(len, chords.values())) // 2
-        count, left = _local_faces(rot, (), [(a, b) for a, cs in chords.items() for b in cs])
+        darts = [(a, b) for a, cs in chords.items() for b in cs]
+        count, left = _triangles(rot, darts), []
+        if count is None:
+            count, left = _local_faces(rot, (), darts)
         self._nf += count - len(self._holes)
         self._holes = ()
         _euler(len(rot), self._m, self._nf, 1)
@@ -619,6 +675,25 @@ def _changed_darts(
         new += ((u, v), (p, v))
         if p not in inserted:
             old.append((p, v))
+
+
+def _triangles(
+    rot: Mapping[int, Sequence[int]], darts: Iterable[tuple[int, int]]
+) -> int | None:
+    """The number of faces through ``darts`` if each is a triangle, else
+    None.  A face is read as ``_walks`` reads it, so it raises as a trace
+    would."""
+    seen: set[tuple[int, int]] = set()
+    for a, b in darts:
+        if (a, b) in seen:
+            continue
+        rb = rot[b]
+        c = rb[(rb.index(a) + 1) % len(rb)]
+        rc, ra = rot[c], rot[a]
+        if rc[(rc.index(b) + 1) % len(rc)] != a or ra[(ra.index(c) + 1) % len(ra)] != b:
+            return None
+        seen.update(((a, b), (b, c), (c, a)))
+    return len(seen) // 3
 
 
 def _local_faces(
@@ -747,15 +822,14 @@ def triangulate(
     With ``drop`` or ``part``, the graph chorded is ``g.contract_set(part,
     drop)[0]`` (``g.delete_set(drop)`` without ``part``), returned as it is
     if disconnected or under 3 vertices.  Either way it is one ``_edit`` of
-    ``g``, whose child ``_fill`` chords in place.
+    ``g``, whose child ``_fill`` chords in place.  ``g`` is left whole,
+    unless the step walk owns it: then the child takes its maps over, and
+    only ``g.m`` still reads.
     """
     gone, at, ncomp = g._contraction(part, drop) if part else (g._known(drop), None, None)
     if not gone and (g.n < 3 or not g.is_connected()):
         raise GraphError("triangulate needs a connected graph on at least 3 vertices")
-    out = g._edit(gone, at, ncomp)
-    if out._holes and out.n >= 3 and out.is_connected():
-        out._fill()
-    return out
+    return g._edit(gone, at, ncomp, True)
 
 
 def _add_chord(chords: defaultdict[int, set[int]], a: int, b: int) -> None:

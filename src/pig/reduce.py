@@ -207,9 +207,11 @@ def apply_plan(
     """The reduced graph and what lifting back from it needs.  The parts
     are contracted in order, minting fresh ids, the last in one edit with
     the deletion of the rest of S; with ``fill`` that edit also chords the
-    remainder (``triangulate``)."""
+    remainder (``triangulate``), which consumes ``g`` if the step walk
+    owns it; so ``g`` is read first."""
     plan = cert.plan
     rest = plan.s - {v for p in plan.parts for v in p}
+    n, first, adj = g.n, g.next_id, {v: g.neighbors(v) for v in plan.s}
     cur, last = g, plan.parts[-1:]
     for part in plan.parts[:-1]:
         cur = cur.contract_set(part)[0]
@@ -217,10 +219,9 @@ def apply_plan(
         cur = triangulate(cur, rest, *last)
     else:
         cur = cur.contract_set(*last, rest)[0] if last else cur.delete_set(rest)
-    if cur.n != g.n - len(plan.s) + plan.t:
+    if cur.n != n - len(plan.s) + plan.t:
         raise LiftError("reduced size mismatch")
-    adj = {v: g.neighbors(v) for v in plan.s}
-    return cur, LiftContext(g.n, adj, cert, tuple(range(g.next_id, cur.next_id)))
+    return cur, LiftContext(n, adj, cert, tuple(range(first, cur.next_id)))
 
 
 def lift(reduced_set: Iterable[int], ctx: LiftContext) -> frozenset[int]:

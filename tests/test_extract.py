@@ -159,6 +159,13 @@ ENTRY_KEYS = {  # the keys an entry of each op may hold
 
 
 class TestCertificateFormat:
+    def test_certificate_is_unhashable_on_purpose(self):
+        # its steps are plain dicts shared with to_json
+        cert = extract(generate(GenSpec(seed=9, n=40)), C13)
+        with pytest.raises(TypeError, match="Certificate"):
+            hash(cert)
+        assert cert == Certificate.from_json(cert.to_json())
+
     def test_nodes_record_each_step_once(self):
         g = generate(GenSpec(seed=0, n=300))
         cert = extract(g, C13)

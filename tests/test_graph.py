@@ -334,6 +334,17 @@ def fresh_copy(h):
     return EmbeddedGraph({v: h.rotation(v) for v in h.vertices}, next_id=h.next_id)
 
 
+def held(h):
+    """``h`` as it stands, with maps of its own and owned by no walk, so
+    that no edit consumes it: a recorder takes this of a graph the walk
+    hands on to a consuming edit.  O(n), not a whole-graph check."""
+    c = EmbeddedGraph.__new__(EmbeddedGraph)
+    for name in EmbeddedGraph.__slots__:
+        setattr(c, name, getattr(h, name))
+    c._rot, c._adj, c._buckets, c._owned = dict(h._rot), dict(h._adj), None, False
+    return c
+
+
 def assert_same_as_fresh(h):
     f = fresh_copy(h)
     assert h.m == f.m
@@ -351,16 +362,21 @@ def assert_same_as_fresh(h):
         assert t._face_stats() == ft._face_stats()
 
 
-def derived_graphs(monkeypatch, g, ratio):
-    """Every sub-instance graph the step engine derives while extracting."""
+def derived_graphs(monkeypatch, g, ratio, check):
+    """``check`` every sub-instance graph the step engine derives while
+    extracting, as it is made: the walk hands a reduction's sub-instance
+    on to the edit that consumes it.  Returns how many were checked."""
     ex = importlib.import_module("pig.extract")  # the package exports a function of that name
 
-    seen = []
+    seen = 0
     original = ex.next_step
 
     def recording(h, c):
+        nonlocal seen
         step = original(h, c)
-        seen.extend(step.subs)
+        for sub in step.subs:
+            check(sub)
+            seen += 1
         return step
 
     monkeypatch.setattr(ex, "next_step", recording)
@@ -407,10 +423,7 @@ KERNEL_CASES = _kernel_cases()
 @pytest.mark.parametrize("build,ratio", [c[1:] for c in KERNEL_CASES],
                          ids=[c[0] for c in KERNEL_CASES])
 def test_derived_graphs_equal_fresh_copies(monkeypatch, build, ratio):
-    subs = derived_graphs(monkeypatch, build(), ratio)
-    assert subs
-    for h in subs:
-        assert_same_as_fresh(h)
+    assert derived_graphs(monkeypatch, build(), ratio, assert_same_as_fresh)
 
 
 def test_kernel_cases_reach_every_derivation(monkeypatch):
@@ -608,13 +621,15 @@ def _corrupted(g, v):
 
 
 def applied_plans(monkeypatch, g, ratio):
-    """(graph, plan) for every reduction plan applied while extracting."""
+    """(graph, plan) for every reduction plan applied while extracting,
+    the graph ``held`` as it was given, before the edit that may consume
+    it."""
     ex = importlib.import_module("pig.extract")
     seen = []
     original = ex.apply_plan
 
     def recording(h, cert, *fill):
-        seen.append((h, cert.plan))
+        seen.append((held(h), cert.plan))
         return original(h, cert, *fill)
 
     monkeypatch.setattr(ex, "apply_plan", recording)
@@ -940,9 +955,9 @@ def test_fill_checks_what_the_chords_add():
         h = _two_holes()
         fault(h)
         with pytest.raises(EmbeddingError, match=message):
-            h._fill()
+            h._fill({})
     h = _two_holes()
-    h._fill()
+    h._fill({})
     assert_same_edit(h, t)
 
 
@@ -1037,20 +1052,99 @@ def test_plain_extraction_traces_no_parent_faces(monkeypatch):
     seen: set[int] = set()
     without, local = EmbeddedGraph._without, gr._local_faces
 
+    check = EmbeddedGraph._check_rotations
+
+    # a consuming edit hands the parent's map on to the child, which checks
+    # its rotations first: from then on the map is the child's
     def noting(self, *args):
         parents.append(self._rot)
         seen.add(id(self._rot))
         return without(self, *args)
+
+    def handed_on(self, vs):
+        seen.discard(id(self._rot))
+        return check(self, vs)
 
     def tracing(rot, vs, darts):
         traced.append((rot, id(rot) in seen))
         return local(rot, vs, darts)
 
     monkeypatch.setattr(EmbeddedGraph, "_without", noting)
+    monkeypatch.setattr(EmbeddedGraph, "_check_rotations", handed_on)
     monkeypatch.setattr(gr, "_local_faces", tracing)
     ex.extract(generate(GenSpec(seed=0, n=1000)), "3/13")
     assert len(parents) > 200 and len(traced) > 200
     assert not [rot for rot, parent in traced if parent]
+
+
+# -- consuming edits: the walk's reductions hand their maps on -----------------
+
+
+def _whole(g):
+    """What must not change of a graph a public entry was given."""
+    return {v: g.rotation(v) for v in g.vertices}, g.graph_hash(), g.m
+
+
+def test_walk_reductions_consume_their_parents(monkeypatch):
+    """Along plain n=120 and the small flagged-mix inputs, each
+    ``triangulate`` of a graph the walk owns consumes it: the child holds
+    the parent's two maps and equals a fresh copy, and the parent refuses
+    every read but ``m``.  Extraction and replay run through it, so a read
+    of a consumed graph after its edit fails them.  Every public entry
+    leaves its own graph whole."""
+    from conftest import glued_pair
+    from test_golden import build
+
+    ex = importlib.import_module("pig.extract")
+    rd = importlib.import_module("pig.reduce")
+    consumed = copied = 0
+
+    def recording(g, drop=(), *part):
+        nonlocal consumed, copied
+        owned, rot, adj, m = g._owned, g._rot, g._adj, g.m
+        t = triangulate(g, drop, *part)
+        assert (t._rot is rot and t._adj is adj) == owned
+        assert_same_as_fresh(t)
+        if owned:
+            consumed += 1
+            for read in (lambda: g.rotation(t.vertices[0]), lambda: g.neighbors(1),
+                         lambda: g.n, lambda: g.vertices):
+                with pytest.raises(GraphError, match="consumed"):
+                    read()
+            assert g.m == m
+        else:
+            copied += 1
+        return t
+
+    monkeypatch.setattr(rd, "triangulate", recording)
+    monkeypatch.setattr(ex, "triangulate", recording)
+    c = Ratio.parse("3/13")
+    graphs = [generate(GenSpec(seed=0, n=120)), build({"family": "geodesic", "levels": 1}),
+              glued_pair(30, 30, 3, 8)]
+    for g in graphs:
+        before, was = consumed, _whole(g)
+        cert = ex.extract(g, c)
+        made = consumed
+        assert ex.check_certificate(g, cert) == (True, "ok")
+        assert consumed - made == made - before > 0  # replay consumes as extraction does
+        ex.next_step(g, c)
+        triangulate(g, g.vertices[:2])
+        assert _whole(g) == was
+    assert copied  # the root's reduction, and the public calls
+    # only triangulate consumes: an owned graph stays whole under every
+    # other edit, a split and a components step
+    g = glued_pair(30, 30, 3, 8)
+    tri = separating_triangles(g)[0]
+    for h in (held(g), held(g).delete_set(tri)):
+        h._owned, was = True, _whole(h)
+        v = h.vertices[-1]
+        h.subgraph(h.vertices[:10])
+        h.subgraph(h.vertices[5:])
+        h.delete_set([v])
+        h.contract_set([v], [h.vertices[0]])
+        step = ex.next_step(h, c)
+        assert step.op == ("split" if h.is_connected() else "components")
+        assert _whole(h) == was
 
 
 # -- dart reports: each edit's named darts against a whole-rotation diff ------
@@ -1083,13 +1177,20 @@ def checking_dart_reports(monkeypatch):
     rotation diff, on both sides: the report names every changed dart,
     names any other dart on both sides, and re-traces the same faces.
     Returns the list of the degrees of the vertices each edit touched,
-    which grows as edits are made."""
+    which grows as edits are made.  A filling edit is checked as the same
+    edit without the fill, made on a ``held`` copy, since the chords come
+    after the report and the edit may consume its parent."""
     degrees = []
     original = EmbeddedGraph._edit
 
-    def checked(self, gone, at=None, ncomp=None):
+    def checked(self, gone, at=None, ncomp=None, fill=False):
         new, darts = self._without(gone, at)  # what the edit itself takes
-        g = original(self, gone, at, ncomp)
+        if fill:
+            parent = held(self)
+            out = original(self, gone, at, ncomp, fill)
+            self, g = parent, original(parent, gone, at, ncomp)
+        else:
+            out = g = original(self, gone, at, ncomp)
         rot, touched = g._rot, list(new)
         was = [v for v in touched if v in self._rot] + list(gone)
         ref = (_darts_into(self._rot, rot, was),
@@ -1100,7 +1201,7 @@ def checking_dart_reports(monkeypatch):
         assert _traced(self._rot, was, darts[0]) == _traced(self._rot, was, ref[0])
         assert _traced(rot, touched, darts[1]) == _traced(rot, touched, ref[1])
         degrees.extend(len(self._rot[v]) for v in was)
-        return g
+        return out
 
     monkeypatch.setattr(EmbeddedGraph, "_edit", checked)
     return degrees
@@ -1173,10 +1274,13 @@ def test_triangulate_matches_the_ear_scan_on_kernel_cases(monkeypatch):
     made = []
 
     def recording(g, drop=(), *part):
-        t = triangulate(g, drop, *part)
+        # the graph chorded, taken before the call, which may consume g
         if part or drop:
-            g = g.contract_set(*part, drop)[0] if part else g.delete_set(drop)
-        made.append((g, t))
+            before = g.contract_set(*part, drop)[0] if part else g.delete_set(drop)
+        else:
+            before = held(g)
+        t = triangulate(g, drop, *part)
+        made.append((before, held(t)))  # t is a sub-instance the walk hands on
         return t
 
     monkeypatch.setattr(ex, "triangulate", recording)
