@@ -43,6 +43,9 @@ SPECS = (
     {"family": "drum", "rings": 60, "ratio": "3/13"},
     {"family": "glued", "n1": 110, "n2": 90, "seed1": 11, "seed2": 2, "ratio": "3/13"},
     {"family": "flagged", "n": 56, "seed": 2019, "ratio": "3/13"},
+    # the split strategies no spec above takes: hub2, then edge-pairs
+    {"family": "glued", "n1": 14, "n2": 16, "ratio": "3/13"},
+    {"family": "glued", "n1": 15, "n2": 15, "ratio": "3/13"},
 )
 
 
