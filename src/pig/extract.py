@@ -237,20 +237,9 @@ def _reduce(g: EmbeddedGraph, cert: CertifiedPlan, **label) -> Step:
 
 def _split(g: EmbeddedGraph, c: Ratio, triangle) -> Step:
     sp = split_plan(g, triangle, c)
-    subs = split_subproblems(g, sp)
-    tags = [(sub.tag, sub.merged, sub.floor) for sub in subs]  # not the graphs
-
-    def combine(sols):
-        if any(len(sol) < floor for (_, _, floor), sol in zip(tags, sols)):
-            raise LiftError("split sub-solution below its floor")  # unreachable
-        return split_combine(
-            g, sp,
-            {tag: sol for (tag, _, _), sol in zip(tags, sols)},
-            {tag: merged for tag, merged, _ in tags},
-        )
-
+    subs, merged = split_subproblems(g, sp)
     fields = {"triangle": list(sp.triangle)}
-    return Step("split", fields, tuple(sub.graph for sub in subs), combine)
+    return Step("split", fields, subs, lambda sols: split_combine(g, sp, sols, merged))
 
 
 def _certified_config_plan(g: EmbeddedGraph, c: Ratio) -> tuple[CertifiedPlan, str]:

@@ -6,8 +6,9 @@ components, else branch on a vertex of maximum degree.  Each public call
 builds one solver whose memo maps every pool it has solved to its α and a
 witness, one maximum independent set of the pool as a bitmask; nothing
 outlives the call.  Deterministic: ties in the optimum are broken toward
-the lexicographically smallest vertex set.  The budget counts nodes, one
-per uncached ``solve`` call on a non-empty pool; it bounds worst-case
+the lexicographically smallest vertex set.  The budget, read from
+``PIG_ORACLE_BUDGET`` on every call, counts nodes, one per uncached
+``solve`` call on a non-empty pool; it bounds worst-case
 latency and is far from reachable on the small windows reductions use.
 
 The peel finds all dominated neighbours of i in one AND over N(i), which
@@ -259,34 +260,30 @@ class _Solver:
         return out
 
 
-def _solver(g, vertices: Iterable[int] | None, budget: int | None) -> _Solver:
+def _solver(g, vertices: Iterable[int] | None) -> _Solver:
     ids = sorted(set(vertices)) if vertices is not None else list(g.vertices)
     nbr = {v: g.neighbors(v) for v in ids}
-    return _Solver(ids, nbr, budget if budget is not None else default_budget())
+    return _Solver(ids, nbr, default_budget())
 
 
-def alpha(g, vertices: Iterable[int] | None = None, budget: int | None = None) -> int:
+def alpha(g, vertices: Iterable[int] | None = None) -> int:
     """Independence number of g (or of the induced subgraph on vertices)."""
-    s = _solver(g, vertices, budget)
+    s = _solver(g, vertices)
     pool = (1 << len(s.ids)) - 1
     return s.solve(pool, pool)[0]
 
 
-def mis_exact(
-    g, vertices: Iterable[int] | None = None, budget: int | None = None
-) -> tuple[int, ...]:
+def mis_exact(g, vertices: Iterable[int] | None = None) -> tuple[int, ...]:
     """A maximum independent set; lexicographically smallest optimum."""
-    s = _solver(g, vertices, budget)
+    s = _solver(g, vertices)
     return tuple(s.lex_smallest_optimum((1 << len(s.ids)) - 1))
 
 
-def alpha_at_least(
-    g, k: int, vertices: Iterable[int] | None = None, budget: int | None = None
-) -> bool:
+def alpha_at_least(g, k: int, vertices: Iterable[int] | None = None) -> bool:
     """True iff the (sub)graph has an independent set of size k."""
     if k <= 0:
         return True
-    s = _solver(g, vertices, budget)
+    s = _solver(g, vertices)
     pool = (1 << len(s.ids)) - 1
     if pool.bit_count() < k:
         return False

@@ -344,7 +344,6 @@ class SplitPlan:
     triangle: tuple[int, int, int]
     side1: frozenset[int]  # includes the triangle
     side2: frozenset[int]
-    ratio: Ratio
     target: int
     strategy: str  # chosen: fewest sub-solves among those meeting the target
 
@@ -383,59 +382,40 @@ def split_plan(g: EmbeddedGraph, triangle: Sequence[int], c: Ratio) -> SplitPlan
         triangle=tri,
         side1=side1,
         side2=side2,
-        ratio=c,
         target=target,
         strategy=strategy,
     )
 
 
-@dataclass(frozen=True)
-class SplitSub:
-    """One sub-instance of a split: tag, graph, and the id of the vertex a
-    contraction introduced (if any)."""
-
-    tag: str
-    graph: EmbeddedGraph
-    merged: int | None
-    floor: int  # the sub-solution size the strategy arithmetic relies on
-
-
-def split_subproblems(g: EmbeddedGraph, sp: SplitPlan) -> tuple[SplitSub, ...]:
+def split_subproblems(
+    g: EmbeddedGraph, sp: SplitPlan
+) -> tuple[tuple[EmbeddedGraph, ...], tuple[int, ...]]:
+    """The sub-instances of the split, each cut from ``g`` by one call, in
+    the order ``split_combine`` reads their solutions, and the id each
+    contraction minted, in the same order.  The walk checks each
+    sub-solution against ceil(c*n) of its own graph: the contracts that
+    ``split_guarantees`` adds up."""
     tri = frozenset(sp.triangle)
-    c = sp.ratio
-    a1 = g.subgraph(sp.side1)
-    a2 = g.subgraph(sp.side2)
-    n1, n2 = len(sp.side1) - 3, len(sp.side2) - 3
-    subs: list[SplitSub] = []
+    own1, own2 = sp.side1 - tri, sp.side2 - tri
     if sp.strategy == "delete-both":
-        subs.append(SplitSub("del1", a1.delete_set(tri), None, c.ceil_mul(n1)))
-        subs.append(SplitSub("del2", a2.delete_set(tri), None, c.ceil_mul(n2)))
-    elif sp.strategy in ("hub1", "hub2"):
-        ctr_side, full_side = (a1, a2) if sp.strategy == "hub1" else (a2, a1)
-        nc = n1 if sp.strategy == "hub1" else n2
-        nf = n2 if sp.strategy == "hub1" else n1
-        ctr, u = ctr_side.contract_set(tri)
-        subs.append(SplitSub("ctr", ctr, u, c.ceil_mul(nc + 1)))
-        subs.append(SplitSub("full", full_side, None, c.ceil_mul(nf + 3)))
-    else:
-        x1, x2, x3 = sp.triangle
-        for side_idx, side in ((1, a1), (2, a2)):
-            ni = n1 if side_idx == 1 else n2
-            for t, xt in ((2, x2), (3, x3)):
-                sub, m = side.contract_set({x1, xt})
-                subs.append(
-                    SplitSub(f"e{side_idx}t{t}", sub, m, c.ceil_mul(ni + 2))
-                )
-    return tuple(subs)
+        return (g.subgraph(own1), g.subgraph(own2)), ()
+    if sp.strategy in ("hub1", "hub2"):
+        full = sp.side2 if sp.strategy == "hub1" else sp.side1
+        hub, u = g.contract_set(tri, full - tri)
+        return (hub, g.subgraph(full)), (u,)
+    x1, x2, x3 = sp.triangle
+    cuts = [g.contract_set({x1, xt}, other) for other in (own2, own1) for xt in (x2, x3)]
+    return tuple(sub for sub, _ in cuts), tuple(m for _, m in cuts)
 
 
 def split_combine(
     g: EmbeddedGraph,
     sp: SplitPlan,
-    solved: dict[str, frozenset[int]],
-    merged: dict[str, int | None],
+    solved: Sequence[frozenset[int]],
+    merged: Sequence[int],
 ) -> frozenset[int]:
-    """Best verified recombination of split sub-solutions.
+    """Best verified recombination of split sub-solutions, given in the
+    order of ``split_subproblems``, as are the ``merged`` ids.
 
     Every recipe candidate is checked for independence in the original
     graph; the first largest one is returned and must reach the target size.
@@ -445,19 +425,14 @@ def split_combine(
     cands: list[frozenset[int]] = []
 
     if sp.strategy == "delete-both":
-        cands.append(solved["del1"] | solved["del2"])
+        cands.append(solved[0] | solved[1])
     elif sp.strategy in ("hub1", "hub2"):
-        ic, if_ = solved["ctr"], solved["full"]
-        u = merged["ctr"]
+        (ic, if_), (u,) = solved, merged
         cands.append((ic - {u}) | if_ if u in ic else ic | (if_ - tri))
     else:
         third = {2: x3, 3: x2}
-        sols = {
-            (side, t): solved[f"e{side}t{t}"] for side in (1, 2) for t in (2, 3)
-        }
-        ms = {
-            (side, t): merged[f"e{side}t{t}"] for side in (1, 2) for t in (2, 3)
-        }
+        keys = [(side, t) for side in (1, 2) for t in (2, 3)]
+        sols, ms = dict(zip(keys, solved)), dict(zip(keys, merged))
         for t in (2, 3):
             i1, i2 = sols[(1, t)], sols[(2, t)]
             m1, m2 = ms[(1, t)], ms[(2, t)]

@@ -17,10 +17,11 @@ from pig.discharge import (
     run_main,
     run_warmup,
 )
+from pig.configs import iter_configs
 from pig.generate import GenSpec, generate
-from pig.graph import separating_triangles
+from pig.graph import icosahedron, separating_triangles
 
-from conftest import neighbor_cycle, seven_ring_fixture
+from conftest import drum, neighbor_cycle, seven_ring_fixture, subdivide
 
 F = Fraction
 
@@ -520,6 +521,35 @@ def test_pinned_charges_and_ledgers(name, discharge_golden):
 
 def test_pinned_cli_json(tmp_path, discharge_golden):
     assert golden_cli_output(tmp_path) == discharge_golden["cli"][CLI_INPUT]
+
+
+def lemma_graphs():
+    """The flagged corpus of the locality lemma, each graph with its name."""
+    for seed in range(12):
+        for n in (60, 90, 120):
+            yield f"flagged seed={seed} n={n}", flagged(seed, n)
+    g = icosahedron()
+    for level in (1, 2, 3):
+        g = subdivide(g)
+        yield f"geodesic levels={level}", g
+    for rings in (8, 20, 60):
+        yield f"drum rings={rings}", drum(rings)
+
+
+def test_negative_vertices_lie_on_catalog_matches():
+    # the locality lemma: a vertex the main rules leave negative is an end
+    # (u or v) of an apex_pair edge or the centre of a low_trio_star6 match
+    graphs = negatives = 0
+    for name, g in lemma_graphs():
+        covered = set()
+        for m in iter_configs(g):
+            roles = dict(m.roles)
+            covered |= {roles["u"], roles["v"]} if m.kind == "apex_pair" else {roles["center"]}
+        for v in negative_vertices(run_main(g)):
+            assert v in covered, f"{name}: negative vertex {v} on no match, {_profile(g, v)}"
+            negatives += 1
+        graphs += 1
+    assert (graphs, negatives) == (42, 2080)
 
 
 if __name__ == "__main__":

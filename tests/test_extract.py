@@ -541,9 +541,9 @@ class TestForcedSteps:
         sizes = []
         exact = mis.mis_exact
 
-        def recording(h, vertices=None, budget=None):
+        def recording(h, vertices=None):
             sizes.append(h.n if vertices is None else len(vertices))
-            return exact(h, vertices, budget)
+            return exact(h, vertices)
 
         monkeypatch.setattr(mis, "mis_exact", recording)
         ok, reason = check_certificate(g, cert)
@@ -665,8 +665,8 @@ class TestEngine:
     def test_lifted_edge_at_the_window_is_caught(self, monkeypatch):
         exact = mis.mis_exact
 
-        def leaky(g, vertices=None, budget=None):
-            out = exact(g, vertices, budget)
+        def leaky(g, vertices=None):
+            out = exact(g, vertices)
             if isinstance(g, LiftContext):  # T leaks into the rest of S
                 out += tuple(sorted(g.plan.s - set(vertices)))
             return out

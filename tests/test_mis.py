@@ -225,7 +225,7 @@ def test_many_components_at_the_default_recursion_limit():
         sys.setrecursionlimit(limit)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     rng = random.Random(9)
     n = 40
     edges = {
@@ -244,8 +244,9 @@ def test_budget_guard():
         def has_vertex(self, v):
             return 1 <= v <= n
 
+    monkeypatch.setenv("PIG_ORACLE_BUDGET", "5")
     with pytest.raises(mis.OracleBudgetExceeded):
-        mis.alpha(Bare(), budget=5)
+        mis.alpha(Bare())
 
 
 def test_budget_env_override(monkeypatch):
@@ -318,10 +319,10 @@ def test_long_cycles_and_paths_fold_in_one_node(k):
     path = _Bare(k, [(i, i + 1) for i in range(1, k)])
     for g, best in ((cycle, range(1, 2 * (k // 2), 2)), (path, range(1, k + 1, 2))):
         assert mis.mis_exact(g) == tuple(best)
-        s = mis._solver(g, None, None)
+        s = mis._solver(g, None)
         pool = (1 << k) - 1
         assert s.solve(pool, pool)[0] == len(best)
-        t = mis._solver(g, None, None)
+        t = mis._solver(g, None)
         t.lex_smallest_optimum(pool)
         assert (s.nodes, t.nodes) == (1, 1)
 
@@ -341,7 +342,7 @@ def test_domination_cases(g, expected):
     assert mis.alpha(g) == brute_alpha(g) == len(expected)
     assert mis.mis_exact(g) == _lex_smallest_optimum(g, len(expected)) == expected
     # every vertex is peeled or dominated: one node, no branching
-    s = mis._solver(g, None, None)
+    s = mis._solver(g, None)
     pool = (1 << len(s.ids)) - 1
     s.solve(pool, pool)
     assert s.nodes == 1
@@ -354,7 +355,7 @@ def test_oracle_exact_optima_pinned(n, seed):
 
 def test_branch_nodes_flagged_n70():
     # without the memo and the domination rule this takes 19,011 nodes
-    s = mis._solver(_oracle_graph(70, 7), None, None)
+    s = mis._solver(_oracle_graph(70, 7), None)
     pool = (1 << len(s.ids)) - 1
     assert s.solve(pool, pool)[0] == 22
     assert s.nodes <= 1_000
@@ -379,10 +380,10 @@ ORACLE_NODES = {
 
 def _oracle_nodes(n, seed):
     g = _oracle_graph(n, seed)
-    s = mis._solver(g, None, None)
+    s = mis._solver(g, None)
     pool = (1 << len(s.ids)) - 1
     s.solve(pool, pool)
-    t = mis._solver(g, None, None)
+    t = mis._solver(g, None)
     t.lex_smallest_optimum(pool)
     return s.nodes, t.nodes
 

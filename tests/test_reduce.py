@@ -5,7 +5,7 @@ import pytest
 from pig import mis
 from pig.configs import iter_configs, joint_neighborhood, tight_sets
 from pig.generate import GenSpec, generate
-from pig.graph import separating_triangles
+from pig.graph import EmbeddedGraph, separating_triangles
 from pig.reduce import (
     MAX_PLAN_SIZE,
     PlanRejected,
@@ -24,7 +24,9 @@ from pig.reduce import (
     split_subproblems,
 )
 
+from conftest import glued_pair
 from test_acceptance import neighborhood_floor
+from test_graph import assert_same_as_fresh
 
 C13 = Ratio(3, 13)
 C5 = Ratio(1, 5)
@@ -293,12 +295,71 @@ class TestSplit:
         # ceil(3/13) + ceil(3/13)
         assert split_guarantees(n1, n2, C13)["delete-both"] == 2
         assert sp.strategy == "delete-both"
-        subs = split_subproblems(graph_stacked, sp)
-        solved = {s.tag: frozenset(mis.mis_exact(s.graph)) for s in subs}
-        merged = {s.tag: s.merged for s in subs}
+        subs, merged = split_subproblems(graph_stacked, sp)
+        assert len(subs) == 2 and merged == ()
+        solved = [frozenset(mis.mis_exact(sub)) for sub in subs]
         out = split_combine(graph_stacked, sp, solved, merged)
         assert mis.verify_independent(graph_stacked, out)
         assert len(out) == 2 == mis.alpha(graph_stacked)
+
+    @pytest.mark.parametrize(
+        "n1,n2,strategy",
+        [
+            (12, 12, "delete-both"),
+            (16, 14, "hub1"),
+            (14, 16, "hub2"),
+            (15, 15, "edge-pairs"),
+        ],
+    )
+    def test_subinstances_cut_from_the_split_graph(self, n1, n2, strategy, monkeypatch):
+        # each sub-instance is one derived graph of the split graph, the same
+        # as a side graph edited once more, and its ceil(c*n), which the
+        # walk checks, is a term of the chosen strategy's guarantee
+        g = glued_pair(n1, n2)
+        made = []
+
+        def counted(method):
+            def wrapper(self, *args, **kwargs):
+                made.append(method.__name__)
+                return method(self, *args, **kwargs)
+            return wrapper
+
+        for name in ("__init__", "_edit"):  # every graph is one or the other
+            monkeypatch.setattr(EmbeddedGraph, name, counted(getattr(EmbeddedGraph, name)))
+        sp = split_plan(g, separating_triangles(g)[0], C13)
+        subs, merged = split_subproblems(g, sp)
+        monkeypatch.undo()
+        assert sp.strategy == strategy
+        assert len(made) == 1 + len(subs)  # split_plan deletes the triangle once
+
+        tri = set(sp.triangle)
+        x1, x2, x3 = sp.triangle
+        ns = (len(sp.side1) - 3, len(sp.side2) - 3)
+        sides = (g.subgraph(sp.side1), g.subgraph(sp.side2))
+        if strategy == "delete-both":
+            want = [(side.delete_set(tri), None) for side in sides]
+            floors = [C13.ceil_mul(n) for n in ns]
+        elif strategy in ("hub1", "hub2"):
+            hub, full = (0, 1) if strategy == "hub1" else (1, 0)
+            want = [sides[hub].contract_set(tri), (sides[full], None)]
+            floors = [C13.ceil_mul(ns[hub] + 1), C13.ceil_mul(ns[full] + 3)]
+        else:
+            want = [side.contract_set({x1, xt}) for side in sides for xt in (x2, x3)]
+            floors = [C13.ceil_mul(n + 2) for n in ns for _ in (x2, x3)]
+        assert tuple(m for _, m in want if m is not None) == merged
+        for sub, (h, _), floor in zip(subs, want, floors, strict=True):
+            assert {v: sub.rotation(v) for v in sub.vertices} == {
+                v: h.rotation(v) for v in h.vertices
+            }
+            assert (sub.next_id, sub.m, sub._face_stats()) == (
+                h.next_id, h.m, h._face_stats())
+            assert_same_as_fresh(sub)
+            assert C13.ceil_mul(sub.n) == floor
+        # the guarantee adds up these contracts, one sub-instance a side for
+        # edge-pairs, less the vertex that two of them may share
+        terms = floors[::2] if strategy == "edge-pairs" else floors
+        shared = strategy != "delete-both"
+        assert split_guarantees(*ns, C13)[strategy] == sum(terms) - shared
 
     def test_residue_table_invariants(self):
         for n1 in range(1, 30):
