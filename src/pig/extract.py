@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import json
 import reprlib
-import time
 from dataclasses import dataclass, field, replace
 from itertools import count
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import mis
 from .configs import ball, iter_configs, tight_sets
 from .discharge import DischargeError, negative_vertices, run_main
-from .generate import GenSpec, GenerationError, generate
 from .graph import (
     EmbeddedGraph,
     GraphError,
@@ -472,76 +470,3 @@ def check_certificate(g: EmbeddedGraph, cert: Certificate) -> tuple[bool, str]:
     if tuple(sorted(got)) != claim:
         return False, "final set differs from trace"
     return True, "ok"
-
-
-# -- corpus ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CorpusEntry:
-    spec: GenSpec
-    n: int
-    bound: int
-    size: int
-    ok: bool
-    seconds: float
-    diagnostic: str | None = None
-    graph_text: str | None = None
-
-
-@dataclass(frozen=True)
-class CorpusReport:
-    ratio: str
-    entries: tuple[CorpusEntry, ...]
-
-    @property
-    def successes(self) -> int:
-        return sum(1 for e in self.entries if e.ok)
-
-    @property
-    def diagnostics(self) -> tuple[CorpusEntry, ...]:
-        return tuple(e for e in self.entries if e.diagnostic)
-
-    def summary(self) -> dict:
-        achieved = [e.size / e.n for e in self.entries if e.ok and e.n]
-        return {
-            "ratio": self.ratio,
-            "instances": len(self.entries),
-            "successes": self.successes,
-            "diagnostics": len(self.diagnostics),
-            "min_achieved_ratio": round(min(achieved), 4) if achieved else None,
-            "mean_achieved_ratio": (
-                round(sum(achieved) / len(achieved), 4) if achieved else None
-            ),
-            "total_seconds": round(sum(e.seconds for e in self.entries), 3),
-        }
-
-
-def corpus_run(specs: Sequence[GenSpec], c: Ratio | str) -> CorpusReport:
-    """Extraction over a generated corpus; diagnostics are collected, not
-    raised, so one bad instance cannot hide the rest."""
-    ratio = Ratio.parse(c) if isinstance(c, str) else c
-    entries = []
-    for spec in specs:
-        t0 = time.perf_counter()
-        try:
-            g = generate(spec)
-        except (GenerationError, GraphError) as exc:
-            entries.append(
-                CorpusEntry(spec, 0, 0, 0, False, time.perf_counter() - t0, str(exc))
-            )
-            continue
-        size, ok, diagnostic, graph_text = 0, False, None, None
-        try:
-            cert = extract(g, ratio)
-            size = cert.size
-            ok = size >= cert.bound and mis.verify_independent(g, cert.independent_set)
-        except IncompletenessDiagnostic as exc:
-            diagnostic, graph_text = str(exc), exc.graph_text
-        except mis.OracleBudgetExceeded as exc:
-            diagnostic = f"oracle budget exceeded: {exc}"
-        entries.append(CorpusEntry(
-            spec, g.n, ratio.ceil_mul(g.n), size, ok,
-            time.perf_counter() - t0, diagnostic, graph_text,
-        ))
-    return CorpusReport(str(ratio), tuple(entries))

@@ -228,26 +228,19 @@ class EmbeddedGraph:
 
     # -- traversal ---------------------------------------------------------
 
-    def components(self) -> list[tuple[int, ...]]:
-        """Connected components as sorted vertex tuples, smallest-first."""
-        if self._ncomp == 1:
-            return [tuple(sorted(self._rot))]
-        seen: set[int] = set()
+    def components(self, avoid: Iterable[int] = ()) -> list[tuple[int, ...]]:
+        """Connected components of this graph less ``avoid``, as sorted
+        vertex tuples, smallest-first: one search over this graph's
+        adjacency per component, and no graph built."""
+        left = self._rot.keys() - self._known(avoid)
+        if self._ncomp == 1 and len(left) == len(self._rot):
+            return [tuple(sorted(left))]
         out = []
-        for s in sorted(self._rot):
-            if s in seen:
-                continue
-            comp = [s]
-            seen.add(s)
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y in self._rot[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.append(y)
-                        stack.append(y)
-            out.append(tuple(sorted(comp)))
+        for s in sorted(left):
+            if s in left:
+                comp = _reach(self._adj, [s], left)
+                left -= comp
+                out.append(tuple(sorted(comp)))
         return out
 
     def is_connected(self) -> bool:

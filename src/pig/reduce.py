@@ -365,8 +365,7 @@ def split_plan(g: EmbeddedGraph, triangle: Sequence[int], c: Ratio) -> SplitPlan
         g.adjacent(a, b) for a, b in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2]))
     ):
         raise PlanRejected("not the three corners of a triangle")  # a forged one may be long
-    rest = g.delete_set(tri)
-    comps = rest.components()
+    comps = g.components(avoid=tri)
     if len(comps) < 2:
         raise PlanRejected(f"triangle {tri} does not separate")
     side1 = frozenset(comps[0]) | set(tri)

@@ -22,7 +22,6 @@ from pig.extract import (
     CertificateError,
     IncompletenessDiagnostic,
     check_certificate,
-    corpus_run,
     extract,
 )
 from pig.generate import GenSpec, generate
@@ -830,31 +829,19 @@ class TestModes:
         assert ok, reason
 
 
-class TestCorpusRun:
-    def test_empty(self):
-        report = corpus_run([], C13)
-        assert report.entries == ()
-        assert report.summary()["instances"] == 0
+def test_step_engine_does_not_import_the_generator():
+    """The step engine and its certificate stand without the generator:
+    no import statement of ``pig/extract.py`` names ``pig.generate``."""
+    import ast
+    import importlib.util
 
-    def test_small_corpus(self):
-        specs = [GenSpec(seed=s, n=24 + s) for s in range(6)]
-        report = corpus_run(specs, C13)
-        assert report.successes == 6
-        assert not report.diagnostics
-        assert report.summary()["instances"] == 6
-
-    def test_oracle_budget_collected_per_instance(self, monkeypatch):
-        monkeypatch.setenv("PIG_ORACLE_BUDGET", "5")
-        report = corpus_run([GenSpec(seed=s, n=40) for s in range(3)], C13)
-        assert len(report.entries) == 3
-        failed = [e for e in report.entries if not e.ok]
-        assert failed
-        assert all(e.diagnostic.startswith("oracle budget exceeded: ") for e in failed)
-
-    def test_flagged_corpus(self):
-        specs = [
-            GenSpec(seed=s, n=36, min_degree5=True, no_separating_triangle=True)
-            for s in range(4)
-        ]
-        report = corpus_run(specs, C13)
-        assert report.successes == 4
+    path = Path(importlib.import_module("pig.extract").__file__)
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module if not node.level else importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), "pig")
+            names |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    assert names and not {n for n in names if n.split(".")[:2] == ["pig", "generate"]}

@@ -99,6 +99,8 @@ class TestLowDegree:
         assert plan.parts == ()
         assert plan.s == frozenset({1, 2, 3, 4})
         certify_plan(graph_k4, plan)
+        # passed over where ceil(c*4) > 1: there the window keeps only v
+        assert find_low_degree_plan(graph_k4, Ratio(2, 7)) is None
 
     def test_octahedron_antipodal_pair(self, graph_octahedron):
         plan = find_low_degree_plan(graph_octahedron, C13)
@@ -330,7 +332,7 @@ class TestSplit:
         subs, merged = split_subproblems(g, sp)
         monkeypatch.undo()
         assert sp.strategy == strategy
-        assert len(made) == 1 + len(subs)  # split_plan deletes the triangle once
+        assert len(made) == len(subs)  # split_plan builds no graph
 
         tri = set(sp.triangle)
         x1, x2, x3 = sp.triangle
