@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from pig.cli import main
 from pig.graph import EmbeddedGraph, GraphError, embedded_from_faces, icosahedron
 
 
@@ -270,3 +271,13 @@ def v1_document(cert) -> str:
     payload["root"] = cert.root | dict(n=cert.n, bound=cert.bound, size=cert.size,
                                        set=list(cert.independent_set))
     return json.dumps(payload)
+
+
+def run_corpus(args, capsys):
+    """``pig corpus``'s exit code, its summary without ``total_seconds``,
+    and its ``diagnostic:`` lines."""
+    code = main(["corpus", *args])
+    first, *rest = capsys.readouterr().out.splitlines()
+    summary = json.loads(first)
+    assert isinstance(summary.pop("total_seconds"), float)
+    return code, summary, rest

@@ -15,6 +15,7 @@ from conftest import (
     embedded_cycle,
     glued_pair,
     octahedra,
+    run_corpus,
     v1_document,
 )
 from pig.cli import main
@@ -310,20 +311,10 @@ def test_check_cert_oversized_int_exits_2(rot_file, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def corpus(args, capsys):
-    """``pig corpus``'s exit code, its summary without ``total_seconds``,
-    and its ``diagnostic:`` lines."""
-    code = main(["corpus", *args])
-    first, *rest = capsys.readouterr().out.splitlines()
-    summary = json.loads(first)
-    assert isinstance(summary.pop("total_seconds"), float)
-    return code, summary, rest
-
-
 def test_corpus_oracle_budget_exits_3(monkeypatch, capsys):
     # every instance fails on its own, and the run goes on to the next
     monkeypatch.setenv("PIG_ORACLE_BUDGET", "5")
-    code, summary, lines = corpus(["--n", "40", "--count", "3"], capsys)
+    code, summary, lines = run_corpus(["--n", "40", "--count", "3"], capsys)
     assert code == 3
     assert summary == {"ratio": "3/13", "instances": 3, "successes": 0, "diagnostics": 3,
                        "min_achieved_ratio": None, "mean_achieved_ratio": None}
@@ -331,30 +322,13 @@ def test_corpus_oracle_budget_exits_3(monkeypatch, capsys):
                      for s in range(3)]
 
 
-# (args, successes, min and mean achieved ratio), with the ratio 3/13
-CORPORA = [
-    (["--n", "24", "--count", "0"], 0, None, None),
-    (["--n", "24", "--count", "3", "--ratio", "3/13"], 3, 0.3333, 0.375),
-    # the plain specs n = 24 + s with seed s
-    (["--n", "24", "--count", "1", "--seed", "0"], 1, 0.375, 0.375),
-    (["--n", "25", "--count", "1", "--seed", "1"], 1, 0.36, 0.36),
-    (["--n", "26", "--count", "1", "--seed", "2"], 1, 0.3846, 0.3846),
-    (["--n", "27", "--count", "1", "--seed", "3"], 1, 0.3333, 0.3333),
-    (["--n", "28", "--count", "1", "--seed", "4"], 1, 0.3571, 0.3571),
-    (["--n", "29", "--count", "1", "--seed", "5"], 1, 0.3103, 0.3103),
-    (["--n", "36", "--count", "4", "--delta5", "--no-septri"], 4, 0.2778, 0.2917),
-]
-
-
 def test_corpus(capsys):
-    for args, ok, low, mean in CORPORA:
-        count = int(args[args.index("--count") + 1])
-        assert corpus(args, capsys) == (0, {
-            "ratio": "3/13", "instances": count, "successes": ok, "diagnostics": 0,
-            "min_achieved_ratio": low, "mean_achieved_ratio": mean,
-        }, []), args
+    assert run_corpus(["--n", "24", "--count", "3", "--ratio", "3/13"], capsys) == (0, {
+        "ratio": "3/13", "instances": 3, "successes": 3, "diagnostics": 0,
+        "min_achieved_ratio": 0.3333, "mean_achieved_ratio": 0.375,
+    }, [])
     # no triangulation of minimum degree 5 has 13 vertices: generation fails
-    assert corpus(["--n", "13", "--count", "1", "--delta5"], capsys) == (3, {
+    assert run_corpus(["--n", "13", "--count", "1", "--delta5"], capsys) == (3, {
         "ratio": "3/13", "instances": 1, "successes": 0, "diagnostics": 1,
         "min_achieved_ratio": None, "mean_achieved_ratio": None,
     }, ["diagnostic: seed=0 n=0: min degree 5 needs n = 12 or n >= 14"])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import v1_document
+from conftest import run_corpus, v1_document
 from pig import mis
 from pig.extract import (
     BASE_EXACT_N,
@@ -827,6 +827,41 @@ class TestModes:
         assert cert.size >= cert.bound == 7
         ok, reason = check_certificate(g, cert)
         assert ok, reason
+
+
+class TestCorpusRun:
+    """Extraction over a generated corpus, run through ``pig corpus``."""
+
+    @staticmethod
+    def clean(args, capsys, count, low, mean):
+        assert run_corpus(args, capsys) == (0, {
+            "ratio": "3/13", "instances": count, "successes": count, "diagnostics": 0,
+            "min_achieved_ratio": low, "mean_achieved_ratio": mean,
+        }, []), args
+
+    def test_empty(self, capsys):
+        self.clean(["--n", "24", "--count", "0"], capsys, 0, None, None)
+
+    def test_small_corpus(self, capsys):
+        # the plain specs n = 24 + s with seed s, one run each
+        achieved = [0.375, 0.36, 0.3846, 0.3333, 0.3571, 0.3103]
+        for s, ratio in enumerate(achieved):
+            args = ["--n", str(24 + s), "--count", "1", "--seed", str(s)]
+            self.clean(args, capsys, 1, ratio, ratio)
+
+    def test_oracle_budget_collected_per_instance(self, monkeypatch, capsys):
+        monkeypatch.setenv("PIG_ORACLE_BUDGET", "5")
+        code, summary, lines = run_corpus(["--n", "40", "--count", "3"], capsys)
+        assert code == 3
+        assert (summary["instances"], summary["diagnostics"]) == (3, 3)
+        assert [line.split(": ", 2)[:2] for line in lines] == [
+            ["diagnostic", f"seed={s} n=40"] for s in range(3)]
+        assert all(line.split(": ", 2)[2].startswith("oracle budget exceeded: ")
+                   for line in lines)
+
+    def test_flagged_corpus(self, capsys):
+        args = ["--n", "36", "--count", "4", "--delta5", "--no-septri"]
+        self.clean(args, capsys, 4, 0.2778, 0.2917)
 
 
 def test_step_engine_does_not_import_the_generator():
