@@ -81,11 +81,16 @@ class EmbeddedGraph:
     The child takes the maps over and edits them in place, and the parent
     then raises ``GraphError`` on every read of them; its ``m`` stays
     readable, so a caller can still count the edges the call added.
+
+    An edit also hands its child the degree buckets, and the separating
+    triangles the parent knew with the vertices it rewrote (chord ends and
+    the fresh vertex too) or removed added to those pending; a query,
+    ``separating_triangles``, resolves them.
     """
 
     __slots__ = (
         "_rot", "_adj", "_next_id", "_faces", "_m", "_nf", "_holes", "_ncomp",
-        "_buckets", "_septris", "_owned",
+        "_buckets", "_septris", "_stale", "_owned",
     )
 
     def __init__(
@@ -110,6 +115,7 @@ class EmbeddedGraph:
         self._ncomp: int | None = None
         self._buckets: dict[int, set[int]] | None = None  # by degree, on demand
         self._septris: tuple | None = None  # separating triangles, on demand
+        self._stale: set[int] | None = None  # vertices rewritten since _septris
         self._owned = False  # held by the step walk alone: triangulate consumes it
         self._validate()
 
@@ -403,10 +409,11 @@ class EmbeddedGraph:
         """The child graph: this graph without ``gone``, and with the fresh
         vertex ``next_id`` if ``at`` is given (a contraction, ``_without``),
         checked where it differs.  The maps are copied, not rebuilt, and the
-        degree buckets are handed on.  With ``fill`` (``triangulate``'s
-        edit) a connected child's holes are chorded, ``_fill``, before any
-        rewritten rotation is written in its final form, and a graph the
-        step walk owns is consumed: the child edits its maps in place.
+        degree buckets and the known separating triangles are handed on.
+        With ``fill`` (``triangulate``'s edit) a connected child's holes are
+        chorded, ``_fill``, before any rewritten rotation is written in its
+        final form, and a graph the step walk owns is consumed: the child
+        edits its maps, and its pending set, in place.
 
         ``_without`` names the darts (x, v) of this graph and of the child
         whose successor at v the edit changed, and faces are re-traced from
@@ -426,12 +433,14 @@ class EmbeddedGraph:
         before, old_holes = self._lost_faces(gone, [*edited, *gone], darts[0])
         dropped = {_canonical(was, h) for h in old_holes}
         lost = [(v, len(was[v]), had[v]) for v in itertools.chain(edited, gone)]
+        known, stale = self._septris, self._stale or set()
         if fill and self._owned:
             rot, adj = was, had
             self._rot = self._adj = _CONSUMED
-            self._faces = self._holes = self._septris = None
+            self._faces = self._holes = self._septris = self._stale = None
         else:
             rot, adj = dict(was), dict(had)
+            stale = set(stale)
         for v in gone:
             del rot[v], adj[v]
         rot.update(new)
@@ -439,7 +448,7 @@ class EmbeddedGraph:
         g = EmbeddedGraph.__new__(EmbeddedGraph)
         g._rot, g._adj, g._faces = rot, adj, None
         g._next_id = self._next_id + (at is not None)
-        g._buckets = g._septris = None
+        g._buckets = g._septris = g._stale = None
         g._owned = False
         g._check_rotations(new)
         degrees = sum(map(len, new.values()))
@@ -471,6 +480,10 @@ class EmbeddedGraph:
             g._fill(new)
         else:
             g._settle(new)
+        if known is not None:  # hand on what is known, with what changed
+            stale.update(gone, new)  # new now holds the chord ends too
+            if 2 * len(stale) < len(rot):
+                g._septris, g._stale = known, stale
         return g
 
     def _settle(self, spliced: Mapping[int, list[int]]) -> None:
@@ -783,20 +796,42 @@ def separating_triangles(g: EmbeddedGraph) -> list[tuple[int, int, int]]:
     face side.  A triangle uvw is a face iff w is an apex of uv.  The
     apexes of an edge are common neighbors of its ends (one vertex when
     n = 3), so an edge whose ends have at most two lies on no separating
-    triangle; only the rare other edges are tested.  The sweep runs once
-    per graph and is kept on it.
+    triangle; only the rare other edges are tested.
+
+    The answer is kept on the graph, and an edit hands it on to its child
+    with the vertices whose rotations the edit rewrote or removed, added to
+    what the parent had pending.  A triangle whose three rotations are
+    unchanged keeps its status, so an answer carried this way keeps the
+    triangles that avoid the pending vertices and re-tests only the edges
+    at those still here.  A graph built whole, or one whose pending set
+    reached half its vertices, sweeps every edge.
     """
     if not g.is_triangulation():
         raise GraphError("separating triangles need a triangulation")
-    if g._septris is None:
-        adj = g._adj
-        g._septris = tuple(sorted(
-            (u, v, w)
-            for u, nu in adj.items() for v in nu
-            if v > u and len(common := nu & adj[v]) > 2
-            for w in common if w > v and w not in g.apexes(u, v)
-        ))
+    known, stale = g._septris, g._stale
+    if known is None:
+        g._septris = tuple(sorted(_nonface_triangles(g, g._adj.keys())))
+    elif stale:
+        found = {t for t in known if stale.isdisjoint(t)}
+        found |= _nonface_triangles(g, stale & g._adj.keys())
+        g._septris = tuple(sorted(found))
+    g._stale = None
     return list(g._septris)
+
+
+def _nonface_triangles(
+    g: EmbeddedGraph, at: Collection[int]
+) -> set[tuple[int, int, int]]:
+    """The triangles of ``g`` through an edge at a vertex of ``at`` that are
+    not faces, as sorted triples; an edge with both ends in ``at`` is read
+    from its smaller end."""
+    adj = g._adj
+    return {
+        tuple(sorted((u, v, w)))
+        for u in at for v in adj[u]
+        if (v > u or v not in at) and len(common := adj[u] & adj[v]) > 2
+        for w in common if w not in g.apexes(u, v)
+    }
 
 
 # -- triangulation -------------------------------------------------------------

@@ -1,8 +1,11 @@
+import copy
 import importlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pig.graph import (
     EmbeddedGraph,
@@ -198,7 +201,7 @@ class TestSeparatingTriangles:
         graphs = [generate(GenSpec(seed=seed, n=18)) for seed in range(6)]
         graphs += [graph_stacked, glued, generate(GenSpec(seed=5, n=40))]
         graphs.append(embedded_cycle(3))  # the lone triangle: both apexes coincide
-        # local edits of a graph already swept: each child sweeps afresh
+        # local edits of a graph already swept: each child carries its answer
         assert separating_triangles(glued)
         graphs += [triangulate(glued.delete_set(vs)) for vs in ([1], [1, 6])]
         graphs += [triangulate(glued.contract_set(p)[0]) for p in ([1, 6], [1, 8])]
@@ -1316,3 +1319,130 @@ def test_triangulate_ear_ties(monkeypatch, rot):
     ref_rot, ref_order = reference_triangulate(g)
     assert {v: t.rotation(v) for v in t.vertices} == ref_rot
     assert order == ref_order
+
+
+# -- separating triangles carried through edits ---------------------------------
+
+
+def _asked(h):
+    """``separating_triangles`` of ``h``, asked of a shallow copy, so that
+    ``h`` keeps the vertices it has pending and hands them on."""
+    return separating_triangles(copy.copy(h))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_carried_separating_triangles_through_edit_chains(data):
+    """Random chains of ``delete_set``, ``contract_set(part, drop)`` and
+    ``triangulate(g, drop, part)`` from a swept triangulation, plain or
+    flagged, each edit on a graph of the chain that the walk owns (a
+    consuming edit) or not (a copying one).  After every step, each
+    triangulation of the chain answers as a brute-force search of a graph
+    rebuilt from its rotations, and every consumed graph still raises."""
+    flagged = data.draw(st.booleans(), label="flagged")
+    n = data.draw(st.integers(14, 28), label="n")
+    seed = data.draw(st.integers(0, 9), label="seed")
+    g = fresh_copy(generate(GenSpec(seed=seed, n=n, min_degree5=flagged,
+                                    no_separating_triangle=flagged)))
+    separating_triangles(g)  # known at the root: the edits below carry it
+    live, consumed = [g], []
+    for _ in range(data.draw(st.integers(1, 6), label="steps")):
+        parent = data.draw(st.sampled_from([h for h in live if h.n >= 8]), label="parent")
+        vs = parent.vertices
+        op = data.draw(st.sampled_from(["delete", "contract", "triangulate"]), label="op")
+        drop = data.draw(st.lists(st.sampled_from(vs), max_size=2, unique=True), label="drop")
+        part = []
+        if op == "contract" or data.draw(st.booleans(), label="contract too"):
+            v = data.draw(st.sampled_from([v for v in vs if v not in drop]), label="v")
+            near = sorted(parent.neighbors(v) - set(drop))
+            part = [v] + data.draw(st.lists(st.sampled_from(near), max_size=1), label="u")
+        if op == "delete" or not (drop or part or parent.is_connected()):
+            child = parent.delete_set(drop or vs[:1])
+        elif op == "contract":
+            child = parent.contract_set(part, drop)[0]
+        else:
+            parent._owned = data.draw(st.booleans(), label="owned")
+            child = triangulate(parent, drop, part)
+            if parent._owned:
+                live.remove(parent)
+                consumed.append(parent)
+        live.append(child)
+        if child.is_triangulation() and data.draw(st.booleans(), label="ask"):
+            separating_triangles(child)  # resolves what it has pending
+        for h in live:
+            if h.is_triangulation() and h.is_connected():
+                assert _asked(h) == brute_separating_triangles(fresh_copy(h))
+        for h in consumed:
+            with pytest.raises(GraphError, match="consumed"):
+                separating_triangles(h)
+        if not any(h.n >= 8 for h in live):
+            break
+
+
+def planner_answers(monkeypatch, g, ratio):
+    """Extract ``g``, checking every answer the planner reads from
+    ``separating_triangles`` against a fresh sweep of a rebuilt copy.
+    Returns, in call order, how each was given ("whole" for a sweep of
+    every edge, "carried" for one resolved from what an edit handed on,
+    "kept" for one already on the graph) with the graph's n."""
+    ex = importlib.import_module("pig.extract")
+    dc = importlib.import_module("pig.discharge")
+    out = []
+
+    def checking(h):
+        how = "whole" if h._septris is None else "carried" if h._stale else "kept"
+        got = separating_triangles(h)
+        assert got == separating_triangles(fresh_copy(h))
+        out.append((how, h.n))
+        return got
+
+    monkeypatch.setattr(ex, "separating_triangles", checking)
+    monkeypatch.setattr(dc, "separating_triangles", checking)
+    ex.extract(g, ratio)
+    return out
+
+
+def _planner_cases():
+    """The ``flagged-mix`` inputs, geodesic levels 1-3, drums 8, 20 and 60,
+    glued pairs whose splits reach all four strategies, and flagged graphs
+    at n 60, 90 and 120, seeds 0-5; each parsed from its serialization, as
+    ``pig extract`` reads it, so that nothing is known of it yet."""
+    from conftest import drum, glued_pair
+    from test_golden import build
+
+    def flagged(n, seed):
+        return generate(GenSpec(seed=seed, n=n, min_degree5=True,
+                                no_separating_triangle=True))
+
+    cases = [("flagged-200-s3", lambda: flagged(200, 3))]
+    cases += [(f"geodesic-{k}", lambda k=k: build({"family": "geodesic", "levels": k}))
+              for k in (1, 2, 3)]
+    cases += [(f"drum-{r}", lambda r=r: drum(r)) for r in (8, 20, 60)]
+    cases += [(f"glued-{a}-{b}-s{s}-{t}", lambda a=a, b=b, s=s, t=t: glued_pair(a, b, s, t))
+              for a, b, s, t in ((110, 90, 11, 2), (30, 30, 3, 8), (14, 16, 3, 8),
+                                 (15, 15, 3, 8))]
+    cases += [(f"flagged-{n}-s{s}", lambda n=n, s=s: flagged(n, s))
+              for n in (60, 90, 120) for s in range(6)]
+    return [(name, lambda b=b: parse_rotation_graph(b().serialize())) for name, b in cases]
+
+
+PLANNER_CASES = _planner_cases()
+
+
+@pytest.mark.parametrize("build", [c[1] for c in PLANNER_CASES],
+                         ids=[c[0] for c in PLANNER_CASES])
+def test_carried_separating_triangles_equal_a_fresh_sweep(monkeypatch, build):
+    assert planner_answers(monkeypatch, build(), "3/13")
+
+
+@pytest.mark.parametrize("name", ["geodesic-3", "flagged-200-s3"])
+def test_extraction_sweeps_the_whole_graph_once(monkeypatch, name):
+    """Equal answers cannot show an edit that drops the carry: only the
+    root of these extractions is swept whole, and every later answer is
+    resolved from what the edits handed on."""
+    g = dict(PLANNER_CASES)[name]()
+    answers = planner_answers(monkeypatch, g, "3/13")
+    assert answers[0] == ("whole", g.n)
+    assert [how for how, _ in answers[1:]].count("whole") == 0
+    if name == "geodesic-3":
+        assert sum(how == "carried" for how, _ in answers) == 35
