@@ -115,7 +115,7 @@ def cmd_discharge(args) -> int:
     else:
         final = states[-1]
         print(f"rules={args.rules} phases={len(states)} total={final.total()}")
-        neg = negative_vertices(final)
+        neg = negative_vertices(final.charge)
         print(f"negative vertices after {final.phase}: {neg}")
     return EXIT_OK
 

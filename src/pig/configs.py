@@ -4,7 +4,7 @@ Each detector scans a triangulation with minimum degree 5 and no separating
 triangle and reports matches as role maps.  A match is a *candidate*: the
 planner turns it into reduction plans and every plan is re-certified by the
 exact oracle before being applied, so detectors only need to be faithful to
-their stated hypotheses, which are checked on construction.
+their stated hypotheses, which the tests re-check from the role maps.
 """
 
 from __future__ import annotations
@@ -30,16 +30,6 @@ class ConfigurationMatch:
     roles: tuple[tuple[str, int], ...]
     j: tuple[int, ...]
     preferred_k: int
-
-    def role(self, name: str) -> int:
-        for k, v in self.roles:
-            if k == name:
-                return v
-        raise KeyError(name)
-
-    def verify(self, g: EmbeddedGraph) -> bool:
-        """Re-check the pattern hypotheses against ``g``."""
-        return _verify_match(g, self)
 
 
 def joint_neighborhood(g: EmbeddedGraph, js: Iterable[int]) -> frozenset[int]:
@@ -69,15 +59,17 @@ def _restrict(g: EmbeddedGraph, within: frozenset[int] | None) -> list[int]:
 def detect_apex_pair(
     g: EmbeddedGraph, within: frozenset[int] | None = None
 ) -> Iterator[ConfigurationMatch]:
-    """Edge whose two face apexes are nonadjacent with degrees 5 and <= 6."""
+    """Edge whose two face apexes are nonadjacent with degrees 5 and <= 6.
+    The apexes of uv are v's two neighbours in u's rotation."""
     for u in _restrict(g, within):
-        for v in g.rotation(u):
+        ring = g.rotation(u)
+        for i, v in enumerate(ring):
             if v < u:
                 continue
-            a, b = g.apexes(u, v)
+            a, b = ring[i - 1], ring[(i + 1) % len(ring)]
+            if a == b or g.adjacent(a, b):
+                continue
             for w, x in ((a, b), (b, a)):
-                if w == x or g.adjacent(w, x):
-                    continue
                 if g.degree(w) == 5 and g.degree(x) <= 6:
                     yield ConfigurationMatch(
                         "apex_pair",
@@ -121,28 +113,6 @@ _DETECTORS = {
     "apex_pair": detect_apex_pair,
     "low_trio_star6": detect_low_trio_star6,
 }
-
-
-def _verify_match(g: EmbeddedGraph, m: ConfigurationMatch) -> bool:
-    if not _independent(g, m.j):
-        return False
-    r = dict(m.roles)
-    if m.kind == "apex_pair":
-        u, v, w, x = r["u"], r["v"], r["w"], r["x"]
-        return (
-            g.adjacent(u, v)
-            and set(g.apexes(u, v)) == {w, x}
-            and not g.adjacent(w, x)
-            and g.degree(w) == 5
-            and g.degree(x) <= 6
-        )
-    if m.kind == "low_trio_star6":
-        c = r["center"]
-        us = [r["u1"], r["u2"], r["u3"]]
-        return g.degree(c) == 6 and all(
-            g.adjacent(c, u) and g.degree(u) <= 6 for u in us
-        )
-    return False
 
 
 def iter_configs(

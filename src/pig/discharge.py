@@ -6,10 +6,11 @@ conserved through every phase.  The rules run on integer charges counted
 in units of 1/UNIT, UNIT = 168 * 60**2: 168 is the lcm of the rule
 denominators 2, 3, 4, 7 and 8, and each factor 60 keeps one equal split
 exact (M4 among at most five givers, M5 among at most six needy
-neighbors).  Every division asserts that it is exact.  Charges and amounts
-become ``fractions.Fraction`` only where a ``ChargeState`` or ``Transfer``
-is built, so callers see exact rationals and the engine asserts
-equalities, not tolerances.
+neighbors).  Every division asserts that it is exact.  ``run_main`` hands
+the planner those integers; charges and amounts become
+``fractions.Fraction`` only where ``main_phases`` or ``run_warmup`` builds
+a ``ChargeState`` or ``Transfer``, so those callers see exact rationals and
+the engine asserts equalities, not tolerances.
 
 Two rule sets are implemented: a three-rule warmup and the five-rule main
 system whose last two rules redistribute surplus after the first pass.
@@ -47,14 +48,6 @@ class ChargeState:
 
     def total(self) -> Fraction:
         return sum(self.charge.values(), Fraction(0))
-
-    def replay(self, initial: "ChargeState") -> dict[int, Fraction]:
-        """Apply this state's ledger to ``initial``; must reproduce charges."""
-        acc = dict(initial.charge)
-        for t in self.ledger:
-            acc[t.giver] -= t.amount
-            acc[t.receiver] += t.amount
-        return acc
 
 
 @dataclass(frozen=True)
@@ -119,11 +112,10 @@ def _setup(g: EmbeddedGraph):
     initial charges."""
     if not g.is_triangulation():
         raise DischargeError("discharging rules need a triangulation")
-    if g.min_degree() < 5:
+    if next(g.by_degree(4), None) is not None:
         raise DischargeError("discharging rules need minimum degree 5")
-    vs = g.vertices
-    rot = {v: g.rotation(v) for v in vs}
-    deg = {v: len(ns) for v, ns in rot.items()}
+    vs, rot = g.vertices, g.rotations
+    deg = {v: len(rot[v]) for v in vs}
     return vs, rot, deg, {v: (d - 6) * UNIT for v, d in deg.items()}
 
 
@@ -144,21 +136,25 @@ def _main_core(g: EmbeddedGraph) -> tuple[list[_Phase], list[_Entry]]:
     septris = separating_triangles(g)
     if septris:
         raise DischargeError(_BAD_LINK.format(septris[0][0]))
-    # the profiles M2 and M3 read, and the 6-vertices with a 5-neighbor
+    # the profiles M2 and M3 read, the 5- and 6-vertices in id order, and
+    # the 6-vertices with a 5-neighbor, the only ones M1 makes give
     profiles = {v: _profile(g, v) for v in vs if deg[v] >= 7}
-    has_five = {u for v in vs if deg[v] == 5 for u in rot[v] if deg[u] == 6}
+    fives, sixes = ([v for v in vs if deg[v] == d] for d in (5, 6))
+    has_five = {u for v in fives for u in rot[v] if deg[u] == 6}
     givers = {  # each 5-vertex's positive senders under M1-M3
         v: sum(
             deg[u] >= 6 and (deg[u] != 7 or v not in profiles[u].crowded)
             for u in rot[v]
         )
-        for v in vs if deg[v] == 5
+        for v in fives
     }
     ledger: list[_Entry] = []
     half_givers: dict[int, list[int]] = {}
     for v in vs:
         d = deg[v]
         if d == 6:
+            if v not in has_five:
+                continue
             ring = rot[v]
             for i, u in enumerate(ring):
                 if deg[u] != 5:
@@ -184,9 +180,9 @@ def _main_core(g: EmbeddedGraph) -> tuple[list[_Phase], list[_Entry]]:
                 if prof.fives or u in has_five:
                     ledger.append((v, u, QUARTER, "M3"))
     charge1 = _apply(init, ledger)
-    r4 = _split(charge1, vs, deg, 5, "M4", lambda v: half_givers.get(v, ()))
+    r4 = _split(charge1, fives, "M4", lambda v: half_givers.get(v, ()))
     charge2 = _apply(charge1, r4)
-    r5 = _split(charge2, vs, deg, 6, "M5", lambda v: (
+    r5 = _split(charge2, sixes, "M5", lambda v: (
         u for u in rot[v] if deg[u] == 6 and charge2[u] < 0
     ))
     phases = [
@@ -199,14 +195,14 @@ def _main_core(g: EmbeddedGraph) -> tuple[list[_Phase], list[_Entry]]:
 
 
 def _split(
-    charge: dict[int, int], vs: tuple[int, ...], deg: dict[int, int], d: int,
-    rule: str, receivers: Callable[[int], Iterable[int]],
+    charge: dict[int, int], vs: list[int], rule: str,
+    receivers: Callable[[int], Iterable[int]],
 ) -> list[_Entry]:
-    """Each d-vertex with positive charge splits it equally among its
-    receivers, in id order."""
+    """Each of ``vs`` (the vertices of one degree, in id order) with
+    positive charge splits it equally among its receivers, in id order."""
     out: list[_Entry] = []
     for v in vs:
-        if deg[v] == d and charge[v] > 0:
+        if charge[v] > 0:
             to = sorted(receivers(v))
             if to:
                 share, rest = divmod(charge[v], len(to))
@@ -275,11 +271,12 @@ def main_phases(
     return tuple(_states(*_main_core(g)))
 
 
-def run_main(g: EmbeddedGraph) -> ChargeState:
-    """Final state of the five-rule system; see ``main_phases``."""
-    phases, ledger = _main_core(g)
-    return _states(phases[-1:], ledger)[0]
+def run_main(g: EmbeddedGraph) -> dict[int, int]:
+    """Final charges of the five-rule system (see ``main_phases``) in
+    units of 1/``UNIT``, with no ``Fraction`` and no ledger: the signs are
+    all the planner reads."""
+    return _main_core(g)[0][-1][1]
 
 
-def negative_vertices(cs: ChargeState) -> list[int]:
-    return sorted(v for v, c in cs.charge.items() if c.numerator < 0)
+def negative_vertices(charge: Mapping[int, int | Fraction]) -> list[int]:
+    return sorted(v for v, c in charge.items() if c < 0)

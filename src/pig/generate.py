@@ -115,7 +115,7 @@ def _repair_degrees(b: _Builder, rng: random.Random, n: int) -> bool:
     # longer matches its vertex's degree is stale, dropped when on top
     low = [(len(b.rot[v]), v) for v in range(1, n + 1) if len(b.rot[v]) < 5]
     heapq.heapify(low)
-    for _ in range(REPAIR_ROUNDS * 4):
+    for _ in range(max(REPAIR_ROUNDS, n) * 4):  # deficits grow with n
         while low and low[0][0] != len(b.rot[low[0][1]]):
             heapq.heappop(low)
         if not low:

@@ -165,6 +165,11 @@ class EmbeddedGraph:
     def rotation(self, v: int) -> tuple[int, ...]:
         return self._rot[v]
 
+    @property
+    def rotations(self) -> Mapping[int, tuple[int, ...]]:
+        """Every vertex's rotation: the graph's own map, read-only."""
+        return self._rot
+
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
 

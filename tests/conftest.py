@@ -171,6 +171,51 @@ def brute_separating_triangles(g):
     return out
 
 
+# -- re-checks of what the planner reports ------------------------------------
+
+
+def replay_ledger(state, initial) -> dict:
+    """Apply ``state``'s ledger to ``initial``'s charges; a faithful ledger
+    reproduces ``state.charge``."""
+    acc = dict(initial.charge)
+    for t in state.ledger:
+        acc[t.giver] -= t.amount
+        acc[t.receiver] += t.amount
+    return acc
+
+
+def match_role(m, name: str) -> int:
+    """The vertex a ``ConfigurationMatch`` gives the role ``name``."""
+    for k, v in m.roles:
+        if k == name:
+            return v
+    raise KeyError(name)
+
+
+def verify_match(g: EmbeddedGraph, m) -> bool:
+    """Re-check a match's pattern hypotheses against ``g``."""
+    js = list(m.j)
+    if any(g.adjacent(a, b) for i, a in enumerate(js) for b in js[i + 1:]):
+        return False
+    r = dict(m.roles)
+    if m.kind == "apex_pair":
+        u, v, w, x = r["u"], r["v"], r["w"], r["x"]
+        return (
+            g.adjacent(u, v)
+            and set(g.apexes(u, v)) == {w, x}
+            and not g.adjacent(w, x)
+            and g.degree(w) == 5
+            and g.degree(x) <= 6
+        )
+    if m.kind == "low_trio_star6":
+        c = r["center"]
+        us = [r["u1"], r["u2"], r["u3"]]
+        return g.degree(c) == 6 and all(
+            g.adjacent(c, u) and g.degree(u) <= 6 for u in us
+        )
+    return False
+
+
 def subdivide(g: EmbeddedGraph) -> EmbeddedGraph:
     """Insert a midpoint on every edge and split each triangle into four.
     Original vertices keep their degree; midpoints get degree 6."""

@@ -11,6 +11,8 @@ from pig.configs import (
 )
 from pig.generate import GenSpec, generate
 
+from conftest import match_role, verify_match
+
 
 def flagged(seed, n):
     return generate(
@@ -22,8 +24,8 @@ def test_icosahedron_apex_pair(ico):
     # every edge has two degree-5 apexes, so the first detector fires
     m = next(iter_configs(ico), None)
     assert m is not None and m.kind == "apex_pair"
-    assert m.verify(ico)
-    w, x = m.role("w"), m.role("x")
+    assert verify_match(ico, m)
+    w, x = match_role(m, "w"), match_role(m, "x")
     assert ico.degree(w) == 5 and ico.degree(x) <= 6
     assert not ico.adjacent(w, x)
 
@@ -42,7 +44,7 @@ def test_matches_verify_their_hypotheses():
     for seed in range(6):
         g = flagged(seed + 3, 110)
         for m in iter_configs(g):
-            assert m.verify(g), (seed, m)
+            assert verify_match(g, m), (seed, m)
             counts[m.kind] = counts.get(m.kind, 0) + 1
     assert set(counts) == set(DETECTOR_ORDER)
 
@@ -64,7 +66,7 @@ def test_windowed_restriction():
     windowed = list(iter_configs(g, window))
     assert windowed  # the window around a match still yields matches
     for wm in windowed:
-        assert wm.verify(g)
+        assert verify_match(g, wm)
     # a windowed scan is a subset of the global scan
     all_matches = {(wm.kind, wm.roles) for wm in iter_configs(g)}
     assert all((wm.kind, wm.roles) in all_matches for wm in windowed)

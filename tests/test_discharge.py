@@ -8,6 +8,7 @@ import pytest
 
 from pig.discharge import (
     _BAD_LINK,
+    UNIT,
     DischargeError,
     NeighborProfile,
     _profile,
@@ -21,7 +22,7 @@ from pig.configs import iter_configs
 from pig.generate import GenSpec, generate
 from pig.graph import icosahedron, separating_triangles
 
-from conftest import drum, neighbor_cycle, seven_ring_fixture, subdivide
+from conftest import drum, neighbor_cycle, replay_ledger, seven_ring_fixture, subdivide
 
 F = Fraction
 
@@ -221,14 +222,14 @@ class TestConservation:
     def test_ledger_replay(self):
         g = flagged(3, 75)
         init, s1, s2, s3 = main_phases(g)
-        assert s3.replay(init) == dict(s3.charge)
-        assert s1.replay(init) == dict(s1.charge)
+        assert replay_ledger(s3, init) == dict(s3.charge)
+        assert replay_ledger(s1, init) == dict(s1.charge)
         w = run_warmup(g)
-        assert w.replay(init) == dict(w.charge)
+        assert replay_ledger(w, init) == dict(w.charge)
 
     def test_ledger_amounts_positive(self):
         g = flagged(8, 64)
-        for t in run_main(g).ledger:
+        for t in main_phases(g)[-1].ledger:
             assert t.amount > 0
 
 
@@ -323,7 +324,7 @@ class TestMainCaseConsequences:
         hits = 0
         for seed in range(14):
             g = flagged(seed + 60, 150)
-            final = run_main(g)
+            final = main_phases(g)[-1]
             for v in g.vertices:
                 if g.degree(v) != 6:
                     continue
@@ -339,7 +340,7 @@ class TestMainCaseConsequences:
 
 class TestNegativeVertices:
     def test_initial_icosahedron(self, ico):
-        assert negative_vertices(initial_charges(ico)) == list(ico.vertices)
+        assert negative_vertices(initial_charges(ico).charge) == list(ico.vertices)
 
     def test_synthetic_single_negative(self):
         from fractions import Fraction
@@ -349,15 +350,26 @@ class TestNegativeVertices:
         cs = ChargeState(
             "x", {1: Fraction(0), 2: Fraction(-12), 3: Fraction(0)}, ()
         )
-        assert negative_vertices(cs) == [2]
+        assert negative_vertices(cs.charge) == [2]
+        assert negative_vertices({3: 0, 2: -1, 1: 5}) == [2]
 
     def test_sorted_and_negative(self):
         g = flagged(2, 90)
-        cs = run_main(g)
-        neg = negative_vertices(cs)
+        cs = main_phases(g)[-1]
+        neg = negative_vertices(cs.charge)
         assert neg == sorted(neg)
         assert all(cs.charge[v] < 0 for v in neg)
         assert neg  # total is -12, someone is negative
+
+    def test_run_main_gives_the_final_charges_in_units(self):
+        # the planner's integer charges are the final state's Fractions
+        # counted in units of 1/UNIT, so both give one negative set
+        for g in (flagged(2, 90), flagged(5, 150), drum(20)):
+            final = main_phases(g)[-1]
+            charge = run_main(g)
+            assert all(type(c) is int for c in charge.values())
+            assert {v: F(c, UNIT) for v, c in charge.items()} == final.charge
+            assert negative_vertices(charge) == negative_vertices(final.charge)
 
     def test_preconditions(self):
         g = generate(GenSpec(seed=0, n=30))  # has low-degree vertices

@@ -42,6 +42,15 @@ def test_flags_hold(seed, n):
     assert g.is_triangulation()
 
 
+def test_flags_hold_at_n_2000():
+    # the degree repair's flip budget grows with n: a fixed 1,600 flips
+    # left 260 vertices under degree 5 here and failed after 1,000 samples
+    g = generate(GenSpec(seed=0, n=2000, min_degree5=True, no_separating_triangle=True))
+    assert g.n == 2000 and g.is_triangulation()
+    assert g.min_degree() == 5
+    assert separating_triangles(g) == []
+
+
 def test_too_small():
     with pytest.raises(GraphError):
         generate(GenSpec(seed=1, n=3))
