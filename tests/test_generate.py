@@ -65,3 +65,18 @@ def test_valid_embeddings_across_seeds():
     for seed in range(10):
         g = generate(GenSpec(seed=seed, n=24))
         assert g.n - g.m + len(g.faces()) == 2
+
+
+@pytest.mark.parametrize("spec,digest", [
+    (GenSpec(seed=0, n=400, no_separating_triangle=True),
+     "0b9b42d70cd58940e892c920df72f8103c02fded4d1a58a6ed8705db04650589"),
+    (GenSpec(seed=1, n=400, no_separating_triangle=True),
+     "2df7bf517af3ef72fd254e84aac5126f9ff482522b36021d63ea7ecda8d1370c"),
+    (GenSpec(seed=0, n=1000, min_degree5=True, no_separating_triangle=True),
+     "0ef7623b2a642b48c38192c095ee81b821d89a8543cafda7f150493f85579e27"),
+], ids=["septri-400-s0", "septri-400-s1", "flagged-1000-s0"])
+def test_long_repair_chains_keep_their_graphs(spec, digest):
+    # the golden specs and perfbench inputs need at most 2 triangle-repair
+    # rounds; these take 184, 170 and 5, so a change to how the repair
+    # finds or picks its triangles shows here
+    assert generate(spec).graph_hash() == digest
