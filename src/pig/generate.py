@@ -13,7 +13,7 @@ import heapq
 import random
 from dataclasses import dataclass
 
-from .graph import EmbeddedGraph, GraphError, separating_triangles
+from .graph import EmbeddedGraph, GraphError, nonface_triangles
 
 FLIP_WALK_FACTOR = 10
 REJECTION_BUDGET = 1000
@@ -47,10 +47,6 @@ class _Builder:
             (1, 2, 4), (1, 4, 3), (1, 3, 2), (2, 3, 4),
         ]
 
-    @property
-    def m(self) -> int:
-        return sum(len(ns) for ns in self.rot.values()) // 2
-
     def insert_vertex(self, face_idx: int) -> None:
         a, b, c = self.faces[face_idx]
         w = len(self.rot) + 1
@@ -78,8 +74,9 @@ class _Builder:
         x, y = ns[i - 1], ns[(i + 1) % k]
         return (x, y) if x != y and y not in self.adj[x] else None
 
-    def flip(self, u: int, v: int, x: int, y: int) -> None:
-        """Replace edge uv by the edge between its two face apexes x, y."""
+    def flip(self, u: int, v: int, x: int, y: int) -> set[int]:
+        """Replace edge uv by the edge between its two face apexes x, y;
+        returns the four vertices whose rotations that rewrites."""
         rot, adj = self.rot, self.adj
         rot[u].remove(v)
         rot[v].remove(u)
@@ -90,16 +87,14 @@ class _Builder:
         ry.insert(ry.index(u) + 1, x)
         adj[x].add(y)
         adj[y].add(x)
-
-    def graph(self) -> EmbeddedGraph:
-        return EmbeddedGraph(self.rot)
+        return {u, v, x, y}
 
 
 def _sample(rng: random.Random, n: int) -> _Builder:
     b = _Builder()
     while len(b.rot) < n:
         b.insert_vertex(rng.randrange(len(b.faces)))
-    for _ in range(FLIP_WALK_FACTOR * b.m):
+    for _ in range(FLIP_WALK_FACTOR * (3 * n - 6)):
         u = rng.randrange(1, n + 1)
         v = rng.choice(b.rot[u])
         apexes = b.flippable(u, v)
@@ -140,8 +135,7 @@ def _repair_degrees(b: _Builder, rng: random.Random, n: int) -> bool:
         cands.sort(key=lambda t: (-t[0], t[1], t[2]))
         top = [c for c in cands if c[0] == cands[0][0]]
         _, u, v, x, y = top[rng.randrange(len(top))]
-        b.flip(u, v, x, y)
-        for z in (u, v, x, y):  # only a flip's four ends change degree
+        for z in b.flip(u, v, x, y):  # only a flip's four ends change degree
             if len(b.rot[z]) < 5:
                 heapq.heappush(low, (len(b.rot[z]), z))
     return False
@@ -149,14 +143,14 @@ def _repair_degrees(b: _Builder, rng: random.Random, n: int) -> bool:
 
 def _repair_separating_triangles(
     b: _Builder, rng: random.Random, keep_degrees: bool
-) -> EmbeddedGraph | None:
-    """Flip an edge of a separating triangle until none is left; returns
-    the graph found free of them, or None."""
+) -> bool:
+    """Flip an edge of a separating triangle until none is left.  The
+    triangles are swept once; a flip rewrites only the rotations of its
+    four ends, so only the edges there are re-tested."""
+    tris = nonface_triangles(b.rot, b.adj)
     for _ in range(REPAIR_ROUNDS):
-        g = b.graph()
-        tris = separating_triangles(g)
         if not tris:
-            return g
+            return True
         a, c, d = tris[rng.randrange(len(tris))]
         options = [(a, c), (a, d), (c, d)]
         rng.shuffle(options)
@@ -166,11 +160,11 @@ def _repair_separating_triangles(
                 continue
             if keep_degrees and (len(b.rot[u]) <= 5 or len(b.rot[v]) <= 5):
                 continue
-            b.flip(u, v, *apexes)
+            tris = nonface_triangles(b.rot, b.adj, tris, b.flip(u, v, *apexes))
             break
         else:
-            return None
-    return None
+            return False
+    return False
 
 
 def generate(spec: GenSpec) -> EmbeddedGraph:
@@ -188,20 +182,17 @@ def generate(spec: GenSpec) -> EmbeddedGraph:
     rng = random.Random(spec.seed)
     for _ in range(REJECTION_BUDGET):
         b = _sample(rng, spec.n)
-        if spec.min_degree5:
-            if not _repair_degrees(b, rng, spec.n):
-                continue
-        g = None
-        if spec.no_separating_triangle:
-            g = _repair_separating_triangles(b, rng, spec.min_degree5)
-            if g is None:
-                continue
+        if spec.min_degree5 and not _repair_degrees(b, rng, spec.n):
+            continue
+        if spec.no_separating_triangle and not _repair_separating_triangles(
+            b, rng, spec.min_degree5
+        ):
+            continue
         if spec.min_degree5 and any(
             len(b.rot[v]) < 5 for v in range(1, spec.n + 1)
         ):
             continue
-        if g is None:
-            g = b.graph()
+        g = EmbeddedGraph(b.rot)
         if not g.is_triangulation():
             raise GraphError("generator produced a non-triangulation")
         return g

@@ -20,7 +20,7 @@ import hashlib
 import itertools
 import re
 from collections import defaultdict
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, Sequence
 
 
 # An edit's report: the darts (x, v) whose successor at v it changed, in the
@@ -798,45 +798,53 @@ def separating_triangles(g: EmbeddedGraph) -> list[tuple[int, int, int]]:
 
     By the Jordan curve theorem a triangle of a simple triangulation that
     is not a face has a vertex on each side, and a face has none on its
-    face side.  A triangle uvw is a face iff w is an apex of uv.  The
-    apexes of an edge are common neighbors of its ends (one vertex when
-    n = 3), so an edge whose ends have at most two lies on no separating
-    triangle; only the rare other edges are tested.
-
-    The answer is kept on the graph, and an edit hands it on to its child
-    with the vertices whose rotations the edit rewrote or removed, added to
-    what the parent had pending.  A triangle whose three rotations are
-    unchanged keeps its status, so an answer carried this way keeps the
-    triangles that avoid the pending vertices and re-tests only the edges
-    at those still here.  A graph built whole, or one whose pending set
-    reached half its vertices, sweeps every edge.
+    face side, so ``nonface_triangles`` gives the answer.  It is kept on
+    the graph, and an edit hands it on to its child with the vertices
+    whose rotations the edit rewrote or removed, added to what the parent
+    had pending; a query carries the answer over those.  A graph built
+    whole, or one whose pending set reached half its vertices, sweeps
+    every edge.
     """
     if not g.is_triangulation():
         raise GraphError("separating triangles need a triangulation")
-    known, stale = g._septris, g._stale
-    if known is None:
-        g._septris = tuple(sorted(_nonface_triangles(g, g._adj.keys())))
-    elif stale:
-        found = {t for t in known if stale.isdisjoint(t)}
-        found |= _nonface_triangles(g, stale & g._adj.keys())
-        g._septris = tuple(sorted(found))
+    if g._septris is None or g._stale:
+        g._septris = tuple(nonface_triangles(g._rot, g._adj, g._septris, g._stale))
     g._stale = None
     return list(g._septris)
 
 
-def _nonface_triangles(
-    g: EmbeddedGraph, at: Collection[int]
-) -> set[tuple[int, int, int]]:
-    """The triangles of ``g`` through an edge at a vertex of ``at`` that are
-    not faces, as sorted triples; an edge with both ends in ``at`` is read
-    from its smaller end."""
-    adj = g._adj
-    return {
-        tuple(sorted((u, v, w)))
-        for u in at for v in adj[u]
-        if (v > u or v not in at) and len(common := adj[u] & adj[v]) > 2
-        for w in common if w not in g.apexes(u, v)
-    }
+def nonface_triangles(
+    rot: Mapping[int, Sequence[int]], adj: Mapping[int, AbstractSet[int]],
+    known: Iterable[tuple[int, int, int]] | None = None,
+    changed: AbstractSet[int] = frozenset(),
+) -> list[tuple[int, int, int]]:
+    """The triangles of the simple triangulation with rotations ``rot`` and
+    neighbor sets ``adj`` that are not faces, as sorted triples, sorted.
+
+    A triangle uvw is a face iff w is an apex of uv, read by position in
+    u's rotation.  The apexes of an edge are common neighbors of its ends
+    (one vertex when n = 3), so an edge whose ends have at most two lies
+    on no such triangle; only the rare other edges are tested.  With
+    ``known`` None every edge is swept.  Otherwise ``known`` is the answer
+    before the rotations of the vertices in ``changed`` were rewritten or
+    removed; a triangle whose three rotations are unchanged keeps its
+    status, so the known triangles that avoid ``changed`` are kept and only
+    the edges at the vertices of ``changed`` still present are tested (an
+    edge with both ends there once, from its smaller end).
+    """
+    if known is None:
+        found, at = set(), adj.keys()
+    else:
+        found = {t for t in known if changed.isdisjoint(t)}
+        at = adj.keys() & changed
+    for u in at:
+        ring, near = rot[u], adj[u]
+        for i, v in enumerate(ring):
+            if (v > u or v not in at) and len(common := near & adj[v]) > 2:
+                apexes = ring[i - 1], ring[(i + 1) % len(ring)]
+                found.update(tuple(sorted((u, v, w)))
+                             for w in common if w not in apexes)
+    return sorted(found)
 
 
 # -- triangulation -------------------------------------------------------------

@@ -1,7 +1,18 @@
-import pytest
+import random
 
-from pig.generate import GenSpec, GenerationError, generate
-from pig.graph import GraphError, separating_triangles
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pig.generate import (
+    GenSpec,
+    GenerationError,
+    _repair_degrees,
+    _repair_separating_triangles,
+    _sample,
+    generate,
+)
+from pig.graph import EmbeddedGraph, GraphError, nonface_triangles, separating_triangles
 
 from conftest import brute_separating_triangles
 
@@ -80,3 +91,47 @@ def test_long_repair_chains_keep_their_graphs(spec, digest):
     # rounds; these take 184, 170 and 5, so a change to how the repair
     # finds or picks its triangles shows here
     assert generate(spec).graph_hash() == digest
+
+
+@pytest.mark.parametrize("spec", [
+    GenSpec(seed=0, n=400, no_separating_triangle=True),
+    GenSpec(seed=0, n=2000, min_degree5=True, no_separating_triangle=True),
+], ids=["septri-400-s0", "flagged-2000-s0"])
+def test_one_checked_graph_per_sample(monkeypatch, spec):
+    # the triangle repair works on the builder's own maps: a graph built
+    # and checked after every flip made 184 and 6 graphs here
+    builds = []
+    init = EmbeddedGraph.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EmbeddedGraph, "__init__", counting)
+    generate(spec)
+    assert len(builds) == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_carried_nonface_triangles_through_flips(data):
+    """Random legal flips of a sampled builder, plain or repaired as a
+    flagged spec repairs it.  After each flip the answer carried over the
+    flip's four ends equals a brute-force search of a graph rebuilt from
+    the builder's rotations."""
+    n = data.draw(st.integers(14, 40), label="n")
+    rng = random.Random(data.draw(st.integers(0, 9), label="seed"))
+    b = _sample(rng, n)
+    if data.draw(st.booleans(), label="flagged"):
+        # either repair may give up; the builder stays a triangulation
+        if _repair_degrees(b, rng, n):
+            _repair_separating_triangles(b, rng, True)
+    tris = nonface_triangles(b.rot, b.adj)
+    for _ in range(data.draw(st.integers(1, 8), label="flips")):
+        u = data.draw(st.integers(1, n), label="u")
+        v = data.draw(st.sampled_from(b.rot[u]), label="v")
+        apexes = b.flippable(u, v)
+        if apexes is None:
+            continue
+        tris = nonface_triangles(b.rot, b.adj, tris, b.flip(u, v, *apexes))
+        assert tris == brute_separating_triangles(EmbeddedGraph(b.rot))
